@@ -140,10 +140,11 @@ class BlockStage(FrontendStage):
     both call :meth:`_process_block` on exactly the same slices.
 
     Subclasses provide a ``block_samples`` field and
-    :meth:`_process_block`.
+    :meth:`_process_block`, which also receives the block's sample
+    offset in the stream (for error messages).
     """
 
-    def _process_block(self, block: np.ndarray) -> np.ndarray:
+    def _process_block(self, block: np.ndarray, offset: int) -> np.ndarray:
         raise NotImplementedError
 
     def process(self, iq: np.ndarray) -> np.ndarray:
@@ -152,7 +153,7 @@ class BlockStage(FrontendStage):
             return iq.copy()
         size = self.block_samples
         parts = [
-            self._process_block(iq[start: start + size])
+            self._process_block(iq[start: start + size], start)
             for start in range(0, len(iq), size)
         ]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -169,6 +170,7 @@ class _BlockStreamer(StreamingStage):
     def __init__(self, stage: BlockStage) -> None:
         self._stage = stage
         self._buffer: Optional[np.ndarray] = None
+        self._offset = 0  # stream offset of the buffer's first sample
 
     def feed(self, samples: np.ndarray) -> np.ndarray:
         samples = _check_chunk(samples)
@@ -185,8 +187,12 @@ class _BlockStreamer(StreamingStage):
         self._buffer = buf[n_full * size:].copy()
         if n_full == 0:
             return buf[:0]
+        offset = self._offset
+        self._offset += n_full * size
         parts = [
-            self._stage._process_block(buf[i * size: (i + 1) * size])
+            self._stage._process_block(
+                buf[i * size: (i + 1) * size], offset + i * size
+            )
             for i in range(n_full)
         ]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -196,10 +202,10 @@ class _BlockStreamer(StreamingStage):
         self._buffer = None
         if buf is None or len(buf) == 0:
             return np.empty(0) if buf is None else buf
-        return self._stage._process_block(buf)
+        return self._stage._process_block(buf, self._offset)
 
     def export_state(self) -> tuple:
-        meta = {"has_buffer": self._buffer is not None}
+        meta = {"has_buffer": self._buffer is not None, "offset": self._offset}
         arrays = {}
         if self._buffer is not None:
             arrays["buffer"] = self._buffer.copy()
@@ -210,6 +216,7 @@ class _BlockStreamer(StreamingStage):
             self._buffer = np.array(arrays["buffer"])
         else:
             self._buffer = None
+        self._offset = int(meta.get("offset", 0))
 
     def resident_bytes(self) -> int:
         return 0 if self._buffer is None else self._buffer.nbytes
@@ -398,7 +405,7 @@ class AgcStage(BlockStage):
             )
         return self
 
-    def _process_block(self, block: np.ndarray) -> np.ndarray:
+    def _process_block(self, block: np.ndarray, offset: int) -> np.ndarray:
         rms = float(np.sqrt(np.mean(np.abs(block) ** 2)))
         if rms > 0:
             return block * (self.target / rms)

@@ -14,15 +14,24 @@ peaks.
 
 Per block of ``block_samples`` samples ``x[0..N)``:
 
-1. build the Hankel matrix ``H[i, j] = x[i + j]`` of shape
+1. view the block as the Hankel matrix ``H[i, j] = x[i + j]`` of shape
    ``(L, N - L + 1)`` with window ``L = hankel_window``;
-2. compute the SVD ``H = U diag(s) V*`` and keep the leading ``r``
-   directions -- a fixed ``rank``, or the smallest ``r`` whose singular
-   energy reaches ``energy_keep`` of the total (adaptive: clean blocks
-   keep almost everything, noisy blocks shed the noise floor);
-3. reconstruct ``H_r`` and average its anti-diagonals back into a
-   length-``N`` sequence (each output sample is the mean of every
-   ``H_r[i, j]`` with ``i + j = k``).
+2. find its leading left singular directions without an SVD: the
+   eigenpairs of the ``L x L`` Gram matrix ``H H*`` are ``(s**2, U)``.
+   Keep the leading ``r`` directions -- a fixed ``rank``, or the
+   smallest ``r`` whose singular energy reaches ``energy_keep`` of the
+   total (adaptive: clean blocks keep almost everything, noisy blocks
+   shed the noise floor);
+3. project, ``W = U_r* H``, and average the anti-diagonals of
+   ``H_r = U_r W`` back into a length-``N`` sequence (each output sample
+   is the mean of every ``H_r[i, j]`` with ``i + j = k``). The
+   anti-diagonal sums of ``U_r W`` are ``sum_k conv(U_r[:, k], W[k])``,
+   one length-``N`` FFT product, so ``H_r`` is never formed.
+
+The result is the rank-``r`` SVD projection, to rounding (about 1e-12
+relative; ``tests/test_dsp.py`` holds the SVD reference). Per block
+this costs ``O(L**2 N + L**3 + r N log N)``. A non-finite sample raises
+:class:`~repro.errors.SignalError` naming the block's sample offset.
 
 Blocks are anchored at the start of the stream and processed
 independently, so the streaming form (buffer to full blocks, flush the
@@ -33,31 +42,15 @@ final partial one) is bit-identical to batch for any chunking -- the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.dsp.stage import BlockStage, register_stage
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SignalError
 
 __all__ = ["SvdDenoiser"]
-
-# The anti-diagonal index grid and its bin counts depend only on the
-# (block length, Hankel window) pair; cache them per geometry so steady
-# streams pay the setup once.
-_GRID_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _hankel_grid(n: int, window: int) -> Tuple[np.ndarray, np.ndarray]:
-    key = (n, window)
-    cached = _GRID_CACHE.get(key)
-    if cached is None:
-        idx = np.arange(window)[:, None] + np.arange(n - window + 1)[None, :]
-        counts = np.bincount(idx.ravel(), minlength=n).astype(float)
-        if len(_GRID_CACHE) > 64:  # geometry churn: drop, don't grow
-            _GRID_CACHE.clear()
-        _GRID_CACHE[key] = cached = (idx, counts)
-    return cached
 
 
 @register_stage("svd_denoiser")
@@ -67,7 +60,8 @@ class SvdDenoiser(BlockStage):
 
     Attributes:
         block_samples: samples per independently denoised block. Larger
-            blocks resolve closer spectral lines but cube the SVD cost.
+            blocks resolve closer spectral lines; a block costs
+            ``O(L**2 N + L**3 + r N log N)`` for ``N`` samples.
         hankel_window: trajectory-matrix window ``L``; the subspace can
             hold at most ``L`` distinct complex exponentials. Blocks
             shorter than ``2 * hankel_window`` (the stream tail) use
@@ -121,34 +115,32 @@ class SvdDenoiser(BlockStage):
         cum = np.cumsum(energy)
         return int(np.searchsorted(cum, self.energy_keep * total)) + 1
 
-    def _process_block(self, block: np.ndarray) -> np.ndarray:
-        out_dtype = (
-            np.complex128 if np.iscomplexobj(block) else np.float64
-        )
-        x = np.asarray(block, dtype=out_dtype)
+    def _process_block(self, block: np.ndarray, offset: int) -> np.ndarray:
+        real = not np.iscomplexobj(block)
+        x = np.asarray(block, dtype=np.float64 if real else np.complex128)
+        finite = np.isfinite(x)
+        if not finite.all():
+            bad = offset + int(np.argmin(finite))
+            raise SignalError(
+                f"non-finite sample at {bad} in the SVD denoiser block "
+                f"at sample offset {offset}"
+            )
         n = len(x)
         window = min(self.hankel_window, n // 2)
         if window < 2:
             # A 1..3-sample tail has no trajectory structure; pass it
             # through (same path in batch and streaming).
             return x.copy() if x is block else x
-        idx, counts = _hankel_grid(n, window)
-        hankel = x[idx]
-        u, s, vh = np.linalg.svd(hankel, full_matrices=False)
-        r = self._select_rank(s)
-        if r >= len(s):
-            low_rank = hankel
-        else:
-            low_rank = (u[:, :r] * s[:r]) @ vh[:r]
-        flat_idx = idx.ravel()
-        if out_dtype is np.complex128:
-            real = np.bincount(
-                flat_idx, weights=low_rank.real.ravel(), minlength=n
-            )
-            imag = np.bincount(
-                flat_idx, weights=low_rank.imag.ravel(), minlength=n
-            )
-            return (real + 1j * imag) / counts
-        return np.bincount(
-            flat_idx, weights=low_rank.ravel(), minlength=n
-        ) / counts
+        hankel = sliding_window_view(x, n - window + 1)
+        w, v = np.linalg.eigh(hankel @ hankel.conj().T)
+        r = self._select_rank(np.sqrt(np.clip(w[::-1], 0.0, None)))
+        if r >= window:
+            return x.copy() if x is block else x
+        basis = v[:, ::-1][:, :r]
+        proj = basis.conj().T @ hankel
+        fft, ifft = (
+            (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+        )
+        sums = ifft((fft(basis.T, n) * fft(proj, n)).sum(axis=0), n)
+        k = np.arange(n)
+        return sums / np.minimum(np.minimum(k + 1, n - k), window)

@@ -26,7 +26,7 @@ from repro.dsp import (
     stage_to_dict,
     validate_frontend,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SignalError
 from repro.types import Signal
 
 #: Stage sets the equivalence sweep exercises. Small block sizes keep
@@ -68,6 +68,46 @@ def batch_process(stages, samples):
     for stage in stages:
         samples = stage.process(samples)
     return samples
+
+
+def stream_process(stages, samples, sizes):
+    chain = FrontendChain(stages)
+    parts = [chain.feed(c) for c in chunkings(samples, sizes)]
+    parts.append(chain.flush())
+    return np.concatenate([p for p in parts if len(p)] or [np.empty(0)])
+
+
+def svd_oracle(stage, block):
+    """Reference SvdDenoiser block: the explicit SVD of the gathered
+    Hankel matrix, reconstructed and averaged per anti-diagonal.
+
+    Returns ``(output, selected rank)``.
+    """
+    dtype = np.complex128 if np.iscomplexobj(block) else np.float64
+    x = np.asarray(block, dtype=dtype)
+    n = len(x)
+    window = min(stage.hankel_window, n // 2)
+    idx = np.arange(window)[:, None] + np.arange(n - window + 1)[None, :]
+    hankel = x[idx]
+    u, s, vh = np.linalg.svd(hankel, full_matrices=False)
+    r = stage._select_rank(s)
+    low_rank = ((u[:, :r] * s[:r]) @ vh[:r]).ravel()
+    flat = idx.ravel()
+    sums = np.bincount(flat, weights=low_rank.real, minlength=n)
+    if dtype is np.complex128:
+        sums = sums + 1j * np.bincount(flat, weights=low_rank.imag, minlength=n)
+    return sums / np.bincount(flat, minlength=n), r
+
+
+def oracle_block(kind, n, complex_):
+    if kind == "structured":
+        x = make_signal(5, n)
+    elif kind == "noise":
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        x = np.zeros(n, dtype=complex)
+    return x if complex_ else x.real.copy()
 
 
 class TestValidation:
@@ -135,11 +175,7 @@ class TestBatchStreamingEquivalence:
         stages = STAGE_SETS[key]
         samples = make_signal(seed, n)
         reference = batch_process(stages, samples)
-
-        chain = FrontendChain(stages)
-        parts = [chain.feed(c) for c in chunkings(samples, sizes)]
-        parts.append(chain.flush())
-        streamed = np.concatenate([p for p in parts if len(p)] or [np.empty(0)])
+        streamed = stream_process(stages, samples, sizes)
         assert streamed.dtype == reference.dtype
         assert np.array_equal(streamed, reference)
 
@@ -207,3 +243,85 @@ class TestSvdDenoiser:
         assert out.t0 == signal.t0
         assert len(out.samples) == len(samples)
         assert not np.array_equal(out.samples, samples)
+
+
+class TestSvdOracle:
+    """The Gram/eigh + FFT kernel against the explicit-SVD reference."""
+
+    @pytest.mark.parametrize("mode", [
+        {"rank": 8},
+        {"rank": 64},  # == the full-block window: identity projection
+        {"rank": 200},  # > any window
+        {"energy_keep": 0.92},
+        {"energy_keep": 0.5},
+    ], ids=lambda m: "-".join(f"{k}={v}" for k, v in m.items()))
+    @pytest.mark.parametrize("n", [2048, 100], ids=["full", "tail"])
+    @pytest.mark.parametrize("kind", ["structured", "noise", "zero"])
+    @pytest.mark.parametrize("complex_", [True, False], ids=["complex", "real"])
+    def test_matches_svd_oracle(self, monkeypatch, mode, n, kind, complex_):
+        stage = SvdDenoiser(block_samples=2048, hankel_window=64, **mode)
+        block = oracle_block(kind, n, complex_)
+        expected, expected_rank = svd_oracle(stage, block)
+
+        ranks = []
+        select = SvdDenoiser._select_rank
+
+        def spy(self, s):
+            ranks.append(select(self, s))
+            return ranks[-1]
+
+        monkeypatch.setattr(SvdDenoiser, "_select_rank", spy)
+        out = stage.process(block)
+        assert ranks == [expected_rank]
+        assert out.dtype == expected.dtype
+        np.testing.assert_allclose(
+            out, expected, rtol=1e-9, atol=1e-12 * np.linalg.norm(block)
+        )
+
+
+class TestNonFiniteInput:
+    """A NaN/Inf sample raises SignalError naming the block offset, the
+    same way in batch, streaming, and behind a FIR gate."""
+
+    SVD = (SvdDenoiser(block_samples=256, hankel_window=16, rank=4),)
+    GATED = (
+        FirGateStage(cutoff=0.4, taps=33, block_samples=256),
+        SvdDenoiser(block_samples=256, hankel_window=16, rank=4),
+    )
+
+    def poisoned(self, at, value):
+        samples = make_signal(13, 1000)
+        samples[at] = value
+        return samples
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("at,offset", [(0, 0), (600, 512), (990, 768)])
+    def test_batch_raises_with_block_offset(self, value, at, offset):
+        with pytest.raises(SignalError, match=f"sample offset {offset}$"):
+            self.SVD[0].process(self.poisoned(at, value))
+
+    @pytest.mark.parametrize("at", [5, 600, 990])  # 990: in the flushed tail
+    @pytest.mark.parametrize("sizes", [[1000], [100] * 10, [300, 7, 450]])
+    @pytest.mark.parametrize("key", ["SVD", "GATED"])
+    def test_streaming_raises_like_batch(self, key, sizes, at):
+        stages = getattr(self, key)
+        samples = self.poisoned(at, np.nan)
+        with pytest.raises(SignalError) as batch_err:
+            batch_process(stages, samples)
+        with pytest.raises(SignalError) as stream_err:
+            stream_process(stages, samples, sizes)
+        assert str(stream_err.value) == str(batch_err.value)
+        assert "SVD denoiser" in str(batch_err.value)
+
+    def test_resumed_stream_names_the_same_offset(self):
+        samples = self.poisoned(600, np.nan)
+        with pytest.raises(SignalError) as batch_err:
+            batch_process(self.GATED, samples)
+        first = FrontendChain(self.GATED)
+        first.feed(samples[:550])
+        resumed = FrontendChain(self.GATED)
+        resumed.restore_state(*first.export_state())
+        with pytest.raises(SignalError) as stream_err:
+            resumed.feed(samples[550:])
+            resumed.flush()
+        assert str(stream_err.value) == str(batch_err.value)
