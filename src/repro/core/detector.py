@@ -20,14 +20,11 @@ Typical use::
 
 ``TrainedDetector.monitor`` is polymorphic: pass nothing (capture from
 the bound source), a raw :class:`~repro.types.Signal`, or a captured
-trace -- it always returns a :class:`MonitorReport`. The pre-redesign
-``monitor_signal`` / ``monitor_trace`` / ``monitor_program`` methods
-survive as deprecated aliases.
+trace -- it always returns a :class:`MonitorReport`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -155,7 +152,6 @@ class TrainedDetector:
     def stream(
         self,
         *,
-        batched: bool = True,
         early_exit: bool = False,
         keep_history: bool = False,
         t0: float = 0.0,
@@ -170,7 +166,6 @@ class TrainedDetector:
 
         return StreamingMonitor(
             self.model,
-            batched=batched,
             early_exit=early_exit,
             keep_history=keep_history,
             t0=t0,
@@ -199,40 +194,6 @@ class TrainedDetector:
             report_linger=self.model.max_group_size * hop,
             fault_spans=fault_spans,
         )
-
-    # -- deprecated pre-consolidation aliases --------------------------------
-
-    def monitor_signal(self, signal: Signal) -> MonitorResult:
-        """Deprecated: use ``monitor(signal).result``."""
-        warnings.warn(
-            "TrainedDetector.monitor_signal is deprecated; use "
-            "monitor(signal), which returns a full MonitorReport",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.monitor(signal).result
-
-    def monitor_trace(self, trace: TraceLike) -> MonitorReport:
-        """Deprecated: use ``monitor(trace)``."""
-        warnings.warn(
-            "TrainedDetector.monitor_trace is deprecated; use "
-            "monitor(trace)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.monitor(trace)
-
-    def monitor_program(
-        self, seed: Optional[int] = None, inputs=None
-    ) -> MonitorReport:
-        """Deprecated: use ``monitor(seed=..., inputs=...)``."""
-        warnings.warn(
-            "TrainedDetector.monitor_program is deprecated; use "
-            "monitor(seed=..., inputs=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.monitor(seed=seed, inputs=inputs)
 
     # -- model tweaking (experiment knobs) -----------------------------------------
 

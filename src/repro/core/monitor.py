@@ -198,7 +198,7 @@ class _KsJob:
 
 class _ChunkPlan:
     """Read-only fast-path plan for one chunk of STSs (see
-    :meth:`Monitor.plan_chunk`)."""
+    :func:`plan_chunks_pooled`)."""
 
     __slots__ = ("k", "static_stop", "jobs", "peaks")
 
@@ -213,8 +213,8 @@ def plan_suffix(plan: _ChunkPlan, start: int) -> Optional[_ChunkPlan]:
     """Re-slice an already-scored plan to its windows at/after ``start``.
 
     When a scalar replay re-enters the fast path without ever leaving
-    the plan's straight line (the streaming engine tracks that invariant
-    for its score hints), the original plan's verdicts are still the
+    the plan's straight line (:meth:`Monitor.score_chunk` tracks that
+    invariant for its score hints), the original plan's verdicts are still the
     truth for the remaining windows: the replay pushed exactly the rows
     the plan's sliding windows assumed. The remainder can therefore be
     committed directly by slicing the scored jobs -- no K-S recomputed,
@@ -247,6 +247,33 @@ def plan_suffix(plan: _ChunkPlan, start: int) -> Optional[_ChunkPlan]:
         jobs=jobs,
         peaks=plan.peaks[start:],
     )
+
+
+def _plan_hints(plan: _ChunkPlan, offset: int, start: int) -> Optional[dict]:
+    """Per-window score hints harvested from a scored chunk plan.
+
+    Maps each plan window at or after ``start`` (plan-relative; the
+    commit already consumed everything before it) to its per-dimension
+    ``(monitored_count, d, rejected)`` triple, keyed by the absolute
+    chunk index (``offset`` + plan index). Returns None when the plan's
+    jobs were never scored, in which case replay scores from scratch.
+    """
+    hints: dict = {}
+    for job in plan.jobs:
+        d = job.d
+        rej = job.rejected
+        if d is None or rej is None:
+            return None
+        dim = job.dim
+        count = job.count
+        wins = job.windows
+        for pos in range(int(np.searchsorted(wins, start)), len(wins)):
+            w = offset + int(wins[pos])
+            entry = hints.get(w)
+            if entry is None:
+                entry = hints[w] = {}
+            entry[dim] = (count, float(d[pos]), bool(rej[pos]))
+    return hints
 
 
 def score_ks_jobs(jobs: Sequence[_KsJob], alpha: float) -> None:
@@ -284,124 +311,133 @@ def score_ks_jobs(jobs: Sequence[_KsJob], alpha: float) -> None:
 def plan_chunks_pooled(
     entries: Sequence[tuple],
 ) -> List[Optional[_ChunkPlan]]:
-    """Plan many sessions' chunks in pooled vectorized passes.
+    """Plan the vectorized fast path for one or many sessions' chunks.
 
     ``entries`` is a sequence of ``(monitor, peaks, quality)`` triples,
-    one per session, each covering one chunk. Sessions in *steady state*
-    -- same region profile object (hence same model, group size, test
-    dimensions, references), same chunk window count, full history, and
-    no quality-flagged windows -- are bucketed together, and each
-    bucket's monitored-set construction (history tails, validity counts,
-    sliding windows, row sort) runs as single numpy operations over a
-    ``(sessions, windows, group)`` stack instead of once per session.
-    Every per-window quantity is computed exactly as
-    :meth:`Monitor.plan_chunk` computes it, row for row, so the returned
-    plans are bit-identical to per-session planning; sessions that do
-    not fit a bucket (filling history, flagged windows) fall back to
-    :meth:`Monitor.plan_chunk`, and sessions whose entry state bars the
-    fast path altogether get ``None`` -- the same contract, per slot.
+    one per session, each covering one chunk of STS rows. This is the
+    only planner: a single stream, or a whole batch signal, is a group of
+    one.
 
-    Planning never mutates monitor state; the caller scores the plans
-    (:func:`score_ks_jobs` pools rows fleet-wide by shared reference)
-    and commits each session's plan individually.
+    The fast path is *optimistic*: it assumes every window accepts the
+    current region and computes all windows' K-S monitored sets in bulk
+    (sliding windows over the history tail plus the chunk's own rows);
+    :meth:`Monitor.commit_chunk` then applies the accept-only prefix at
+    once. Planning is strictly read-only, so when a window rejects -- or
+    hits a branch the vectorized path does not model -- the chunk from
+    that window on replays through the unmodified scalar
+    :meth:`Monitor.step`, which is why the fast and scalar paths are
+    bit-identical by construction.
+
+    Sessions sharing a region profile object (hence model, group size,
+    test dimensions, references) and a chunk window count are bucketed
+    together, and each bucket's monitored-set construction (history
+    tails, validity counts, sliding windows, row sort) runs as single
+    numpy operations over a ``(sessions, windows, group)`` stack. Each
+    session keeps its own scoring range: windows before
+    ``first_eligible`` (history still filling) are never K-S tested, and
+    ``static_stop`` marks the first window that must go scalar regardless
+    of K-S outcomes (a quality-flagged window, or an eligible window
+    missing its dim-0 peaks, which the scalar path treats as a
+    rejection).
+
+    A slot is ``None`` when the session's entry state already diverges
+    from the accept-only straight line: a non-K-S statistic, a pending
+    gap resync, an active resync search, an untestable (peak-less)
+    current region, or a flagged first window. The caller scores the
+    plans (:func:`score_ks_jobs` pools rows fleet-wide by shared
+    reference) and commits each session's plan individually.
     """
     plans: List[Optional[_ChunkPlan]] = [None] * len(entries)
     buckets: Dict[tuple, list] = {}
     for i, (mon, peaks, quality) in enumerate(entries):
-        cfg = mon._cfg
         k = int(peaks.shape[0])
         if (
-            not mon._batched
-            or cfg.statistic != "ks"
-            or k == 0
+            k == 0
             or peaks.shape[1] != mon._width
-            or mon._gap_pending
-            or mon._resync_remaining is not None
+            or not mon._fast_path_ready()
         ):
             continue
-        profile = mon.model.profile(mon.current_region)
-        if not profile.testable():
-            continue
-        n = profile.group_size
-        flagged_windows = False
-        if cfg.quality_gating and quality is not None:
-            flagged_windows = bool(
-                (np.asarray(quality, dtype=np.uint8) & QF_UNSCORABLE).any()
+        stop = k
+        if mon._cfg.quality_gating and quality is not None:
+            flagged = np.flatnonzero(
+                np.asarray(quality, dtype=np.uint8) & QF_UNSCORABLE
             )
-        if flagged_windows or mon._filled < n - 1:
-            plans[i] = mon.plan_chunk(peaks, quality)
-            continue
-        buckets.setdefault((id(profile), k), [profile, []])[1].append(i)
+            if len(flagged):
+                stop = int(flagged[0])
+                if stop == 0:
+                    continue
+        profile = mon.model.profile(mon.current_region)
+        # A window is K-S eligible once the history (plus the chunk's own
+        # pushes up to it) holds n rows -- the _recent() gate.
+        first = max(0, profile.group_size - mon._filled - 1)
+        buckets.setdefault((id(profile), k), [profile, []])[1].append(
+            (i, first, stop)
+        )
 
     for (_, k), (profile, members) in buckets.items():
         n = profile.group_size
-        mon0 = entries[members[0]][0]
-        cfg = mon0._cfg
+        cfg = entries[members[0][0]][0]._cfg
+        stops = np.array([stop for _, _, stop in members], dtype=np.int64)
         test_dims = [
             dim for dim in profile.test_dims
             if len(profile.reference_dim(dim)) > 0
         ]
         all_dims = sorted(set(test_dims) | ({0} if profile.num_peaks > 0 else set()))
         if not all_dims:
-            for i in members:
-                plans[i] = _ChunkPlan(k=k, static_stop=k, jobs=[],
+            for (i, _, stop) in members:
+                plans[i] = _ChunkPlan(k=k, static_stop=stop, jobs=[],
                                       peaks=entries[i][1])
             continue
         s_count = len(members)
-        length = n - 1 + k
-        peaks_stack = np.stack([entries[i][1] for i in members])
+        cols = np.asarray(all_dims)
+        # Per-session monitored-value streams, (sessions, n-1+k, dims):
+        # the history tail (the n-1 rows before this chunk) followed by
+        # the chunk's own rows -- the only per-session gather; everything
+        # after is one stacked op. Tail rows older than a filling
+        # session's history are read but never reach a scored window.
+        arr = np.empty((s_count, n - 1 + k, len(all_dims)))
+        offsets = np.arange(n - 1)
+        for j, (i, _, _) in enumerate(members):
+            mon, peaks, _ = entries[i]
+            idx = (mon._hist_pos - (n - 1) + offsets) % len(mon._history)
+            arr[j, : n - 1] = mon._history[idx[:, None], cols]
+            arr[j, n - 1:] = peaks[:, cols]
+        csum = np.zeros((s_count, n + k, len(all_dims)), dtype=np.int64)
+        np.cumsum(~np.isnan(arr), axis=1, out=csum[:, 1:])
+        # Real (non-NaN) values in each window's monitored set, per dim.
+        counts = csum[:, n:] - csum[:, :-n]
         dim_col = {dim: j for j, dim in enumerate(all_dims)}
-        # Per-session history tails (the n-1 rows before this chunk) --
-        # the only per-session gather; everything after is one stacked op.
-        tails = np.empty((s_count, n - 1, len(all_dims)))
-        if n > 1:
-            size = mon0._history.shape[0]
-            offsets = np.arange(n - 1)
-            cols = np.asarray(all_dims)
-            for j, i in enumerate(members):
-                mon = entries[i][0]
-                idx = (mon._hist_pos - (n - 1) + offsets) % size
-                tails[j] = mon._history[idx[:, None], cols]
 
-        arrs = {}
-        counts = {}
-        for dim in all_dims:
-            arr = np.empty((s_count, length))
-            arr[:, : n - 1] = tails[:, :, dim_col[dim]]
-            arr[:, n - 1:] = peaks_stack[:, :, dim]
-            csum = np.zeros((s_count, length + 1), dtype=np.int64)
-            np.cumsum(~np.isnan(arr), axis=1, out=csum[:, 1:])
-            arrs[dim] = arr
-            counts[dim] = csum[:, n:] - csum[:, :-n]
-
-        # static_stop per session: first eligible window whose dim-0
-        # monitored set is too small (scalar territory from there on).
-        stops = np.full(s_count, k, dtype=np.int64)
+        window_all = np.arange(k, dtype=np.int64)
+        first = np.array([f for _, f, _ in members], dtype=np.int64)
+        live = (window_all >= first[:, None]) & (window_all < stops[:, None])
         if profile.num_peaks > 0:
-            short = counts[0] < cfg.min_mon_values
+            # Live windows whose dim-0 monitored set is too small take the
+            # missing-peaks anomaly branch in step(): scalar territory.
+            short = live & (counts[:, :, dim_col[0]] < cfg.min_mon_values)
             any_short = short.any(axis=1)
             if any_short.any():
                 stops[any_short] = short.argmax(axis=1)[any_short]
+                live &= window_all < stops[:, None]
 
         jobs_by_session: List[list] = [[] for _ in members]
-        window_all = np.arange(k, dtype=np.int64)
+        # Window w's monitored set is stream rows w .. w+n-1, gathered by
+        # index: sliding_window_view's setup costs more than the copy at
+        # fleet chunk sizes, and the sort copies anyway.
+        window_rows = window_all[:, None] + np.arange(n)
         for dim in test_dims:
             ref = profile.reference_dim(dim)
-            arr = arrs[dim]
-            wins = np.lib.stride_tricks.sliding_window_view(arr, n, axis=1)
-            rows = np.sort(wins, axis=2)
-            cnt = counts[dim]
-            eligible = cnt >= cfg.min_mon_values
+            # Ascending sort pushes the NaNs of each window past its count
+            # of real values; the leading count columns are exactly
+            # _recent()'s sorted monitored set.
+            rows = np.sort(arr[:, window_rows, dim_col[dim]], axis=2)
+            cnt = counts[:, :, dim_col[dim]]
+            eligible = live & (cnt >= cfg.min_mon_values)
             # Steady-state short-circuit: every window eligible at one
-            # constant count and no static stop -> one job per session,
-            # its rows a plain view of the pooled sort.
-            simple = (
-                (stops == k)
-                & eligible.all(axis=1)
-                & (cnt == cnt[:, :1]).all(axis=1)
-            )
-            for j, i in enumerate(members):
-                stop = int(stops[j])
+            # constant count -> one job per session, its rows a plain
+            # view of the pooled sort.
+            simple = eligible.all(axis=1) & (cnt == cnt[:, :1]).all(axis=1)
+            for j in range(s_count):
                 if simple[j]:
                     c = int(cnt[j, 0])
                     jobs_by_session[j].append(_KsJob(
@@ -409,13 +445,11 @@ def plan_chunks_pooled(
                         rows=rows[j][:, :c], windows=window_all,
                     ))
                     continue
-                if stop == 0:
-                    continue
-                ok = eligible[j, :stop]
+                ok = eligible[j]
                 if not ok.any():
                     continue
-                ok_counts = cnt[j, :stop][ok]
-                rows_ok = rows[j, :stop][ok]
+                ok_counts = cnt[j][ok]
+                rows_ok = rows[j][ok]
                 window_idx = np.flatnonzero(ok)
                 for c in np.unique(ok_counts):
                     sel = ok_counts == c
@@ -424,7 +458,7 @@ def plan_chunks_pooled(
                         rows=rows_ok[sel][:, : int(c)],
                         windows=window_idx[sel],
                     ))
-        for j, i in enumerate(members):
+        for j, (i, _, _) in enumerate(members):
             plans[i] = _ChunkPlan(
                 k=k, static_stop=int(stops[j]), jobs=jobs_by_session[j],
                 peaks=entries[i][1],
@@ -577,17 +611,19 @@ class MonitorResult:
 class Monitor:
     """A stateful Algorithm-1 monitor for one trained model.
 
-    ``batched`` (the default) enables the vectorized hot path: per-dim
-    sorted reference arrays are precomputed once per region profile, the
-    rolling history is maintained as incrementally sorted per-dimension
-    buffers, and all tested dimensions of a window are scored through one
-    :func:`ks_statistic_batch` call. The statistic is computed in exact
-    integer arithmetic on both paths, so batched and unbatched monitors
-    produce bit-identical results (asserted by the equivalence tests);
-    the unbatched path is retained as the reference implementation.
+    Per-dim sorted reference arrays are precomputed once per region
+    profile, the rolling history is maintained as incrementally sorted
+    per-dimension buffers, and all tested dimensions of a window are
+    scored through one :func:`ks_statistic_batch` call in exact integer
+    arithmetic. Batch, streaming, and fleet monitoring share one
+    execution path: :func:`plan_chunks_pooled` plans a chunk (a whole
+    batch signal is one chunk) and :meth:`score_chunk` commits its
+    accept-only prefix and replays divergences through :meth:`step`. The
+    scalar one-step-per-window reference lives in the test suite as the
+    oracle these paths are checked against.
     """
 
-    def __init__(self, model: EddieModel, batched: bool = True) -> None:
+    def __init__(self, model: EddieModel) -> None:
         self.model = model
         self._cfg = model.config
         history_len = max(model.max_group_size, 2)
@@ -597,7 +633,6 @@ class Monitor:
         self._history = np.full((history_len, self._width), np.nan)
         self._hist_pos = 0
         self._filled = 0
-        self._batched = bool(batched)
         self._push_count = 0
         # Sorted buffers are only maintained for dimensions some profile
         # can test (plus dim 0, probed by the peak-less-region logic); the
@@ -620,9 +655,10 @@ class Monitor:
         self._gap_pending = False
         self._resync_remaining: Optional[int] = None
         self.last_unscorable = False
-        # Scaled K-S statistics D * sqrt(mn/(m+n)) buffered by _score_dims
-        # when observability is on; run_peaks flushes them through one
-        # vectorized kolmogorov_sf call into the p-value histogram.
+        # Scaled K-S statistics D * sqrt(mn/(m+n)) buffered by scoring and
+        # commits when observability is on; score_chunk flushes them
+        # through one vectorized kolmogorov_sf call into the p-value
+        # histogram.
         self._ks_scaled_stats: List[float] = []
 
     # -- driving ------------------------------------------------------------
@@ -694,42 +730,17 @@ class Monitor:
             raise MonitoringError(
                 f"{len(quality)} quality flags for {len(times)} timestamps"
             )
-        tracked: List[str] = []
-        reports: List[AnomalyReport] = []
-        report_indices: List[int] = []
-        rejection_flags = np.zeros(len(times), dtype=bool)
-        unscorable_flags = np.zeros(len(times), dtype=bool)
-        group_sizes = np.zeros(len(times), dtype=int)
-        for i in range(len(times)):
-            q = int(quality[i]) if quality is not None else 0
-            report, rejected = self.step(peaks[i], float(times[i]), quality=q)
-            tracked.append(self.current_region)
-            rejection_flags[i] = rejected
-            unscorable_flags[i] = self.last_unscorable
-            group_sizes[i] = self.model.profile(self.current_region).group_size
-            if report is not None:
-                reports.append(report)
-                report_indices.append(i)
-        n = len(times)
-        status = "ok"
-        if n and unscorable_flags.mean() >= self._cfg.max_unscorable_fraction:
-            status = "degraded"
+        # The whole signal is one chunk: plan it, score the plan, and run
+        # the same commit/replay loop as the streaming and fleet paths.
+        # Columns past the configured width are never pushed.
+        peaks = peaks[:, : self._width]
+        plan = plan_chunks_pooled([(self, peaks, quality)])[0]
+        if plan is not None and plan.jobs:
+            score_ks_jobs(plan.jobs, self._cfg.alpha)
+        result = self.score_chunk(peaks, times, quality, plan)
         if OBS.enabled:
-            self._flush_obs_windows(
-                peaks, tracked, reports, rejection_flags, unscorable_flags
-            )
-            self._flush_obs_run(status)
-        return MonitorResult(
-            times=np.asarray(times, dtype=float),
-            tracked=tracked,
-            reports=reports,
-            rejection_flags=rejection_flags,
-            group_sizes=group_sizes,
-            unscorable_flags=unscorable_flags,
-            quality=quality,
-            report_indices=report_indices,
-            status=status,
-        )
+            self._flush_obs_run(result.status)
+        return result
 
     def _flush_obs_windows(
         self,
@@ -741,10 +752,10 @@ class Monitor:
     ) -> None:
         """Fold a batch of monitoring events into the metrics registry.
 
-        Counters are accumulated locally inside the per-STS loop (plain
-        Python state) and flushed here in one pass per run -- or once per
-        chunk on the streaming path -- so the enabled-mode overhead stays
-        a handful of instrument calls per trace rather than several per
+        Counters are accumulated locally inside :meth:`score_chunk`
+        (plain Python state) and flushed here in one pass per chunk -- a
+        batch run is one chunk -- so the enabled-mode overhead stays a
+        handful of instrument calls per trace rather than several per
         window.
         """
         n = len(tracked)
@@ -964,139 +975,166 @@ class Monitor:
 
     # -- chunk fast path (vectorized optimistic scoring) ---------------------
 
-    def fast_path_ready(self) -> bool:
-        """Cheap entry gate for :meth:`plan_chunk`.
+    def _fast_path_ready(self) -> bool:
+        """Cheap entry gate for :func:`plan_chunks_pooled`.
 
         True when the monitor's *state* admits the optimistic fast path
-        right now (batched K-S, no pending gap resync, no active resync
-        search, testable region). The streaming engine consults this
-        before re-planning the remainder of a chunk mid-replay, so long
-        resync or untestable stretches do not pay planning costs per
-        window.
+        right now (K-S statistic, no pending gap resync, no active resync
+        search, testable region). :meth:`score_chunk` consults it before
+        re-planning the remainder of a chunk mid-replay, so long resync
+        or untestable stretches do not pay planning costs per window.
         """
         return (
-            self._batched
-            and self._cfg.statistic == "ks"
+            self._cfg.statistic == "ks"
             and not self._gap_pending
             and self._resync_remaining is None
             and self.model.profile(self.current_region).testable()
         )
 
-    def plan_chunk(
-        self, peaks: np.ndarray, quality: Optional[np.ndarray]
-    ) -> Optional[_ChunkPlan]:
-        """Plan the vectorized fast path for one chunk of STS rows.
+    def score_chunk(
+        self,
+        peaks: np.ndarray,
+        times: np.ndarray,
+        quality: Optional[np.ndarray],
+        plan: Optional[_ChunkPlan],
+        early_exit: bool = False,
+    ) -> MonitorResult:
+        """Run one chunk of STSs through Algorithm 1; return its result.
 
-        The fast path is *optimistic*: it assumes every window accepts
-        the current region, computes all windows' K-S decisions in bulk
-        (sliding-window monitored sets over the history tail plus the
-        chunk's own rows), and only if that assumption holds does
-        :meth:`commit_chunk` apply the whole chunk's state changes at
-        once. Planning is strictly read-only, so when any window rejects
-        -- or hits a branch the vectorized path does not model -- the
-        chunk (from that window on) replays through the unmodified
-        scalar :meth:`step`, which is why fast and scalar paths are
-        bit-identical by construction.
+        ``plan`` is the chunk's scored fast-path plan from
+        :func:`plan_chunks_pooled` (or ``None`` when the entry state bars
+        the fast path). The loop alternates between committing a plan's
+        accept-only prefix (:meth:`commit_chunk`) and stepping scalar
+        through each divergence (:meth:`step`) until a window accepts
+        cleanly, after which the remaining suffix is planned again
+        instead of replaying scalar to the end of the chunk. Batch runs,
+        streams, and fleet sessions all go through here.
 
-        Returns ``None`` when the entry state already diverges from the
-        accept-only straight line: unbatched or non-K-S monitors, a
-        pending gap resync, an active resync search, or an untestable
-        (peak-less) current region. ``static_stop`` marks the first
-        window that must go scalar regardless of K-S outcomes (a
-        quality-flagged window, or an eligible window missing its dim-0
-        peaks, which the scalar path treats as a rejection).
+        The plan's per-window K-S scores outlive its accept-only prefix:
+        scalar replay pushes every scored window into the same history
+        positions the plan assumed, so until the replay leaves the plan's
+        straight line (an unscorable window skips a push, a gap or resync
+        rewrites the history, a region transition swaps the reference and
+        clamps the fill level -- a same-name self-transition included,
+        detectable as a rejected step whose streak was reset), each
+        replayed window's current-region decisions are served from the
+        plan (see :meth:`_hinted_dims`), and re-entry slices the old plan
+        (:func:`plan_suffix`) instead of planning and scoring again.
+        Candidate probes always run live.
+
+        With ``early_exit`` the chunk stops just after the first
+        ``anomaly`` report and the result is truncated there. The
+        result's ``status`` covers this chunk's windows only.
         """
         cfg = self._cfg
-        k = int(peaks.shape[0])
-        if (
-            not self._batched
-            or cfg.statistic != "ks"
-            or k == 0
-            or peaks.shape[1] != self._width
-            or self._gap_pending
-            or self._resync_remaining is not None
+        n = len(times)
+        tracked: List[str] = []
+        reports: List[AnomalyReport] = []
+        report_indices: List[int] = []
+        rejection_flags = np.zeros(n, dtype=bool)
+        unscorable_flags = np.zeros(n, dtype=bool)
+        group_sizes = np.zeros(n, dtype=int)
+        stop_at: Optional[int] = None
+        i = 0
+        hints: Optional[dict] = None
+        hints_region: Optional[str] = None
+        live_plan = None  # last committed plan, meaningful while hints live
+        live_offset = 0
+        while i < n:
+            if plan is None and i and n - i >= 2 and self._fast_path_ready():
+                # Re-entry with live hints means the replay never left
+                # the committed plan's straight line, so the remaining
+                # windows' verdicts are already known.
+                if hints is not None and live_plan is not None:
+                    plan = plan_suffix(live_plan, i - live_offset)
+                if plan is None:
+                    plan = plan_chunks_pooled([(
+                        self,
+                        peaks[i:],
+                        quality[i:] if quality is not None else None,
+                    )])[0]
+                    if plan is not None and plan.jobs:
+                        score_ks_jobs(plan.jobs, cfg.alpha)
+            if plan is not None:
+                first_fast = self.commit_chunk(plan)
+                if first_fast < plan.k:
+                    hints = _plan_hints(plan, i, first_fast)
+                    hints_region = self.current_region
+                    live_plan, live_offset = plan, i
+                plan = None
+                if first_fast:
+                    # The fast stretch is accept-only: region unchanged,
+                    # no rejections, no reports, nothing unscorable.
+                    region = self.current_region
+                    tracked.extend([region] * first_fast)
+                    group_sizes[i:i + first_fast] = self.model.profile(
+                        region
+                    ).group_size
+                    i += first_fast
+                    continue
+            while i < n:
+                q = int(quality[i]) if quality is not None else 0
+                report, rejected = self.step(
+                    peaks[i],
+                    float(times[i]),
+                    quality=q,
+                    score_hint=hints.get(i) if hints is not None else None,
+                )
+                if hints is not None and (
+                    self.last_unscorable
+                    or self.current_region != hints_region
+                    or (rejected and self._streak == 0)
+                    or self._gap_pending
+                    or self._resync_remaining is not None
+                ):
+                    hints = None
+                tracked.append(self.current_region)
+                rejection_flags[i] = rejected
+                unscorable_flags[i] = self.last_unscorable
+                group_sizes[i] = self.model.profile(
+                    self.current_region
+                ).group_size
+                if report is not None:
+                    reports.append(report)
+                    report_indices.append(i)
+                    if early_exit and report.kind == "anomaly":
+                        stop_at = i + 1
+                        break
+                accepted = not rejected and not self.last_unscorable
+                i += 1
+                if accepted:
+                    # An accepting step reset the streak counters --
+                    # exactly the state a plan assumes on entry.
+                    break
+            if stop_at is not None:
+                break
+        if stop_at is not None:
+            peaks = peaks[:stop_at]
+            times = times[:stop_at]
+            rejection_flags = rejection_flags[:stop_at]
+            unscorable_flags = unscorable_flags[:stop_at]
+            group_sizes = group_sizes[:stop_at]
+            quality = quality[:stop_at] if quality is not None else None
+        if OBS.enabled:
+            self._flush_obs_windows(
+                peaks, tracked, reports, rejection_flags, unscorable_flags
+            )
+        status = "ok"
+        if len(tracked) and (
+            unscorable_flags.mean() >= cfg.max_unscorable_fraction
         ):
-            return None
-        profile = self.model.profile(self.current_region)
-        if not profile.testable():
-            return None
-        static_stop = k
-        if cfg.quality_gating and quality is not None:
-            flagged = np.flatnonzero(
-                np.asarray(quality, dtype=np.uint8) & QF_UNSCORABLE
-            )
-            if len(flagged):
-                static_stop = int(flagged[0])
-                if static_stop == 0:
-                    return None
-        n = profile.group_size
-        # A window is K-S eligible once the history (plus the chunk's own
-        # pushes up to it) holds n rows -- the _recent() gate.
-        first_eligible = max(0, n - self._filled - 1)
-
-        streams: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-        def dim_stream(dim: int, stop: int):
-            cached = streams.get(dim)
-            if cached is not None and len(cached[1]) >= stop:
-                return cached
-            if n > 1:
-                size = self._history.shape[0]
-                idx = (
-                    self._hist_pos - (n - 1) + np.arange(n - 1)
-                ) % size
-                prev = self._history[idx, dim]
-            else:
-                prev = np.empty(0)
-            arr = np.concatenate([prev, peaks[:stop, dim]])
-            csum = np.concatenate(
-                [[0], np.cumsum(~np.isnan(arr), dtype=np.int64)]
-            )
-            counts = csum[n:] - csum[:-n]
-            streams[dim] = (arr, counts)
-            return arr, counts
-
-        if profile.num_peaks > 0 and first_eligible < static_stop:
-            # Eligible windows whose dim-0 monitored set is too small take
-            # the missing-peaks anomaly branch in step(): scalar territory.
-            _, counts0 = dim_stream(0, static_stop)
-            short = np.flatnonzero(
-                counts0[first_eligible:static_stop] < cfg.min_mon_values
-            )
-            if len(short):
-                static_stop = first_eligible + int(short[0])
-
-        jobs: List[_KsJob] = []
-        if first_eligible < static_stop:
-            for dim in profile.test_dims:
-                ref = profile.reference_dim(dim)
-                if len(ref) == 0:
-                    continue
-                arr, counts = dim_stream(dim, static_stop)
-                counts = counts[first_eligible:static_stop]
-                ok = counts >= cfg.min_mon_values
-                if not ok.any():
-                    continue
-                windows = np.lib.stride_tricks.sliding_window_view(
-                    arr[: n - 1 + static_stop], n
-                )[first_eligible:static_stop]
-                # Ascending sort pushes the NaNs of each window past its
-                # count of real values; the leading count columns are
-                # exactly _recent()'s sorted monitored set.
-                rows_sorted = np.sort(windows[ok], axis=1)
-                window_idx = first_eligible + np.flatnonzero(ok)
-                ok_counts = counts[ok]
-                for c in np.unique(ok_counts):
-                    sel = ok_counts == c
-                    jobs.append(_KsJob(
-                        dim=dim,
-                        ref=ref,
-                        count=int(c),
-                        rows=rows_sorted[sel][:, : int(c)],
-                        windows=window_idx[sel],
-                    ))
-        return _ChunkPlan(k=k, static_stop=static_stop, jobs=jobs,
-                          peaks=peaks)
+            status = "degraded"
+        return MonitorResult(
+            times=np.asarray(times, dtype=float),
+            tracked=tracked,
+            reports=reports,
+            rejection_flags=rejection_flags,
+            group_sizes=group_sizes,
+            unscorable_flags=unscorable_flags,
+            quality=quality,
+            report_indices=report_indices,
+            status=status,
+        )
 
     def commit_chunk(self, plan: _ChunkPlan) -> int:
         """Apply a scored plan's accept-only prefix; return its length.
@@ -1303,11 +1341,10 @@ class Monitor:
         row = np.full(self._width, np.nan)
         usable = min(len(peak_row), self._width)
         row[:usable] = peak_row[:usable]
-        if self._batched:
-            for dim in self._tracked_dims:
-                value = row[dim]
-                if value == value:  # not NaN
-                    self._buffers[dim].insert(value, self._push_count)
+        for dim in self._tracked_dims:
+            value = row[dim]
+            if value == value:  # not NaN
+                self._buffers[dim].insert(value, self._push_count)
         # Circular write: np.roll here used to copy the whole history
         # matrix on every push.
         self._history[self._hist_pos] = row
@@ -1319,9 +1356,8 @@ class Monitor:
         """The last ``n`` pushed rows in chronological order.
 
         Callers must keep ``n <= self._filled`` (they all gate on it).
-        Only the slow paths (the unbatched reference monitor, candidate
-        probing fallbacks, post-gap reacquisition) materialize this view;
-        the batched hot path reads the sorted per-dim buffers instead.
+        Only post-gap reacquisition materializes this view; every other
+        query reads the sorted per-dim buffers instead.
         """
         size = self._history.shape[0]
         n = min(n, size)
@@ -1329,20 +1365,16 @@ class Monitor:
         return self._history[idx]
 
     def _recent(self, n: int, dim: int) -> Optional[np.ndarray]:
-        """Last up-to-n non-NaN observations of one peak dimension.
+        """Last up-to-n non-NaN observations of one peak dimension, sorted.
 
-        On the batched path the values come back sorted (from the
-        incrementally maintained sorted buffers); on the reference path
-        they are chronological. Both two-sample tests are order-invariant,
-        so downstream decisions are identical.
+        Every queried dimension (any profile's test dims, plus dim 0) has
+        an incrementally maintained sorted buffer. Both two-sample tests
+        are order-invariant, so sorted and chronological sets decide
+        alike.
         """
         if self._filled < n:
             return None
-        if self._batched and dim in self._buffers:
-            values = self._buffers[dim].query(self._push_count - n)
-        else:
-            values = self._history_tail(n)[:, dim]
-            values = values[~np.isnan(values)]
+        values = self._buffers[dim].query(self._push_count - n)
         if len(values) < self._cfg.min_mon_values:
             return None
         return values
@@ -1354,11 +1386,10 @@ class Monitor:
     ) -> Dict[int, bool]:
         """Rejection decision for every tested dimension of one window.
 
-        On the batched path all K-S-testable dimensions are scored in one
+        With the K-S statistic all testable dimensions are scored in one
         :func:`ks_statistic_batch` call against the profile's precomputed
-        sorted references; otherwise (reference path, or the U-test
-        alternative) each dimension runs through
-        :func:`~repro.core.stats.two_sample_reject` as before.
+        sorted references; the U-test alternative runs each dimension
+        through :func:`~repro.core.stats.two_sample_reject`.
         """
         rejected: Dict[int, bool] = {}
         batch_dims: List[int] = []
@@ -1373,7 +1404,7 @@ class Monitor:
             if len(ref) == 0:
                 rejected[dim] = False
                 continue
-            if self._batched and self._cfg.statistic == "ks":
+            if self._cfg.statistic == "ks":
                 batch_dims.append(dim)
                 batch_refs.append(ref)
                 batch_mons.append(mon)
@@ -1412,7 +1443,7 @@ class Monitor:
         D and rejection verdict per dimension (identical arithmetic to
         :meth:`_score_dims`; see ``tests/test_fleet_kernel.py``), as long
         as the history the plan assumed is the history the scalar replay
-        actually built -- the streaming engine tracks that invariant and
+        actually built -- :meth:`score_chunk` tracks that invariant and
         only passes hints while it holds. This method adds a local
         defense: if any scorable dimension is missing from the hint or
         its recorded monitored-group size disagrees with the live one,

@@ -12,8 +12,8 @@ Stages:
 
 - :class:`SvdDenoiser` -- windowed-Hankel spectral-subspace denoising
   for harsh RF environments (arXiv 2212.05643),
-- :class:`AgcStage` -- block automatic gain control (the stage form of
-  the receiver's deprecated ``agc=True`` hook),
+- :class:`AgcStage` -- block automatic gain control, the cheap SDR's
+  AGC on the shared preprocessing chain,
 - :class:`FirGateStage` -- linear-phase FIR band gate, group-delay
   compensated (the receiver's decimation FIR, usable without
   decimating).

@@ -384,11 +384,10 @@ class FrontendChain(StreamingStage):
 class AgcStage(BlockStage):
     """Block automatic gain control: scale each block's RMS to a target.
 
-    The stage form of the receiver's legacy ``agc=True`` hook (which is
-    now deprecation-aliased to this): each ``block_samples``-long block
-    is rescaled so its RMS level hits ``target`` -- the ADC sweet spot a
-    cheap SDR's AGC chases. With the receiver defaults
-    (``adc_full_scale=4.0``) the equivalent target is ``2.0``.
+    Each ``block_samples``-long block is rescaled so its RMS level hits
+    ``target`` -- the ADC sweet spot (half full scale) a cheap SDR's AGC
+    chases. With the receiver defaults (``adc_full_scale=4.0``) that
+    target is ``2.0``.
     """
 
     block_samples: int = 4096

@@ -13,7 +13,6 @@ an overdriven ADC would, and both report overflow counts the same way.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -80,16 +79,6 @@ class Receiver:
             timeline.
         adc_bits: quantizer resolution; ``None`` for ideal (float) capture.
         adc_full_scale: full-scale amplitude of the quantizer.
-        agc: normalize the block RMS level toward the ADC's sweet spot
-            (half full scale) before quantization, as a cheap SDR's
-            automatic gain control does. Reduces saturation but introduces
-            gain steps at block boundaries. *Deprecated:* use
-            :class:`repro.dsp.AgcStage` on ``EddieConfig.frontend``
-            instead -- the stage form runs on the shared preprocessing
-            chain (streaming, checkpointable, fingerprinted into the
-            model).
-        agc_block: AGC adaptation block length in samples (deprecated
-            with ``agc``).
         dc_offset: additive DC at the mixer output (cheap direct-conversion
             SDRs have a notorious DC spike).
         iq_imbalance_db: gain imbalance between the I and Q chains in dB;
@@ -111,8 +100,6 @@ class Receiver:
     decimation: int = 1
     adc_bits: Optional[int] = None
     adc_full_scale: float = 4.0
-    agc: bool = False
-    agc_block: int = 4096
     dc_offset: complex = 0.0
     iq_imbalance_db: float = 0.0
     lo_drift_hz_per_s: float = 0.0
@@ -131,19 +118,8 @@ class Receiver:
             raise SignalError(
                 f"adc_full_scale must be positive, got {self.adc_full_scale}"
             )
-        if self.agc_block < 2:
-            raise SignalError(f"agc_block must be >= 2, got {self.agc_block}")
         if self.iq_imbalance_db < 0:
             raise SignalError("iq_imbalance_db must be >= 0")
-        if self.agc:
-            warnings.warn(
-                "Receiver(agc=True) is deprecated; put an AgcStage on "
-                "EddieConfig.frontend instead (repro.dsp.AgcStage with "
-                "target=0.5*adc_full_scale and block_samples=agc_block "
-                "reproduces it on the shared preprocessing chain)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
     def capture(self, signal: Signal) -> Signal:
         """Apply the front end to a received signal."""
@@ -180,9 +156,6 @@ class Receiver:
             samples = samples[:: self.decimation]
             rate = rate / self.decimation
 
-        if self.agc:
-            samples = self._apply_agc(samples)
-
         if self.adc_bits is not None:
             step = 2.0 * self.adc_full_scale / (1 << self.adc_bits)
             samples, n_over = saturate(samples, self.adc_full_scale)
@@ -195,18 +168,3 @@ class Receiver:
         if OBS.enabled:
             record_count("em.receiver", "captures")
         return Signal(samples, rate, signal.t0)
-
-    def _apply_agc(self, samples: np.ndarray) -> np.ndarray:
-        """Block AGC: scale each block's RMS toward half the ADC range."""
-        target = 0.5 * self.adc_full_scale
-        out = samples.copy()
-        adjusted = 0
-        for start in range(0, len(out), self.agc_block):
-            block = out[start: start + self.agc_block]
-            rms = float(np.sqrt(np.mean(np.abs(block) ** 2)))
-            if rms > 0:
-                out[start: start + self.agc_block] = block * (target / rms)
-                adjusted += 1
-        if OBS.enabled and adjusted:
-            record_count("em.receiver", "agc_adjustments", adjusted)
-        return out

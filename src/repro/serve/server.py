@@ -278,7 +278,7 @@ class _KernelBatcher:
                 continue
             if OBS.enabled:
                 counter("repro.serve", "kernel_rounds").inc()
-                counter("repro.serve", "kernel_batched_chunks").inc(
+                counter("repro.serve", "kernel_round_chunks").inc(
                     len(batch)
                 )
             for (_, _, future), slot in zip(batch, slots):

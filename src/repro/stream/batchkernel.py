@@ -25,15 +25,17 @@ whole group:
    :func:`peak_rows` call per bucket over the concatenated frames. Both
    are per-row computations, so pooling is bit-identical to per-session
    calls (see their docstrings);
-4. **plan** -- each session's :meth:`Monitor.plan_chunk` builds its
-   optimistic K-S jobs against its own history (per-session, stateful);
+4. **plan** -- one :func:`plan_chunks_pooled` call builds every
+   session's optimistic K-S jobs against its own history, stacking
+   sessions that share a region profile and window count (steady,
+   history-filling, and quality-flagged alike) into single numpy passes;
 5. **score** -- all sessions' jobs are scored in one
    :func:`score_ks_jobs` pass per alpha; the scorer already pools rows
    by (reference, count), so sessions sharing a model collapse into
    single :func:`ks_d_int_rows` calls across the whole fleet;
-6. **finish** -- each session commits its accept-prefix, replays any
-   remainder through the unchanged scalar state machine, and assembles
-   its chunk result (per-session).
+6. **finish** -- each session runs :meth:`Monitor.score_chunk`: it
+   commits its accept-prefix, replays any remainder through the scalar
+   state machine, and assembles its chunk result (per-session).
 
 Canonical state lives only in each session's ``StreamingMonitor``; the
 kernel holds no per-session state between rounds. Snapshot, restore,
@@ -181,9 +183,7 @@ class FleetKernel:
             pooled_windows += offset
 
         # Per-session emit, then one pooled planning pass over every
-        # session that completed windows: steady-state sessions bucket
-        # into stacked plan math (see plan_chunks_pooled), divergent ones
-        # plan scalar inside the same call.
+        # session that completed windows (see plan_chunks_pooled).
         seqs: Dict[int, tuple] = {}
         planned: List[int] = []
         for i in active:
@@ -211,13 +211,14 @@ class FleetKernel:
             for i, plan in zip(planned, pooled):
                 plan_of[i] = plan
         except Exception:
-            # Pooled planning is an optimization; if it fails, plan each
-            # session on its own (exceptions then land per session).
+            # If the pooled call fails, plan each session as a group of
+            # one so the exception lands on the session that raised it.
             for i in planned:
-                monitor = items[i][0]
                 seq, peaks = seqs[i]
                 try:
-                    plan_of[i] = monitor._plan_windows(seq, peaks)
+                    plan_of[i] = plan_chunks_pooled(
+                        [(items[i][0]._monitor, peaks, seq.quality)]
+                    )[0]
                 except Exception as exc:
                     results[i] = exc
                     del seqs[i]

@@ -6,10 +6,10 @@ capture in memory before the first verdict. :class:`StreamingMonitor`
 closes that gap: it accepts arbitrary-size sample chunks via
 :meth:`~StreamingMonitor.feed`, carries the STFT tail across chunk
 boundaries (:class:`~repro.core.stft.StreamingStft`), extracts peaks and
-quality flags per completed window, and drives the same
-:meth:`Monitor.step` state machine -- including PR 2's batched K-S hot
-path, which is reused unchanged. Steady-state memory is O(1) in the
-stream length: the residual sample tail, the monitor's bounded rolling
+quality flags per completed window, and drives the same plan/commit
+loop (:meth:`Monitor.score_chunk`) that batch monitoring runs over a
+whole signal as one chunk. Steady-state memory is O(1) in the stream
+length: the residual sample tail, the monitor's bounded rolling
 history, and (optionally) per-chunk results the caller has not consumed.
 
 Bit-identity contract (DESIGN.md D17): for any chunking of the same
@@ -33,7 +33,7 @@ from repro.core.monitor import (
     AnomalyReport,
     Monitor,
     MonitorResult,
-    plan_suffix,
+    plan_chunks_pooled,
     score_ks_jobs,
 )
 from repro.core.peaks import peak_matrix
@@ -48,33 +48,6 @@ __all__ = ["StreamSnapshot", "StreamingMonitor", "StreamSummary"]
 ChunkLike = Union[np.ndarray, Signal]
 
 _SNAPSHOT_KIND = "stream-snapshot"
-
-
-def _plan_hints(plan, offset: int, start: int) -> Optional[dict]:
-    """Per-window score hints harvested from a scored chunk plan.
-
-    Maps each plan window at or after ``start`` (plan-relative; the
-    commit already consumed everything before it) to its per-dimension
-    ``(monitored_count, d, rejected)`` triple, keyed by the absolute
-    chunk index (``offset`` + plan index). Returns None when the plan's
-    jobs were never scored, in which case replay scores from scratch.
-    """
-    hints: dict = {}
-    for job in plan.jobs:
-        d = job.d
-        rej = job.rejected
-        if d is None or rej is None:
-            return None
-        dim = job.dim
-        count = job.count
-        wins = job.windows
-        for pos in range(int(np.searchsorted(wins, start)), len(wins)):
-            w = offset + int(wins[pos])
-            entry = hints.get(w)
-            if entry is None:
-                entry = hints[w] = {}
-            entry[dim] = (count, float(d[pos]), bool(rej[pos]))
-    return hints
 
 
 @dataclass(frozen=True)
@@ -133,8 +106,6 @@ class StreamingMonitor:
             by reference between sessions -- its per-region sorted
             references are precomputed once and reused by every monitor
             bound to it.
-        batched: use the vectorized K-S hot path (bit-identical to the
-            reference path either way).
         early_exit: stop scoring at the first ``anomaly`` report; the
             chunk result is truncated just after the reporting window and
             later ``feed`` calls return nothing.
@@ -149,7 +120,6 @@ class StreamingMonitor:
         self,
         model: EddieModel,
         *,
-        batched: bool = True,
         early_exit: bool = False,
         keep_history: bool = False,
         t0: float = 0.0,
@@ -159,7 +129,7 @@ class StreamingMonitor:
         self.session_id = session_id
         cfg = model.config
         self._cfg = cfg
-        self._monitor = Monitor(model, batched=batched)
+        self._monitor = Monitor(model)
         quality = None
         if cfg.quality_gating:
             quality = StreamingQuality(
@@ -305,11 +275,10 @@ class StreamingMonitor:
             seq, cfg.energy_fraction, cfg.max_peaks, cfg.peak_prominence,
             cfg.diffuse_features,
         )
-        plan = self._plan_windows(seq, peaks)
+        plan = plan_chunks_pooled([(self._monitor, peaks, seq.quality)])[0]
         if plan is not None and plan.jobs:
             score_ks_jobs(plan.jobs, cfg.alpha)
-        result = self._finish_windows(seq, peaks, plan)
-        return [result]
+        return [self._finish_windows(seq, peaks, plan)]
 
     # -- kernel hooks (see repro.stream.batchkernel) -------------------------
     #
@@ -344,152 +313,26 @@ class StreamingMonitor:
             self._chunks += 1
         return seq
 
-    def _plan_windows(self, seq: SpectrumSequence, peaks: np.ndarray):
-        """The monitor's optimistic fast-path plan for this chunk (or
-        ``None`` when the chunk must replay through scalar steps)."""
-        return self._monitor.plan_chunk(peaks, seq.quality)
-
     def _finish_windows(
         self, seq: SpectrumSequence, peaks: np.ndarray, plan
     ) -> MonitorResult:
-        """Commit a scored plan's accept-only prefix, step through any
-        divergence scalar, re-plan the remainder, and assemble the
-        chunk's result."""
-        result = self._score_windows(seq, peaks, plan)
+        """Run a chunk's windows through the monitor's plan/commit loop
+        (from its scored entry plan, or ``None``), fold the result into
+        the stream's cumulative counters, and return it."""
+        result = self._monitor.score_chunk(
+            peaks, seq.times, seq.quality, plan, early_exit=self._early_exit
+        )
+        if self._early_exit and any(
+            r.kind == "anomaly" for r in result.reports
+        ):
+            self._stopped = True
+        self._windows += len(result.tracked)
+        self._unscorable += int(result.unscorable_flags.sum())
+        self._reports.extend(result.reports)
+        result.status = self.status
         if self._keep_history:
             self._chunk_results.append(result)
         return result
-
-    def _score_windows(
-        self, seq: SpectrumSequence, peaks: np.ndarray, plan
-    ) -> MonitorResult:
-        mon = self._monitor
-        cfg = self._cfg
-        quality = seq.quality
-        n = len(seq)
-        tracked: List[str] = []
-        reports: List[AnomalyReport] = []
-        report_indices: List[int] = []
-        rejection_flags = np.zeros(n, dtype=bool)
-        unscorable_flags = np.zeros(n, dtype=bool)
-        group_sizes = np.zeros(n, dtype=int)
-        stop_at: Optional[int] = None
-        # Alternate between committing fast-path plans and scalar-stepping
-        # through divergences. The entry plan (already scored, possibly by
-        # the fleet kernel) covers the accept-only prefix; each rejection
-        # or state excursion is stepped scalar until a window accepts
-        # cleanly, after which the remaining suffix is re-planned instead
-        # of replaying scalar to the end of the chunk.
-        #
-        # The plan's per-window K-S scores outlive its accept-only
-        # prefix: scalar replay pushes every scored window into the same
-        # history positions the plan assumed, so until the replay leaves
-        # the plan's straight line (an unscorable window skips a push, a
-        # gap or resync rewrites the history, a region transition swaps
-        # the reference and clamps the fill level -- a same-name
-        # self-transition included, detectable as a rejected step whose
-        # streak was reset), each replayed window's current-region
-        # decisions can be served from the plan instead of recomputed.
-        # Candidate probes still run live; see Monitor._hinted_dims.
-        i = 0
-        hints: Optional[dict] = None
-        hints_region: Optional[str] = None
-        live_plan = None  # last committed plan, meaningful while hints live
-        live_offset = 0
-        while i < n:
-            if plan is None and i and n - i >= 2 and mon.fast_path_ready():
-                # Re-entry with live hints means the replay never left
-                # the committed plan's straight line, so the remaining
-                # windows' verdicts are already known: slice them out of
-                # the old plan instead of re-planning and re-scoring.
-                if hints is not None and live_plan is not None:
-                    plan = plan_suffix(live_plan, i - live_offset)
-                if plan is None:
-                    plan = mon.plan_chunk(
-                        peaks[i:],
-                        quality[i:] if quality is not None else None,
-                    )
-                    if plan is not None and plan.jobs:
-                        score_ks_jobs(plan.jobs, cfg.alpha)
-            if plan is not None:
-                first_fast = mon.commit_chunk(plan)
-                if first_fast < plan.k:
-                    hints = _plan_hints(plan, i, first_fast)
-                    hints_region = mon.current_region
-                    live_plan, live_offset = plan, i
-                plan = None
-                if first_fast:
-                    # The fast stretch is accept-only: region unchanged,
-                    # no rejections, no reports, nothing unscorable.
-                    region = mon.current_region
-                    tracked.extend([region] * first_fast)
-                    group_sizes[i:i + first_fast] = self.model.profile(
-                        region
-                    ).group_size
-                    i += first_fast
-                    continue
-            while i < n:
-                q = int(quality[i]) if quality is not None else 0
-                report, rejected = mon.step(
-                    peaks[i],
-                    float(seq.times[i]),
-                    quality=q,
-                    score_hint=hints.get(i) if hints is not None else None,
-                )
-                if hints is not None and (
-                    mon.last_unscorable
-                    or mon.current_region != hints_region
-                    or (rejected and mon._streak == 0)
-                    or mon._gap_pending
-                    or mon._resync_remaining is not None
-                ):
-                    hints = None
-                tracked.append(mon.current_region)
-                rejection_flags[i] = rejected
-                unscorable_flags[i] = mon.last_unscorable
-                group_sizes[i] = self.model.profile(
-                    mon.current_region
-                ).group_size
-                if report is not None:
-                    reports.append(report)
-                    report_indices.append(i)
-                    if self._early_exit and report.kind == "anomaly":
-                        stop_at = i + 1
-                        break
-                accepted = not rejected and not mon.last_unscorable
-                i += 1
-                if accepted:
-                    # An accepting step reset the streak counters --
-                    # exactly the state plan_chunk assumes on entry.
-                    break
-            if stop_at is not None:
-                break
-        if stop_at is not None:
-            self._stopped = True
-            peaks = peaks[:stop_at]
-            rejection_flags = rejection_flags[:stop_at]
-            unscorable_flags = unscorable_flags[:stop_at]
-            group_sizes = group_sizes[:stop_at]
-            quality = quality[:stop_at] if quality is not None else None
-            seq = seq.slice(0, stop_at)
-        self._windows += len(tracked)
-        self._unscorable += int(unscorable_flags.sum())
-        self._reports.extend(reports)
-        if OBS.enabled:
-            mon._flush_obs_windows(
-                peaks, tracked, reports, rejection_flags, unscorable_flags
-            )
-        return MonitorResult(
-            times=np.asarray(seq.times, dtype=float),
-            tracked=tracked,
-            reports=reports,
-            rejection_flags=rejection_flags,
-            group_sizes=group_sizes,
-            unscorable_flags=unscorable_flags,
-            quality=quality,
-            report_indices=report_indices,
-            status=self.status,
-        )
 
     # -- checkpointing -------------------------------------------------------
 
@@ -530,7 +373,6 @@ class StreamingMonitor:
             "program_name": self.model.program_name,
             "session_id": self.session_id,
             "t0": self._stft.t0,
-            "batched": self._monitor._batched,
             "early_exit": self._early_exit,
             "chunks": self._chunks,
             "windows": self._windows,
@@ -579,9 +421,11 @@ class StreamingMonitor:
                 f"snapshot belongs to program {meta.get('program_name')!r}, "
                 f"model was trained on {model.program_name!r}"
             )
+        # Spills written before the scalar monitor path was removed carry
+        # a "batched" flag; both settings scored bit-identically, so it
+        # is ignored.
         monitor = cls(
             model,
-            batched=bool(meta["batched"]),
             early_exit=bool(meta["early_exit"]),
             keep_history=False,
             t0=float(meta["t0"]),

@@ -83,11 +83,11 @@ class FleetScheduler:
             summary)`` after an idle session was evicted for capacity;
             lets a server notify the evicted device before reusing the
             slot.
-        kernel: route :meth:`feed_many` / :meth:`step_round` batches
-            through the cross-session batch kernel, pooling STFT, peak
-            extraction, and K-S across isomorphic sessions. Results are
-            bit-identical either way; off exists for A/B benchmarking
-            and as an escape hatch.
+
+    :meth:`feed_many` / :meth:`step_round` batches always go through the
+    cross-session batch kernel, pooling STFT, peak extraction, planning,
+    and K-S across isomorphic sessions; a session that pools with no one
+    is a group of one.
     """
 
     def __init__(
@@ -99,7 +99,6 @@ class FleetScheduler:
         on_result: Optional[ResultSink] = None,
         evict_idle: bool = False,
         on_evict: Optional[EvictSink] = None,
-        kernel: bool = True,
     ) -> None:
         if max_sessions < 1:
             raise ConfigurationError(
@@ -111,7 +110,7 @@ class FleetScheduler:
         self._on_result = on_result
         self.evict_idle = bool(evict_idle)
         self._on_evict = on_evict
-        self._kernel = FleetKernel() if kernel else None
+        self._kernel = FleetKernel()
         self._sessions: Dict[str, FleetSession] = {}
         self._closed: Dict[str, StreamSummary] = {}
         self._feed_clock = 0
@@ -139,7 +138,6 @@ class FleetScheduler:
         model: EddieModel,
         *,
         source: Optional[Iterable[np.ndarray]] = None,
-        batched: bool = True,
         t0: float = 0.0,
     ) -> FleetSession:
         """Open a monitoring session for one device.
@@ -153,7 +151,6 @@ class FleetScheduler:
         self._claim_slot(session_id)
         monitor = StreamingMonitor(
             model,
-            batched=batched,
             early_exit=self._early_exit,
             keep_history=self._keep_history,
             t0=t0,
@@ -303,11 +300,10 @@ class FleetScheduler:
     ) -> List[DispatchResult]:
         """Push one chunk into each of many sessions in one batched round.
 
-        ``items`` is an iterable of ``(session_id, chunk)``. With the
-        kernel enabled (the default) every round's STFT, peak
-        extraction, and K-S scoring are pooled across all isomorphic
-        sessions in the batch -- bit-identical to feeding the sessions
-        one at a time, which is exactly what the kernel-less path does.
+        ``items`` is an iterable of ``(session_id, chunk)``. Every
+        round's STFT, peak extraction, planning, and K-S scoring are
+        pooled across all isomorphic sessions in the batch --
+        bit-identical to feeding the sessions one at a time.
 
         A session id may repeat: planning reads the state the previous
         chunk's commit wrote, so repeats are split into consecutive
@@ -348,17 +344,9 @@ class FleetScheduler:
                 batch.append((idx, session, chunk))
             if not batch:
                 continue
-            if self._kernel is not None:
-                out = self._kernel.dispatch(
-                    [(session.monitor, chunk) for _, session, chunk in batch]
-                )
-            else:
-                out = []
-                for _, session, chunk in batch:
-                    try:
-                        out.append(session.monitor.feed(chunk))
-                    except Exception as exc:  # isolate per session
-                        out.append(exc)
+            out = self._kernel.dispatch(
+                [(session.monitor, chunk) for _, session, chunk in batch]
+            )
             for (idx, session, _), res in zip(batch, out):
                 results[idx] = res
                 if not isinstance(res, Exception):

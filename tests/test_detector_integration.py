@@ -129,29 +129,9 @@ class TestMonitoring:
 
 
 class TestDeprecatedAliases:
-    """The pre-consolidation methods still work but warn."""
-
-    def test_monitor_program_alias(self, detector):
-        with pytest.warns(DeprecationWarning, match="monitor_program"):
-            report = detector.monitor_program(seed=920)
-        assert isinstance(report, MonitorReport)
-
-    def test_monitor_trace_alias(self, detector):
-        trace = detector.source.capture(seed=921)
-        with pytest.warns(DeprecationWarning, match="monitor_trace"):
-            report = detector.monitor_trace(trace)
-        assert report.trace is trace
-
-    def test_monitor_signal_alias_keeps_bare_result(self, detector):
-        trace = detector.source.capture(seed=922)
-        with pytest.warns(DeprecationWarning, match="monitor_signal"):
-            result = detector.monitor_signal(trace.iq)
-        # Back-compat: the old method returned a bare MonitorResult.
-        assert not isinstance(result, MonitorReport)
-        report = detector.monitor(trace.iq)
-        assert [r.time for r in result.reports] == [
-            r.time for r in report.result.reports
-        ]
+    """The consolidated ``monitor()`` entry point that replaced the
+    pre-consolidation aliases: it never warns and refuses ambiguous
+    sources."""
 
     def test_new_api_does_not_warn(self, detector):
         import warnings

@@ -331,43 +331,8 @@ class TestReceiverQuality:
         rx.capture(Signal(np.linspace(-1.0, 1.0, 1000), 1e6))
         assert counter.count == 0
 
-    def test_agc_levels_block_rms(self):
-        rng = np.random.default_rng(0)
-        with pytest.warns(DeprecationWarning, match="AgcStage"):
-            rx = Receiver(agc=True, agc_block=512, adc_full_scale=4.0)
-        quiet = Signal(0.01 * rng.standard_normal(2048), 1e6)
-        out = rx.capture(quiet)
-        rms = float(np.sqrt(np.mean(np.abs(out.samples) ** 2)))
-        assert rms == pytest.approx(2.0, rel=1e-6)  # half full scale
-
-    def test_agc_hook_matches_agc_stage(self):
-        # The deprecated hook and its stage replacement are the same
-        # computation.
-        from repro.dsp import AgcStage
-
-        rng = np.random.default_rng(1)
-        samples = 0.3 * rng.standard_normal(5000)
-        with pytest.warns(DeprecationWarning):
-            rx = Receiver(agc=True, agc_block=512, adc_full_scale=4.0)
-        hook = rx.capture(Signal(samples, 1e6)).samples
-        stage = AgcStage(block_samples=512, target=2.0).process(samples)
-        np.testing.assert_array_equal(hook, stage)
-
-    def test_agc_reduces_saturation(self):
-        counter_plain = OverflowCounter()
-        counter_agc = OverflowCounter()
-        hot = Signal(np.linspace(-20.0, 20.0, 4096), 1e6)
-        Receiver(adc_bits=8, overflow_counter=counter_plain).capture(hot)
-        with pytest.warns(DeprecationWarning):
-            rx_agc = Receiver(adc_bits=8, agc=True, agc_block=1024,
-                              overflow_counter=counter_agc)
-        rx_agc.capture(hot)
-        assert counter_agc.count < counter_plain.count
-
-    def test_invalid_full_scale_and_agc_block(self):
+    def test_invalid_full_scale(self):
         with pytest.raises(SignalError):
             Receiver(adc_full_scale=0.0)
         with pytest.raises(SignalError):
             Receiver(adc_full_scale=-1.0)
-        with pytest.raises(SignalError):
-            Receiver(agc_block=1)

@@ -9,7 +9,9 @@ session's results. The sweeps below pin that:
   with mixed chunk sizes and seeds sharing one fleet,
 - quality-gated (faulted) streams grouped with clean ones,
 - snapshot/restore and idle eviction in the middle of a live group,
-- the pooled chunk planner vs the per-session planner, job by job,
+- the pooled chunk planner with steady, history-filling, and
+  quality-flagged sessions in one call, committed and replayed against
+  the scalar oracle,
 - hypothesis fuzz of the vectorized exact-integer K-S row kernel and
   the vectorized peak extractor against their scalar counterparts
   (tie-heavy integer grids, since K-S run-end handling is where
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import ScalarMonitor, assert_results_equal
 from repro.core.monitor import (
     Monitor,
     MonitorResult,
@@ -29,6 +32,7 @@ from repro.core.monitor import (
 )
 from repro.core.peaks import extract_peaks, peak_matrix, peak_rows
 from repro.core.stats.ks import _ks_d_int, ks_d_int_rows
+from repro.core.stft import QF_CLIPPED, QF_GAPPED, stft
 from repro.em.faults import FaultInjector, SampleDropFault, SaturationFault
 from repro.em.scenario import EmScenario
 from repro.experiments.runner import Scale, build_detector
@@ -51,19 +55,9 @@ def detector_for(name):
     return _DETECTORS[name]
 
 
-def assert_results_equal(a: MonitorResult, b: MonitorResult):
-    np.testing.assert_array_equal(a.times, b.times)
-    assert a.tracked == b.tracked
-    assert a.reports == b.reports
-    assert a.report_indices == b.report_indices
-    np.testing.assert_array_equal(a.rejection_flags, b.rejection_flags)
-    np.testing.assert_array_equal(a.group_sizes, b.group_sizes)
-    np.testing.assert_array_equal(a.unscorable_flags, b.unscorable_flags)
-    assert a.status == b.status
-
-
 def isolated_result(model, samples, chunk_samples) -> MonitorResult:
-    """The scalar truth: one stream fed alone, no kernel anywhere."""
+    """One stream fed alone, no kernel anywhere (itself pinned to the
+    scalar oracle by the streaming and monitor equivalence suites)."""
     monitor = StreamingMonitor(model, keep_history=True)
     for start in range(0, len(samples), chunk_samples):
         monitor.feed(samples[start : start + chunk_samples])
@@ -92,6 +86,7 @@ def drive_fleet(fleet, signals, chunkings):
         fleet.session(f"dev-{s}").monitor.finish()
 
 
+@pytest.mark.equivalence
 class TestKernelEquivalence:
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     def test_every_program_mixed_chunkings(self, name):
@@ -145,30 +140,8 @@ class TestKernelEquivalence:
                 isolated_result(model, signal.samples, chunk),
             )
 
-    def test_kernel_off_matches_kernel_on(self):
-        """kernel=False routes feed_many per session; same results."""
-        detector = detector_for("sha")
-        model = detector.model
-        signals = [
-            detector.source.capture(seed=TINY.monitor_seed(60 + s)).iq
-            for s in range(2)
-        ]
-        results = {}
-        for kernel in (True, False):
-            fleet = FleetScheduler(
-                max_sessions=4, keep_history=True, kernel=kernel
-            )
-            for s in range(len(signals)):
-                fleet.add_session(f"dev-{s}", model)
-            drive_fleet(fleet, signals, [2048] * len(signals))
-            results[kernel] = [
-                fleet.session(f"dev-{s}").monitor.result()
-                for s in range(len(signals))
-            ]
-        for with_kernel, without in zip(results[True], results[False]):
-            assert_results_equal(with_kernel, without)
 
-
+@pytest.mark.equivalence
 class TestKernelMidGroupChanges:
     def test_snapshot_restore_mid_group(self):
         """A session checkpointed out of one kernel group and restored
@@ -282,59 +255,94 @@ class TestKernelMidGroupChanges:
             )
 
 
+def sts_rows(model, signal):
+    """A signal's full STS peak matrix and window times."""
+    cfg = model.config
+    spectra = stft(signal, cfg.window_samples, cfg.overlap)
+    peaks = peak_matrix(
+        spectra, cfg.energy_fraction, cfg.max_peaks, cfg.peak_prominence,
+        cfg.diffuse_features,
+    )
+    return peaks, spectra.times
+
+
+@pytest.mark.equivalence
 class TestPooledPlanner:
     def test_pooled_plans_match_scalar_plans(self):
-        """plan_chunks_pooled == plan_chunk, job by job, on live state.
+        """Steady, history-filling, and quality-flagged sessions share
+        one pooled planning call; each session's committed prefix plus
+        replay equals the scalar oracle stepping the same windows.
 
-        Plans are read-only, so the same monitor can be planned both
-        ways and compared directly -- including sessions at different
-        stream depths sharing one pooled call, which exercises both the
-        stacked steady-state path and the per-session fallback.
+        sha stays in its first region (group size 16) for the first ~120
+        windows of these captures, so every session below plans against
+        the same region profile with the same window count: one bucket.
+        The gated model is a ``with_quality_gating`` copy, which shares
+        the profile objects.
         """
-        detector = detector_for("fft")
-        model = detector.model
-        streams = []
-        for s in range(4):
-            signal = detector.source.capture(seed=TINY.monitor_seed(90 + s)).iq
-            mon = StreamingMonitor(model)
-            # Different prefixes put each monitor at a different depth
-            # (including one fresh monitor with an unfilled history).
-            for start in range(0, 4096 * s, 4096):
-                mon.feed(signal.samples[start : start + 4096])
-            staged = mon._stage_chunk(
-                signal.samples[4096 * s : 4096 * (s + 1)]
-            )
-            power = freqs = None
-            if staged.n:
-                power, freqs = mon._stft.transform(staged)
-            seq = mon._emit_windows(staged, power, freqs)
-            cfg = mon._cfg
-            peaks = peak_matrix(
-                seq, cfg.energy_fraction, cfg.max_peaks,
-                cfg.peak_prominence, cfg.diffuse_features,
-            )
-            streams.append((mon, peaks, seq.quality))
-        pooled = plan_chunks_pooled(
-            [(mon._monitor, peaks, quality) for mon, peaks, quality in streams]
+        model = detector_for("sha").model
+        gated = model.with_quality_gating(True)
+        source = detector_for("sha").source
+        k, prefix = 30, 40
+        sessions = []  # (label, monitor, peaks, times, quality)
+        for s, (label, mdl) in enumerate((
+            ("steady", model),
+            ("filling", model),
+            ("clipped", gated),
+            ("gapped", gated),
+        )):
+            signal = source.capture(seed=TINY.monitor_seed(90 + s)).iq
+            peaks, times = sts_rows(mdl, signal)
+            mon = Monitor(mdl)
+            start = 0
+            if label != "filling":
+                mon.run_peaks(peaks[:prefix], times[:prefix])
+                start = prefix
+            quality = None
+            if label == "clipped":
+                quality = np.zeros(k, dtype=np.uint8)
+                quality[[12, 13, 20]] = QF_CLIPPED
+            elif label == "gapped":
+                quality = np.zeros(k, dtype=np.uint8)
+                quality[9] = QF_GAPPED
+            sessions.append((
+                label, mon, peaks[start:start + k], times[start:start + k],
+                quality,
+            ))
+        regions = {mon.current_region for _, mon, _, _, _ in sessions}
+        assert len(regions) == 1
+
+        # Oracles take each session's state before anything is committed.
+        oracles = []
+        for _, mon, _, _, _ in sessions:
+            oracle = ScalarMonitor(mon.model)
+            oracle.restore_state(*mon.export_state())
+            oracles.append(oracle)
+
+        plans = plan_chunks_pooled(
+            [(mon, peaks, quality) for _, mon, peaks, _, quality in sessions]
         )
-        for (mon, peaks, quality), plan in zip(streams, pooled):
-            scalar = mon._monitor.plan_chunk(peaks, quality)
-            if scalar is None:
-                assert plan is None
-                continue
-            assert plan is not None
-            assert plan.k == scalar.k
-            assert plan.static_stop == scalar.static_stop
-            assert len(plan.jobs) == len(scalar.jobs)
-            score_ks_jobs(plan.jobs, mon._cfg.alpha)
-            score_ks_jobs(scalar.jobs, mon._cfg.alpha)
-            for a, b in zip(plan.jobs, scalar.jobs):
-                assert (a.dim, a.count, a.m) == (b.dim, b.count, b.m)
-                assert a.ref is b.ref
-                np.testing.assert_array_equal(a.windows, b.windows)
-                np.testing.assert_array_equal(a.rows, b.rows)
-                np.testing.assert_array_equal(a.d, b.d)
-                np.testing.assert_array_equal(a.rejected, b.rejected)
+        score_ks_jobs(
+            [job for plan in plans for job in plan.jobs], model.config.alpha
+        )
+        by_label = {label: plan for (label, *_), plan in zip(sessions, plans)}
+        n = model.profile(regions.pop()).group_size
+        # The filling session's first n-1 windows are never K-S tested.
+        assert min(
+            int(job.windows[0]) for job in by_label["filling"].jobs
+        ) == n - 1
+        assert by_label["steady"].static_stop == k
+        assert by_label["clipped"].static_stop <= 12
+        assert by_label["gapped"].static_stop <= 9
+
+        for (label, mon, peaks, times, quality), plan, oracle in zip(
+            sessions, plans, oracles
+        ):
+            fast = mon.score_chunk(peaks, times, quality, plan)
+            expected = oracle.run_peaks(peaks, times, quality)
+            assert_results_equal(fast, expected)
+            fast_meta, _ = mon.export_state()
+            oracle_meta, _ = oracle.export_state()
+            assert fast_meta == oracle_meta, label
 
 
 class TestVectorizedKernels:

@@ -1,16 +1,19 @@
-"""Batched-vs-reference monitor equivalence.
+"""Monitor fast path vs the scalar oracle.
 
-The batched hot path (sorted per-dim reference runs, incrementally sorted
-history buffers, one vectorized K-S call per window) computes the exact
-same integer-arithmetic statistic as the per-dimension reference path, so
-every observable of a monitoring pass must be bit-identical between the
-two. These tests pin that down on clean, injected, and fault-corrupted
-traces.
+``Monitor.run_signal`` plans the whole signal as one chunk, commits the
+accept-only prefixes in bulk, and replays divergences through ``step``
+with score hints -- the same loop streams and fleet sessions run. The
+oracle (:class:`oracle.ScalarMonitor`) steps every window with
+chronological history reads and per-dimension two-sample tests. Every
+observable of a monitoring pass must be bit-identical between the two;
+these tests pin that down on clean, injected, forced-group-size, and
+fault-corrupted traces.
 """
 
 import numpy as np
 import pytest
 
+from oracle import ScalarMonitor, assert_results_equal
 from repro.arch.config import CoreConfig
 from repro.core.monitor import Monitor, _SortedDimHistory
 from repro.em.faults import FaultInjector, SampleDropFault, SaturationFault
@@ -21,28 +24,14 @@ from repro.programs.workloads import injection_mix, multi_peak_loop_program
 TINY = Scale(train_runs=3, clean_runs=1, injected_runs=1, group_sizes=(8, 16))
 
 
-def assert_identical(batched, reference):
-    np.testing.assert_array_equal(batched.times, reference.times)
-    assert batched.tracked == reference.tracked
-    np.testing.assert_array_equal(
-        batched.rejection_flags, reference.rejection_flags
-    )
-    np.testing.assert_array_equal(batched.group_sizes, reference.group_sizes)
-    np.testing.assert_array_equal(
-        batched.unscorable_flags, reference.unscorable_flags
-    )
-    assert batched.reports == reference.reports
-    assert batched.report_indices == reference.report_indices
-    assert batched.status == reference.status
-
-
 def _both_paths(model, signal):
     return (
-        Monitor(model, batched=True).run_signal(signal),
-        Monitor(model, batched=False).run_signal(signal),
+        Monitor(model).run_signal(signal),
+        ScalarMonitor(model).run_signal(signal),
     )
 
 
+@pytest.mark.equivalence
 class TestEquivalence:
     @pytest.fixture(scope="class")
     def detector(self):
@@ -52,22 +41,22 @@ class TestEquivalence:
 
     def test_clean_trace(self, detector):
         trace = detector.source.run(seed=TINY.monitor_seed(0))
-        assert_identical(*_both_paths(detector.model, trace.power))
+        assert_results_equal(*_both_paths(detector.model, trace.power))
 
     def test_injected_trace(self, detector):
         simulator = detector.source
         simulator.set_loop_injection("L", injection_mix(4, 4), 1.0)
         trace = simulator.run(seed=TINY.injected_seed(0))
         simulator.clear_injections()
-        batched, reference = _both_paths(detector.model, trace.power)
-        assert_identical(batched, reference)
-        assert batched.reports  # the injection is actually detected
+        fast, oracle = _both_paths(detector.model, trace.power)
+        assert_results_equal(fast, oracle)
+        assert fast.reports  # the injection is actually detected
 
     def test_forced_group_sizes(self, detector):
         trace = detector.source.run(seed=TINY.monitor_seed(1))
         for n in (16, 48):
             model = detector.with_group_size(n).model
-            assert_identical(*_both_paths(model, trace.power))
+            assert_results_equal(*_both_paths(model, trace.power))
 
     def test_quality_gated_faulted_trace(self):
         faults = FaultInjector(
@@ -85,9 +74,9 @@ class TestEquivalence:
         trace = scenario.capture(seed=TINY.monitor_seed(2))
         assert trace.fault_spans  # the faults actually fired
         model = detector.with_quality_gating(True).model
-        batched, reference = _both_paths(model, trace.iq)
-        assert_identical(batched, reference)
-        assert batched.unscorable_flags.any()
+        fast, oracle = _both_paths(model, trace.iq)
+        assert_results_equal(fast, oracle)
+        assert fast.unscorable_flags.any()
 
 
 class TestSortedDimHistory:

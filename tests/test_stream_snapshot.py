@@ -75,6 +75,7 @@ def snapshot_roundtrip(monitor):
     return snapshot_from_bytes(snapshot_to_bytes(monitor.snapshot()))
 
 
+@pytest.mark.equivalence
 class TestBitIdentity:
     """snapshot(); restore(); continue == never interrupted at all."""
 
@@ -161,6 +162,37 @@ class TestBitIdentity:
         reference = straight.finish()
         assert final == dataclasses.replace(
             reference, session_id=final.session_id
+        )
+
+    def test_restores_spill_with_legacy_batched_flag(self):
+        # Spills written before the scalar monitor path was removed carry
+        # a "batched" flag right after "t0". A rolling upgrade must
+        # resume them: restore ignores the flag and the stream continues
+        # bit-identically.
+        model = detector_for("bitcount").model
+        signal = signal_for("bitcount")
+        chunks = list(signal.iter_chunks(2048))
+        cut = len(chunks) // 2
+        straight = StreamingMonitor(model, t0=signal.t0)
+        straight_seen = feed_all(straight, chunks)
+        interrupted = StreamingMonitor(model, t0=signal.t0)
+        before = feed_all(interrupted, chunks[:cut])
+        snap = interrupted.snapshot()
+        assert "batched" not in snap.meta
+        legacy_meta = {}
+        for key, value in snap.meta.items():
+            legacy_meta[key] = value
+            if key == "t0":
+                legacy_meta["batched"] = True
+        blob = snapshot_to_bytes(
+            StreamSnapshot(meta=legacy_meta, arrays=snap.arrays)
+        )
+        resumed = StreamingMonitor.restore(model, snapshot_from_bytes(blob))
+        after = feed_all(resumed, chunks[cut:])
+        assert before + after == straight_seen
+        resumed_summary = resumed.finish()
+        assert resumed_summary == dataclasses.replace(
+            straight.finish(), session_id=resumed_summary.session_id
         )
 
 

@@ -11,6 +11,7 @@ overlap buffer (primes, powers of two, sub-window sizes, whole-signal).
 import numpy as np
 import pytest
 
+from oracle import assert_results_equal
 from repro.core.monitor import Monitor, MonitorResult
 from repro.core.stft import (
     QF_DEAD,
@@ -41,21 +42,6 @@ def detector_for(name):
     return _DETECTORS[name]
 
 
-def assert_results_equal(streamed: MonitorResult, batch: MonitorResult):
-    np.testing.assert_array_equal(streamed.times, batch.times)
-    assert streamed.tracked == batch.tracked
-    assert streamed.reports == batch.reports
-    assert streamed.report_indices == batch.report_indices
-    np.testing.assert_array_equal(
-        streamed.rejection_flags, batch.rejection_flags
-    )
-    np.testing.assert_array_equal(streamed.group_sizes, batch.group_sizes)
-    np.testing.assert_array_equal(
-        streamed.unscorable_flags, batch.unscorable_flags
-    )
-    assert streamed.status == batch.status
-
-
 def stream_in_chunks(model, signal, chunk_samples):
     monitor = StreamingMonitor(model, keep_history=True)
     for start in range(0, len(signal.samples), chunk_samples):
@@ -64,6 +50,7 @@ def stream_in_chunks(model, signal, chunk_samples):
     return monitor
 
 
+@pytest.mark.equivalence
 class TestBitIdentity:
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
     @pytest.mark.parametrize("chunk_samples", [997, 4096, 4099])
@@ -218,6 +205,7 @@ class TestMonitorResultConcat:
 
 
 class TestFleet:
+    @pytest.mark.equivalence
     def test_32_sessions_identical_to_isolated(self):
         detector = detector_for("bitcount")
         captures = [
