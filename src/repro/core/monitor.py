@@ -50,127 +50,6 @@ _PVALUE_EDGES = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
 __all__ = ["AnomalyReport", "MonitorResult", "Monitor"]
 
 
-class _SortedDimHistory:
-    """Sorted multiset of one peak dimension's recent observations.
-
-    The monitor's rolling history used to be re-sorted per K-S test (once
-    per dimension per STS). This structure keeps the last ``capacity``
-    pushes' non-NaN observations of one dimension permanently sorted,
-    with each value's push index alongside: one searchsorted insert plus
-    an in-place tail shift per push, and "the last n observations,
-    sorted" is a boolean mask over the already-sorted values -- no sort
-    on any query. Expired values are never evicted individually (the age
-    mask already excludes them); the buffer is over-allocated 2x and
-    compacted with one vectorized mask when full, so expiry costs
-    amortized O(1) numpy calls per push.
-    """
-
-    __slots__ = ("_values", "_ages", "_size", "_window")
-
-    def __init__(self, capacity: int) -> None:
-        # Preallocated: inserts shift a contiguous tail in place (C-speed
-        # slice moves) instead of reallocating per push.
-        self._window = capacity
-        self._values = np.empty(2 * capacity, dtype=float)
-        self._ages = np.empty(2 * capacity, dtype=np.int64)
-        self._size = 0
-
-    def insert(self, value: float, age: int) -> None:
-        size = self._size
-        values, ages = self._values, self._ages
-        if size == len(values):
-            # Compact: keep only values still inside the rolling window
-            # (at most window-1 of them, so this always frees space).
-            live = ages[:size] > age - self._window
-            size = int(live.sum())
-            values[:size] = values[: len(live)][live]
-            ages[:size] = ages[: len(live)][live]
-        pos = values[:size].searchsorted(value)
-        values[pos + 1 : size + 1] = values[pos:size]
-        ages[pos + 1 : size + 1] = ages[pos:size]
-        values[pos] = value
-        ages[pos] = age
-        self._size = size + 1
-
-    def query(self, min_age: int) -> np.ndarray:
-        """Values pushed at or after ``min_age``, in sorted order."""
-        values = self._values[: self._size]
-        return values[self._ages[: self._size] >= min_age]
-
-    def export_state(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The occupied slots (values and ages), stale entries included.
-
-        Exporting the stale-but-not-yet-compacted entries too means a
-        restored buffer compacts at exactly the same push as the original
-        would have -- the restored monitor is state-equal, not merely
-        behavior-equal.
-        """
-        return (
-            self._values[: self._size].copy(),
-            self._ages[: self._size].copy(),
-        )
-
-    def insert_many(self, values: np.ndarray, ages: np.ndarray) -> None:
-        """Bulk insert of chronologically ordered (value, age) pairs.
-
-        One argsort + one merge instead of a searchsorted/tail-shift per
-        value -- the fast-path chunk commit pushes a whole chunk's
-        observations at once. Placement of equal values relative to
-        existing equal values may differ from repeated :meth:`insert`,
-        and values already outside every future query window are dropped
-        eagerly; :meth:`query` masks by age over sorted values, so query
-        results are identical either way (equal values are
-        interchangeable, dropped values unreachable).
-        """
-        k = len(values)
-        if k == 0:
-            return
-        cutoff = int(ages[-1]) - self._window
-        fresh = ages > cutoff
-        if not fresh.all():
-            values = values[fresh]
-            ages = ages[fresh]
-            k = len(values)
-        size = self._size
-        if size + k > len(self._values):
-            live = self._ages[:size] > cutoff
-            new_size = int(live.sum())
-            # Ages are unique per dimension, so live-old plus fresh-new is
-            # at most 2 * window - 1 entries: the compacted merge always
-            # fits the 2x over-allocated buffer.
-            self._values[:new_size] = self._values[:size][live]
-            self._ages[:new_size] = self._ages[:size][live]
-            size = new_size
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        sorted_ages = ages[order]
-        pos = np.searchsorted(self._values[:size], sorted_values, side="left")
-        new_pos = pos + np.arange(k)
-        total = size + k
-        merged_values = np.empty(total)
-        merged_ages = np.empty(total, dtype=np.int64)
-        old_mask = np.ones(total, dtype=bool)
-        old_mask[new_pos] = False
-        merged_values[new_pos] = sorted_values
-        merged_ages[new_pos] = sorted_ages
-        merged_values[old_mask] = self._values[:size]
-        merged_ages[old_mask] = self._ages[:size]
-        self._values[:total] = merged_values
-        self._ages[:total] = merged_ages
-        self._size = total
-
-    def restore_state(self, values: np.ndarray, ages: np.ndarray) -> None:
-        size = len(values)
-        if size > len(self._values) or size != len(ages):
-            raise MonitoringError(
-                f"dim-history snapshot carries {size} values for a buffer "
-                f"of capacity {len(self._values)}"
-            )
-        self._values[:size] = values
-        self._ages[:size] = ages
-        self._size = size
-
-
 class _KsJob:
     """One vectorized K-S work item of a chunk fast-path plan.
 
@@ -308,6 +187,36 @@ def score_ks_jobs(jobs: Sequence[_KsJob], alpha: float) -> None:
             offset += b
 
 
+def _stacked_streams(
+    entries: Sequence[tuple],
+    members: Sequence[tuple],
+    cols: Sequence[int],
+    span: int,
+    k: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One bucket's monitored-value streams and their running counts.
+
+    Returns ``(values, csum)``. ``values`` is ``(sessions, span-1+k,
+    len(cols))``: each session's last ``span - 1`` history rows followed
+    by its chunk rows -- the only per-session gather; everything after is
+    one stacked op. Tail rows older than a filling session's history are
+    read but never reach a scored or counted window. ``csum[:, j]``
+    counts the non-NaN values among the first ``j`` stream rows, so the
+    window of size ``g`` ending at chunk window ``w`` holds
+    ``csum[:, span + w] - csum[:, span + w - g]`` real values.
+    """
+    values = np.empty((len(members), span - 1 + k, len(cols)))
+    offsets = np.arange(span - 1)
+    for j, (i, _) in enumerate(members):
+        mon, peaks, _ = entries[i]
+        idx = (mon._hist_pos - (span - 1) + offsets) % len(mon._history)
+        values[j, : span - 1] = mon._history[idx[:, None], cols]
+        values[j, span - 1:] = peaks[:, cols]
+    csum = np.zeros((len(members), span + k, len(cols)), dtype=np.int64)
+    np.cumsum(~np.isnan(values), axis=1, out=csum[:, 1:])
+    return values, csum
+
+
 def plan_chunks_pooled(
     entries: Sequence[tuple],
 ) -> List[Optional[_ChunkPlan]]:
@@ -340,12 +249,19 @@ def plan_chunks_pooled(
     missing its dim-0 peaks, which the scalar path treats as a
     rejection).
 
+    A session in an untestable (peak-less) region gets a *counting* plan
+    with no K-S jobs: :meth:`Monitor.step` accepts there until, past the
+    history-fill gate, either the region's own dim-0 set over its group
+    size or some testable candidate's test-dim set over that candidate's
+    group size holds ``min_mon_values`` real values -- only then can the
+    step switch regions or count an anomaly -- so ``static_stop`` is the
+    first such window.
+
     A slot is ``None`` when the session's entry state already diverges
     from the accept-only straight line: a non-K-S statistic, a pending
-    gap resync, an active resync search, an untestable (peak-less)
-    current region, or a flagged first window. The caller scores the
-    plans (:func:`score_ks_jobs` pools rows fleet-wide by shared
-    reference) and commits each session's plan individually.
+    gap resync, an active resync search, or a flagged first window. The
+    caller scores the plans (:func:`score_ks_jobs` pools rows fleet-wide
+    by shared reference) and commits each session's plan individually.
     """
     plans: List[Optional[_ChunkPlan]] = [None] * len(entries)
     buckets: Dict[tuple, list] = {}
@@ -367,103 +283,152 @@ def plan_chunks_pooled(
                 if stop == 0:
                     continue
         profile = mon.model.profile(mon.current_region)
-        # A window is K-S eligible once the history (plus the chunk's own
-        # pushes up to it) holds n rows -- the _recent() gate.
-        first = max(0, profile.group_size - mon._filled - 1)
         buckets.setdefault((id(profile), k), [profile, []])[1].append(
-            (i, first, stop)
+            (i, stop)
         )
 
     for (_, k), (profile, members) in buckets.items():
-        n = profile.group_size
-        cfg = entries[members[0][0]][0]._cfg
-        stops = np.array([stop for _, _, stop in members], dtype=np.int64)
-        test_dims = [
-            dim for dim in profile.test_dims
-            if len(profile.reference_dim(dim)) > 0
-        ]
-        all_dims = sorted(set(test_dims) | ({0} if profile.num_peaks > 0 else set()))
-        if not all_dims:
-            for (i, _, stop) in members:
-                plans[i] = _ChunkPlan(k=k, static_stop=stop, jobs=[],
-                                      peaks=entries[i][1])
-            continue
-        s_count = len(members)
-        cols = np.asarray(all_dims)
-        # Per-session monitored-value streams, (sessions, n-1+k, dims):
-        # the history tail (the n-1 rows before this chunk) followed by
-        # the chunk's own rows -- the only per-session gather; everything
-        # after is one stacked op. Tail rows older than a filling
-        # session's history are read but never reach a scored window.
-        arr = np.empty((s_count, n - 1 + k, len(all_dims)))
-        offsets = np.arange(n - 1)
-        for j, (i, _, _) in enumerate(members):
-            mon, peaks, _ = entries[i]
-            idx = (mon._hist_pos - (n - 1) + offsets) % len(mon._history)
-            arr[j, : n - 1] = mon._history[idx[:, None], cols]
-            arr[j, n - 1:] = peaks[:, cols]
-        csum = np.zeros((s_count, n + k, len(all_dims)), dtype=np.int64)
-        np.cumsum(~np.isnan(arr), axis=1, out=csum[:, 1:])
-        # Real (non-NaN) values in each window's monitored set, per dim.
-        counts = csum[:, n:] - csum[:, :-n]
-        dim_col = {dim: j for j, dim in enumerate(all_dims)}
-
-        window_all = np.arange(k, dtype=np.int64)
-        first = np.array([f for _, f, _ in members], dtype=np.int64)
-        live = (window_all >= first[:, None]) & (window_all < stops[:, None])
-        if profile.num_peaks > 0:
-            # Live windows whose dim-0 monitored set is too small take the
-            # missing-peaks anomaly branch in step(): scalar territory.
-            short = live & (counts[:, :, dim_col[0]] < cfg.min_mon_values)
-            any_short = short.any(axis=1)
-            if any_short.any():
-                stops[any_short] = short.argmax(axis=1)[any_short]
-                live &= window_all < stops[:, None]
-
-        jobs_by_session: List[list] = [[] for _ in members]
-        # Window w's monitored set is stream rows w .. w+n-1, gathered by
-        # index: sliding_window_view's setup costs more than the copy at
-        # fleet chunk sizes, and the sort copies anyway.
-        window_rows = window_all[:, None] + np.arange(n)
-        for dim in test_dims:
-            ref = profile.reference_dim(dim)
-            # Ascending sort pushes the NaNs of each window past its count
-            # of real values; the leading count columns are exactly
-            # _recent()'s sorted monitored set.
-            rows = np.sort(arr[:, window_rows, dim_col[dim]], axis=2)
-            cnt = counts[:, :, dim_col[dim]]
-            eligible = live & (cnt >= cfg.min_mon_values)
-            # Steady-state short-circuit: every window eligible at one
-            # constant count -> one job per session, its rows a plain
-            # view of the pooled sort.
-            simple = eligible.all(axis=1) & (cnt == cnt[:, :1]).all(axis=1)
-            for j in range(s_count):
-                if simple[j]:
-                    c = int(cnt[j, 0])
-                    jobs_by_session[j].append(_KsJob(
-                        dim=dim, ref=ref, count=c,
-                        rows=rows[j][:, :c], windows=window_all,
-                    ))
-                    continue
-                ok = eligible[j]
-                if not ok.any():
-                    continue
-                ok_counts = cnt[j][ok]
-                rows_ok = rows[j][ok]
-                window_idx = np.flatnonzero(ok)
-                for c in np.unique(ok_counts):
-                    sel = ok_counts == c
-                    jobs_by_session[j].append(_KsJob(
-                        dim=dim, ref=ref, count=int(c),
-                        rows=rows_ok[sel][:, : int(c)],
-                        windows=window_idx[sel],
-                    ))
-        for j, (i, _, _) in enumerate(members):
+        mon0 = entries[members[0][0]][0]
+        stops = np.array([stop for _, stop in members], dtype=np.int64)
+        filled = np.array(
+            [entries[i][0]._filled for i, _ in members], dtype=np.int64
+        )
+        plan_bucket = (
+            _plan_tested_bucket if profile.testable() else _plan_peakless_bucket
+        )
+        jobs_by_session = plan_bucket(mon0, entries, members, k, stops, filled)
+        for j, (i, _) in enumerate(members):
             plans[i] = _ChunkPlan(
                 k=k, static_stop=int(stops[j]), jobs=jobs_by_session[j],
                 peaks=entries[i][1],
             )
     return plans
+
+
+def _plan_tested_bucket(
+    mon: "Monitor",
+    entries: Sequence[tuple],
+    members: Sequence[tuple],
+    k: int,
+    stops: np.ndarray,
+    filled: np.ndarray,
+) -> List[List[_KsJob]]:
+    """K-S jobs for one bucket of sessions in a testable region.
+
+    Lowers ``stops`` in place where a live window's dim-0 set is too
+    small (the scalar missing-peaks branch); returns each session's jobs.
+    ``mon`` is any member's monitor: they share the region profile.
+    """
+    profile = mon.model.profile(mon.current_region)
+    cfg = mon._cfg
+    n = profile.group_size
+    s_count = len(members)
+    test_dims = [
+        dim for dim in profile.test_dims
+        if len(profile.reference_dim(dim)) > 0
+    ]
+    all_dims = sorted(set(test_dims) | ({0} if profile.num_peaks > 0 else set()))
+    arr, csum = _stacked_streams(entries, members, all_dims, n, k)
+    # Real (non-NaN) values in each window's monitored set, per dim.
+    counts = csum[:, n:] - csum[:, :-n]
+    dim_col = {dim: j for j, dim in enumerate(all_dims)}
+
+    window_all = np.arange(k, dtype=np.int64)
+    # A window is K-S eligible once the history (plus the chunk's own
+    # pushes up to it) holds n rows -- the _recent() gate.
+    first = np.maximum(0, n - filled - 1)
+    live = (window_all >= first[:, None]) & (window_all < stops[:, None])
+    if profile.num_peaks > 0:
+        # Live windows whose dim-0 monitored set is too small take the
+        # missing-peaks anomaly branch in step(): scalar territory.
+        short = live & (counts[:, :, dim_col[0]] < cfg.min_mon_values)
+        any_short = short.any(axis=1)
+        if any_short.any():
+            stops[any_short] = short.argmax(axis=1)[any_short]
+            live &= window_all < stops[:, None]
+
+    jobs_by_session: List[List[_KsJob]] = [[] for _ in members]
+    # Window w's monitored set is stream rows w .. w+n-1, gathered by
+    # index: sliding_window_view's setup costs more than the copy at
+    # fleet chunk sizes, and the sort copies anyway.
+    window_rows = window_all[:, None] + np.arange(n)
+    for dim in test_dims:
+        ref = profile.reference_dim(dim)
+        # Ascending sort pushes the NaNs of each window past its count
+        # of real values; the leading count columns are exactly
+        # _recent()'s sorted monitored set.
+        rows = np.sort(arr[:, window_rows, dim_col[dim]], axis=2)
+        cnt = counts[:, :, dim_col[dim]]
+        eligible = live & (cnt >= cfg.min_mon_values)
+        # Steady-state short-circuit: every window eligible at one
+        # constant count -> one job per session, its rows a plain
+        # view of the pooled sort.
+        simple = eligible.all(axis=1) & (cnt == cnt[:, :1]).all(axis=1)
+        for j in range(s_count):
+            if simple[j]:
+                c = int(cnt[j, 0])
+                jobs_by_session[j].append(_KsJob(
+                    dim=dim, ref=ref, count=c,
+                    rows=rows[j][:, :c], windows=window_all,
+                ))
+                continue
+            ok = eligible[j]
+            if not ok.any():
+                continue
+            ok_counts = cnt[j][ok]
+            rows_ok = rows[j][ok]
+            window_idx = np.flatnonzero(ok)
+            for c in np.unique(ok_counts):
+                sel = ok_counts == c
+                jobs_by_session[j].append(_KsJob(
+                    dim=dim, ref=ref, count=int(c),
+                    rows=rows_ok[sel][:, : int(c)],
+                    windows=window_idx[sel],
+                ))
+    return jobs_by_session
+
+
+def _plan_peakless_bucket(
+    mon: "Monitor",
+    entries: Sequence[tuple],
+    members: Sequence[tuple],
+    k: int,
+    stops: np.ndarray,
+    filled: np.ndarray,
+) -> List[List[_KsJob]]:
+    """Counting plans for one bucket of sessions in a peak-less region.
+
+    Lowers ``stops`` in place to the first window whose untestable
+    branch of :meth:`Monitor.step` can do anything but accept: one where
+    the region's dim-0 set, or a testable candidate's test-dim set, is
+    past the history-fill gate and holds ``min_mon_values`` real values.
+    Returns each session's (empty) job list.
+    """
+    # Window sizes (the _recent() n) to the dims counted over them.
+    profile = mon.model.profile(mon.current_region)
+    checks: Dict[int, set] = {profile.group_size: {0}}
+    for name in mon.model.candidate_regions(mon.current_region):
+        cand = mon.model.profile(name)
+        if cand.testable():
+            checks.setdefault(cand.group_size, set()).update(cand.test_dims)
+    span = max(checks)
+    cols = sorted(set().union(*checks.values()))
+    col = {dim: j for j, dim in enumerate(cols)}
+    _, csum = _stacked_streams(entries, members, cols, span, k)
+    window_all = np.arange(k, dtype=np.int64)
+    fire = np.zeros((len(members), k), dtype=bool)
+    for g, dims in checks.items():
+        idx = [col[dim] for dim in sorted(dims)]
+        counts = csum[:, span:, idx] - csum[:, span - g: span - g + k, idx]
+        # A window passes _recent()'s fill gate once the history, plus
+        # the chunk's pushes up to it, holds g rows.
+        fire |= (
+            (window_all >= (g - filled - 1)[:, None])
+            & (counts >= mon._cfg.min_mon_values).any(axis=2)
+        )
+    hit = fire.any(axis=1)
+    stops[hit] = np.minimum(stops[hit], fire.argmax(axis=1)[hit])
+    return [[] for _ in members]
 
 
 @dataclass(frozen=True)
@@ -612,15 +577,18 @@ class Monitor:
     """A stateful Algorithm-1 monitor for one trained model.
 
     Per-dim sorted reference arrays are precomputed once per region
-    profile, the rolling history is maintained as incrementally sorted
-    per-dimension buffers, and all tested dimensions of a window are
-    scored through one :func:`ks_statistic_batch` call in exact integer
-    arithmetic. Batch, streaming, and fleet monitoring share one
+    profile, and all tested dimensions of a window are scored through one
+    :func:`ks_statistic_batch` call in exact integer arithmetic. The
+    rolling history ring is the only window state; the sorted monitored
+    sets a :meth:`step` reads come from a per-group-size sorted copy of
+    its tail, made on first use and dropped at the next push (see
+    :meth:`_recent`). Batch, streaming, and fleet monitoring share one
     execution path: :func:`plan_chunks_pooled` plans a chunk (a whole
-    batch signal is one chunk) and :meth:`score_chunk` commits its
-    accept-only prefix and replays divergences through :meth:`step`. The
-    scalar one-step-per-window reference lives in the test suite as the
-    oracle these paths are checked against.
+    batch signal is one chunk) -- K-S jobs in a testable region, a
+    counting-only plan in a peak-less one -- and :meth:`score_chunk`
+    commits its accept-only prefix and replays divergences through
+    :meth:`step`. The scalar one-step-per-window reference lives in the
+    test suite as the oracle these paths are checked against.
     """
 
     def __init__(self, model: EddieModel) -> None:
@@ -633,20 +601,11 @@ class Monitor:
         self._history = np.full((history_len, self._width), np.nan)
         self._hist_pos = 0
         self._filled = 0
-        self._push_count = 0
-        # Sorted buffers are only maintained for dimensions some profile
-        # can test (plus dim 0, probed by the peak-less-region logic); the
-        # remaining peak columns are never queried through _recent.
-        tracked: set = {0}
+        # Group size n -> (sorted tail, non-NaN count per dim); see
+        # _recent(). Every history write clears it.
+        self._sorted_tails: Dict[int, Tuple[np.ndarray, List[int]]] = {}
         for profile in model.profiles.values():
             profile.precompute_references()
-            tracked.update(profile.test_dims)
-        self._tracked_dims: Tuple[int, ...] = tuple(
-            d for d in sorted(tracked) if d < self._width
-        )
-        self._buffers: Dict[int, _SortedDimHistory] = {
-            d: _SortedDimHistory(history_len) for d in self._tracked_dims
-        }
         self.current_region: str = model.initial_regions[0]
         self._anomaly_count = 0
         self._change_counts: Dict[str, int] = {}
@@ -980,15 +939,15 @@ class Monitor:
 
         True when the monitor's *state* admits the optimistic fast path
         right now (K-S statistic, no pending gap resync, no active resync
-        search, testable region). :meth:`score_chunk` consults it before
-        re-planning the remainder of a chunk mid-replay, so long resync
-        or untestable stretches do not pay planning costs per window.
+        search). Peak-less regions qualify: they get counting-only plans.
+        :meth:`score_chunk` consults it before re-planning the remainder
+        of a chunk mid-replay, so long resync stretches do not pay
+        planning costs per window.
         """
         return (
             self._cfg.statistic == "ks"
             and not self._gap_pending
             and self._resync_remaining is None
-            and self.model.profile(self.current_region).testable()
         )
 
     def score_chunk(
@@ -1142,9 +1101,8 @@ class Monitor:
         The prefix runs up to (excluding) the first window any scored job
         rejected, capped by the plan's ``static_stop``. Committing
         replays exactly what that many accepting :meth:`step` calls would
-        have done -- push every row into the rolling history and sorted
-        buffers, reset the anomaly/transition counters -- in a handful of
-        bulk numpy ops. Windows from the returned index on must go
+        have done -- push every row into the rolling history, reset the
+        anomaly/transition counters -- in one history write. Windows from the returned index on must go
         through the scalar :meth:`step` (nothing about them has been
         committed; planning never mutates).
         """
@@ -1168,14 +1126,6 @@ class Monitor:
         if first_bad == 0:
             return 0
         rows = plan.peaks[:first_bad]
-        base = self._push_count
-        for dim in self._tracked_dims:
-            column = rows[:, dim]
-            mask = column == column  # not NaN
-            if mask.any():
-                self._buffers[dim].insert_many(
-                    column[mask], base + np.flatnonzero(mask)
-                )
         size = self._history.shape[0]
         take = rows[-size:] if first_bad > size else rows
         offsets = (
@@ -1184,7 +1134,7 @@ class Monitor:
         self._history[offsets] = take
         self._hist_pos = (self._hist_pos + first_bad) % size
         self._filled = min(self._filled + first_bad, size)
-        self._push_count += first_bad
+        self._sorted_tails.clear()
         # Every committed window accepted the current region: the last
         # step of the prefix reset all streak state, exactly as below.
         self._anomaly_count = 0
@@ -1199,16 +1149,16 @@ class Monitor:
         """Full Algorithm-1 state as ``(meta, arrays)``.
 
         Everything :meth:`step` reads or writes is covered: the rolling
-        history matrix and its cursor, the per-dimension sorted buffers,
-        the region belief, and every counter of the anomaly / transition /
-        quality state machines. ``_ks_scaled_stats`` is observability-only
-        and flushed per chunk on the streaming path, so it is reset rather
-        than carried.
+        history matrix and its cursor, the region belief, and every
+        counter of the anomaly / transition / quality state machines. The
+        sorted-tail memo is derived from the history and rebuilt on
+        demand. ``_ks_scaled_stats`` is observability-only and flushed
+        per chunk on the streaming path, so it is reset rather than
+        carried.
         """
         meta = {
             "hist_pos": self._hist_pos,
             "filled": self._filled,
-            "push_count": self._push_count,
             "current_region": self.current_region,
             "anomaly_count": self._anomaly_count,
             "change_counts": dict(self._change_counts),
@@ -1216,14 +1166,8 @@ class Monitor:
             "gap_pending": self._gap_pending,
             "resync_remaining": self._resync_remaining,
             "last_unscorable": self.last_unscorable,
-            "tracked_dims": list(self._tracked_dims),
         }
-        arrays = {"history": self._history.copy()}
-        for dim, buf in self._buffers.items():
-            values, ages = buf.export_state()
-            arrays[f"dim{dim}.values"] = values
-            arrays[f"dim{dim}.ages"] = ages
-        return meta, arrays
+        return meta, {"history": self._history.copy()}
 
     def restore_state(self, meta: dict, arrays: dict) -> None:
         """Adopt state exported by :meth:`export_state`.
@@ -1231,13 +1175,11 @@ class Monitor:
         The receiving monitor must be built from the same model/config
         (callers verify via the config fingerprint); here we only check
         the structural invariants that would otherwise corrupt state
-        silently.
+        silently. Snapshots from before the history became the only
+        window state also carry ``push_count``, ``tracked_dims`` and
+        per-dim ``dim{d}.values``/``dim{d}.ages`` sorted buffers; they
+        are ignored, since the history holds the same observations.
         """
-        if tuple(meta["tracked_dims"]) != self._tracked_dims:
-            raise MonitoringError(
-                f"monitor snapshot tracks dims {meta['tracked_dims']}, "
-                f"this model tracks {list(self._tracked_dims)}"
-            )
         history = np.asarray(arrays["history"], dtype=float)
         if history.shape != self._history.shape:
             raise MonitoringError(
@@ -1247,7 +1189,6 @@ class Monitor:
         self._history[...] = history
         self._hist_pos = int(meta["hist_pos"])
         self._filled = int(meta["filled"])
-        self._push_count = int(meta["push_count"])
         self.current_region = str(meta["current_region"])
         self._anomaly_count = int(meta["anomaly_count"])
         self._change_counts = {
@@ -1258,11 +1199,7 @@ class Monitor:
         resync = meta["resync_remaining"]
         self._resync_remaining = None if resync is None else int(resync)
         self.last_unscorable = bool(meta["last_unscorable"])
-        for dim in self._tracked_dims:
-            self._buffers[dim].restore_state(
-                np.asarray(arrays[f"dim{dim}.values"], dtype=float),
-                np.asarray(arrays[f"dim{dim}.ages"], dtype=np.int64),
-            )
+        self._sorted_tails.clear()
         self._ks_scaled_stats = []
 
     # -- resynchronization after acquisition gaps ---------------------------
@@ -1341,43 +1278,50 @@ class Monitor:
         row = np.full(self._width, np.nan)
         usable = min(len(peak_row), self._width)
         row[:usable] = peak_row[:usable]
-        for dim in self._tracked_dims:
-            value = row[dim]
-            if value == value:  # not NaN
-                self._buffers[dim].insert(value, self._push_count)
         # Circular write: np.roll here used to copy the whole history
         # matrix on every push.
         self._history[self._hist_pos] = row
         self._hist_pos = (self._hist_pos + 1) % self._history.shape[0]
         self._filled = min(self._filled + 1, self._history.shape[0])
-        self._push_count += 1
+        self._sorted_tails.clear()
 
     def _history_tail(self, n: int) -> np.ndarray:
         """The last ``n`` pushed rows in chronological order.
 
-        Callers must keep ``n <= self._filled`` (they all gate on it).
-        Only post-gap reacquisition materializes this view; every other
-        query reads the sorted per-dim buffers instead.
+        Callers must keep ``n <= self._filled`` (they all gate on it)
+        and only read the result: it is a view of the ring unless the
+        tail wraps. Post-gap reacquisition reads it directly;
+        :meth:`_recent` sorts it once per group size.
         """
-        size = self._history.shape[0]
-        n = min(n, size)
-        idx = (self._hist_pos - n + np.arange(n)) % size
-        return self._history[idx]
+        n = min(n, self._history.shape[0])
+        pos = self._hist_pos
+        if n <= pos:
+            return self._history[pos - n:pos]
+        return np.concatenate((self._history[pos - n:], self._history[:pos]))
 
     def _recent(self, n: int, dim: int) -> Optional[np.ndarray]:
         """Last up-to-n non-NaN observations of one peak dimension, sorted.
 
-        Every queried dimension (any profile's test dims, plus dim 0) has
-        an incrementally maintained sorted buffer. Both two-sample tests
-        are order-invariant, so sorted and chronological sets decide
-        alike.
+        One step queries a few group sizes (the region's, each candidate
+        probe's, the fresh suffix) over many dims, so the last ``n``
+        history rows are sorted once per ``n``, all columns at a time --
+        NaNs sort past each column's real values -- and memoized until
+        the next history write (:meth:`_push`, :meth:`commit_chunk`,
+        :meth:`restore_state`). Both two-sample tests are
+        order-invariant, so sorted and chronological sets decide alike.
         """
         if self._filled < n:
             return None
-        values = self._buffers[dim].query(self._push_count - n)
-        if len(values) < self._cfg.min_mon_values:
+        memo = self._sorted_tails.get(n)
+        if memo is None:
+            tail = np.sort(self._history_tail(n).T, axis=1)
+            memo = (tail, (tail == tail).sum(axis=1).tolist())
+            self._sorted_tails[n] = memo
+        tail, counts = memo
+        count = counts[dim]
+        if count < self._cfg.min_mon_values:
             return None
-        return values
+        return tail[dim, :count]
 
     def _score_dims(
         self,

@@ -108,6 +108,28 @@ _LATENCY_EDGES_MS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
 _REPORT_LOG_MARGIN = 16
 
 
+def _spawn(loop: asyncio.AbstractEventLoop, coro) -> asyncio.Task:
+    """``loop.create_task(coro)`` whose outcome is always retrieved.
+
+    An exception nobody retrieved reaches asyncio's default handler when
+    the task is garbage-collected -- at any allocation, on any thread --
+    and the handler formats its traceback right there. On CPython 3.11
+    that formatting calls ``ast.parse``, which is not reentrant: landing
+    inside another parse (an import under pytest's assertion rewriter)
+    corrupts its recursion-depth bookkeeping and raises ``SystemError``
+    in that unrelated caller. The connection's own teardown handles
+    every failure of these tasks; the callback only marks it retrieved.
+    """
+    task = loop.create_task(coro)
+    task.add_done_callback(_retrieve_outcome)
+    return task
+
+
+def _retrieve_outcome(task: asyncio.Task) -> None:
+    if not task.cancelled():
+        task.exception()
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Tunables of one :class:`EddieServer`.
@@ -191,6 +213,8 @@ class _SessionState:
     wlock: asyncio.Lock
     worker: Optional[asyncio.Task] = None
     evicted: bool = False
+    # The loop holds tasks weakly: keep the eviction notice alive.
+    evict_notice: Optional[asyncio.Task] = None
     reports_sent: int = 0
     opened_at: float = field(default_factory=time.monotonic)
     protocol_version: int = 1
@@ -233,7 +257,7 @@ class _KernelBatcher:
         self._task: Optional[asyncio.Task] = None
 
     def start(self) -> None:
-        self._task = asyncio.get_running_loop().create_task(self._run())
+        self._task = _spawn(asyncio.get_running_loop(), self._run())
 
     async def stop(self) -> None:
         if self._task is not None:
@@ -487,8 +511,8 @@ class EddieServer:
         try:
             state = await self._handshake(reader, writer, wlock)
             if state is not None:
-                state.worker = asyncio.get_running_loop().create_task(
-                    self._session_worker(state)
+                state.worker = _spawn(
+                    asyncio.get_running_loop(), self._session_worker(state)
                 )
                 await self._ingest(reader, state)
                 # Wait for the worker to flush its final frames (the
@@ -1093,14 +1117,7 @@ class EddieServer:
                         )
                     return
                 if kind == "abort":
-                    state.finalized = True
-                    if self._resumable(state):
-                        # Roll-forward spill at the last scored chunk, so
-                        # a resume recomputes as little as possible.
-                        if await self._ensure_checkpoint(state):
-                            if self._suspend_fleet_session(state):
-                                return
-                    self._close_fleet_session(state.session_id)
+                    await self._abort_session(state)
                     return
                 if kind == "drain":
                     await self._drain_session(state)
@@ -1179,9 +1196,24 @@ class EddieServer:
                     >= self.config.checkpoint_interval
                 ):
                     await self._checkpoint_and_ack(state)
-        except (ConnectionError, asyncio.CancelledError):
+        except ConnectionError:
+            # The peer went away mid-send. Its REPORT is in the report
+            # log, so take the abort path: a RESUME must find the spill.
+            await self._abort_session(state)
+        except asyncio.CancelledError:
             self._close_fleet_session(state.session_id)
             raise
+
+    async def _abort_session(self, state: _SessionState) -> None:
+        """Suspend a session whose connection ended, or close it."""
+        state.finalized = True
+        if self._resumable(state):
+            # Roll-forward spill at the last scored chunk, so a resume
+            # recomputes as little as possible.
+            if await self._ensure_checkpoint(state):
+                if self._suspend_fleet_session(state):
+                    return
+        self._close_fleet_session(state.session_id)
 
     async def _drain_session(self, state: _SessionState) -> None:
         """Suspend one session for the drain path and notify the peer."""
@@ -1237,11 +1269,6 @@ class EddieServer:
 
     async def _reap_session(self, state: _SessionState) -> None:
         """Last-resort cleanup when a connection ends abnormally."""
-        # A RESUME may already have handed this session id to a newer
-        # connection; only the current owner may tear the session down.
-        owner = self._states.get(state.session_id) is state
-        if owner:
-            self._states.pop(state.session_id, None)
         worker = state.worker
         if worker is not None and not worker.done():
             try:
@@ -1258,7 +1285,15 @@ class EddieServer:
                     await worker
             except Exception:
                 pass
-        if owner and not state.suspended:
+        # The state stays registered until its worker is done, so a
+        # racing RESUME waits for the abort spill instead of restoring
+        # beside a still-attached session. A RESUME may since have handed
+        # the id to a newer connection; only the current owner may tear
+        # the session down.
+        if self._states.get(state.session_id) is not state:
+            return
+        del self._states[state.session_id]
+        if not state.suspended:
             self._close_fleet_session(state.session_id)
 
     # -- eviction -------------------------------------------------------------
@@ -1276,7 +1311,7 @@ class EddieServer:
         if state is None:
             return
         state.evicted = True
-        self._loop.create_task(self._notify_evicted(state))
+        state.evict_notice = _spawn(self._loop, self._notify_evicted(state))
 
     async def _notify_evicted(self, state: _SessionState) -> None:
         with contextlib.suppress(Exception):

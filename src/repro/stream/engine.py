@@ -200,15 +200,16 @@ class StreamingMonitor:
     def resident_bytes(self) -> int:
         """Approximate bytes of stream state held right now.
 
-        Covers the residual STFT tail and the monitor's rolling history
-        buffers -- the quantities that must stay flat as the stream grows
+        Covers the residual STFT tail, the monitor's history ring (its
+        only window state) and the sorted tails memoized from it -- the
+        quantities that must stay flat as the stream grows
         (``keep_history`` results, if enabled, are counted too and are
         the one intentionally unbounded part).
         """
         mon = self._monitor
         total = mon._history.nbytes
-        for buf in mon._buffers.values():
-            total += buf._values.nbytes + buf._ages.nbytes
+        for tail, _ in mon._sorted_tails.values():
+            total += tail.nbytes
         if self._stft._buffer is not None:
             total += self._stft._buffer.nbytes
         if self._frontend is not None:

@@ -25,7 +25,7 @@ class ScalarMonitor(Monitor):
     """Algorithm 1 one window at a time, with no fast path.
 
     - the monitored set of a dimension is the chronological
-      :meth:`_history_tail` slice, never the sorted per-dim buffers;
+      :meth:`_history_tail` slice, never the memoized sorted tail;
     - each tested dimension is scored by its own
       :func:`two_sample_reject` call, not the pooled K-S kernels;
     - :meth:`run_peaks` calls :meth:`step` once per window; nothing is

@@ -7,19 +7,29 @@ oracle (:class:`oracle.ScalarMonitor`) steps every window with
 chronological history reads and per-dimension two-sample tests. Every
 observable of a monitoring pass must be bit-identical between the two;
 these tests pin that down on clean, injected, forced-group-size, and
-fault-corrupted traces.
+fault-corrupted traces, and -- on the gsm and susan captures -- through
+the peak-less regions that get counting-only plans.
 """
 
 import numpy as np
 import pytest
 
+from conftest import shared_tiny_detector, tiny_scale
 from oracle import ScalarMonitor, assert_results_equal
 from repro.arch.config import CoreConfig
-from repro.core.monitor import Monitor, _SortedDimHistory
+from repro.core.model import EddieConfig, EddieModel, RegionProfile
+from repro.core.monitor import (
+    Monitor,
+    MonitorResult,
+    _ChunkPlan,
+    plan_chunks_pooled,
+    score_ks_jobs,
+)
 from repro.em.faults import FaultInjector, SampleDropFault, SaturationFault
 from repro.em.scenario import EmScenario
 from repro.experiments.runner import Scale, build_detector
 from repro.programs.workloads import injection_mix, multi_peak_loop_program
+from repro.stream import StreamingMonitor
 
 TINY = Scale(train_runs=3, clean_runs=1, injected_runs=1, group_sizes=(8, 16))
 
@@ -79,26 +89,198 @@ class TestEquivalence:
         assert fast.unscorable_flags.any()
 
 
-class TestSortedDimHistory:
-    def test_matches_naive_window(self):
-        # Random pushes (with NaN-free values), random window queries:
-        # the buffer must agree with "sort the last n values" at every
-        # step, across several compactions (pushes >> 2 * capacity).
-        capacity = 16
-        history = _SortedDimHistory(capacity)
-        rng = np.random.default_rng(7)
-        values = rng.normal(size=10 * capacity)
-        for age, value in enumerate(values):
-            history.insert(float(value), age)
-            for n in (1, 3, capacity):
-                got = history.query(age + 1 - n)
-                expected = np.sort(values[max(0, age + 1 - n): age + 1])
-                np.testing.assert_array_equal(got, expected)
-
-    def test_duplicate_values(self):
-        history = _SortedDimHistory(4)
-        for age, value in enumerate([1.0, 1.0, 1.0, 2.0, 1.0, 2.0]):
-            history.insert(value, age)
-        np.testing.assert_array_equal(
-            history.query(2), [1.0, 1.0, 2.0, 2.0]
+def _run_in_chunks(model, peaks, times, rng):
+    """``Monitor.run_peaks`` over random chunk boundaries, the way the
+    streaming engine drives one session: plan, score, commit/replay."""
+    monitor = Monitor(model)
+    results = []
+    start = 0
+    while start < len(times):
+        stop = min(len(times), start + int(rng.integers(1, 40)))
+        chunk = peaks[start:stop]
+        plan = plan_chunks_pooled([(monitor, chunk, None)])[0]
+        if plan is not None and plan.jobs:
+            score_ks_jobs(plan.jobs, model.config.alpha)
+        results.append(
+            monitor.score_chunk(chunk, times[start:stop], None, plan)
         )
+        start = stop
+    return MonitorResult.concat(results)
+
+
+class _StepCounter(Monitor):
+    """Counts :meth:`step` calls by the region the step starts in."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.steps = {}
+
+    def step(self, *args, **kwargs):
+        region = self.current_region
+        self.steps[region] = self.steps.get(region, 0) + 1
+        return super().step(*args, **kwargs)
+
+
+@pytest.mark.equivalence
+class TestPeaklessEquivalence:
+    """gsm's ``loop:lpc`` and susan's ``loop:edges`` have no spectral
+    peaks: sessions there run counting-only plans (no K-S jobs) whose
+    accept-only prefix ends where a dim-0 or candidate-probe count could
+    make the scalar step switch regions or count an anomaly."""
+
+    @pytest.mark.parametrize("name,loop", [
+        ("gsm", None), ("gsm", "stf"), ("susan", None), ("susan", "corners"),
+    ])
+    def test_batch_and_random_chunk_stream_match_oracle(self, name, loop):
+        detector = shared_tiny_detector(name)
+        scale = tiny_scale()
+        if loop is None:
+            signal = detector.source.capture(seed=scale.monitor_seed(0)).iq
+        else:
+            detector.source.simulator.set_loop_injection(
+                loop, injection_mix(4, 4), 1.0
+            )
+            try:
+                signal = detector.source.capture(
+                    seed=scale.injected_seed(0)
+                ).iq
+            finally:
+                detector.source.simulator.clear_injections()
+        model = detector.model
+        oracle = ScalarMonitor(model).run_signal(signal)
+        assert_results_equal(Monitor(model).run_signal(signal), oracle)
+        rng = np.random.default_rng(len(signal.samples))
+        stream = StreamingMonitor(model, keep_history=True)
+        start = 0
+        while start < len(signal.samples):
+            stop = start + int(rng.integers(100, 6000))
+            stream.feed(signal.samples[start:stop])
+            start = stop
+        stream.finish()
+        assert_results_equal(stream.result(), oracle)
+        peakless = {"gsm": "loop:lpc", "susan": "loop:edges"}[name]
+        assert peakless in oracle.tracked
+        if loop is not None:
+            assert oracle.reports  # the injection is actually detected
+
+    def test_clean_peakless_loop_is_committed_not_stepped(self):
+        detector = shared_tiny_detector("gsm")
+        signal = detector.source.capture(
+            seed=tiny_scale().monitor_seed(0)
+        ).iq
+        monitor = _StepCounter(detector.model)
+        result = monitor.run_signal(signal)
+        lpc_windows = result.tracked.count("loop:lpc")
+        assert lpc_windows >= 20
+        assert monitor.steps.get("loop:lpc", 0) < lpc_windows // 4
+
+    def test_candidate_probe_ends_the_counting_prefix(self):
+        # Raising corners' group size above edges' means the candidate's
+        # test-dim set can hold min_mon_values real values while edges'
+        # own dim-0 set (over its smaller group) never does: only the
+        # candidate-probe count stops the counting plan, and the scalar
+        # step then switches to corners.
+        base = shared_tiny_detector("susan").model
+        profiles = dict(base.profiles)
+        corners = profiles["loop:corners"]
+        profiles["loop:corners"] = RegionProfile(
+            corners.name, corners.reference, corners.num_peaks, 16,
+            corners.descriptor_dims,
+        )
+        model = EddieModel(
+            base.program_name, base.config, profiles, base.successors,
+            ["loop:edges"], base.sample_rate,
+        )
+        rng = np.random.default_rng(3)
+        width = corners.reference.shape[1]
+        peaks = np.full((240, width), np.nan)
+        picks = rng.integers(0, corners.n_reference, size=len(peaks[::3]))
+        peaks[::3] = corners.reference[picks]
+        times = np.arange(len(peaks)) * model.hop_duration
+        oracle = ScalarMonitor(model).run_peaks(peaks, times)
+        assert "loop:corners" in oracle.tracked
+        assert_results_equal(Monitor(model).run_peaks(peaks, times), oracle)
+        for seed in range(3):
+            assert_results_equal(
+                _run_in_chunks(
+                    model, peaks, times, np.random.default_rng(seed)
+                ),
+                oracle,
+            )
+
+
+def _tiny_model():
+    """Two 4-wide regions with group sizes 6 and 10, dims 0-1 tested."""
+    rng = np.random.default_rng(0)
+    cfg = EddieConfig(
+        window_samples=64, max_peaks=4, group_sizes=(6,), min_mon_values=3,
+    )
+
+    def profile(name, centre, group):
+        ref = np.full((80, 4), np.nan)
+        ref[:, :2] = centre + rng.normal(size=(80, 2))
+        return RegionProfile(name, ref, 2, group)
+
+    return EddieModel(
+        "p", cfg,
+        {"loop:A": profile("loop:A", 10.0, 6),
+         "loop:B": profile("loop:B", 20.0, 10)},
+        {"loop:A": ["loop:B"], "loop:B": []}, ["loop:A"], 64e3,
+    )
+
+
+class TestSortedTailMemo:
+    def test_recent_tracks_history_across_writes(self):
+        # _recent() serves sorted copies of the history tail memoized
+        # per group size. Interleave every history write -- step pushes,
+        # bulk commits, snapshot restores -- with queries at every n
+        # and dim: each answer must equal sorting the last n rows pushed
+        # (tracked here, independently of the ring), so a memo that
+        # outlives a write fails here.
+        model = _tiny_model()
+        monitor = Monitor(model)
+        donor = Monitor(model)
+        pushed, donor_pushed = [], []
+        rng = np.random.default_rng(11)
+
+        def random_rows(k):
+            rows = 10.0 + rng.normal(size=(k, 4))
+            rows[rng.random(size=rows.shape) < 0.3] = np.nan
+            return rows
+
+        def check():
+            for n in (2, 3, 6, 10):
+                for dim in range(4):
+                    got = monitor._recent(n, dim)
+                    if monitor._filled < n:
+                        assert got is None
+                        continue
+                    column = np.array(pushed[-n:])[:, dim]
+                    expected = np.sort(column[~np.isnan(column)])
+                    if len(expected) < model.config.min_mon_values:
+                        assert got is None
+                    else:
+                        np.testing.assert_array_equal(got, expected)
+
+        for round_ in range(30):
+            action = round_ % 3
+            if action == 0:
+                for row in random_rows(int(rng.integers(1, 4))):
+                    monitor.step(row, 0.0)
+                    pushed.append(row)
+                    check()
+            elif action == 1:
+                rows = random_rows(int(rng.integers(1, 13)))
+                committed = monitor.commit_chunk(_ChunkPlan(
+                    k=len(rows), static_stop=len(rows), jobs=[], peaks=rows,
+                ))
+                assert committed == len(rows)
+                pushed.extend(rows)
+                check()
+            else:
+                for row in random_rows(int(rng.integers(1, 12))):
+                    donor.step(row, 0.0)
+                    donor_pushed.append(row)
+                monitor.restore_state(*donor.export_state())
+                pushed = list(donor_pushed)
+                check()

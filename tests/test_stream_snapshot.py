@@ -195,6 +195,58 @@ class TestBitIdentity:
             straight.finish(), session_id=resumed_summary.session_id
         )
 
+    def test_restores_spill_with_legacy_sorted_buffers(self):
+        # Spills written while the monitor kept a sorted buffer per
+        # tracked dim carry "push_count" and "tracked_dims" in the
+        # monitor meta plus mon.dim{d}.values/.ages arrays. The history
+        # ring holds the same observations, so a rolling upgrade resumes
+        # them: restore ignores the extras and the stream continues
+        # bit-identically.
+        model = detector_for("bitcount").model
+        signal = signal_for("bitcount")
+        chunks = list(signal.iter_chunks(2048))
+        cut = len(chunks) // 2
+        straight = StreamingMonitor(model, t0=signal.t0)
+        straight_seen = feed_all(straight, chunks)
+        interrupted = StreamingMonitor(model, t0=signal.t0)
+        before = feed_all(interrupted, chunks[:cut])
+        snap = interrupted.snapshot()
+        mon_meta = snap.meta["monitor"]
+        assert "push_count" not in mon_meta
+        assert not any(key.startswith("mon.dim") for key in snap.arrays)
+        history = snap.arrays["mon.history"]
+        pushes = int(snap.meta["windows"])
+        filled = int(mon_meta["filled"])
+        order = (
+            int(mon_meta["hist_pos"]) - filled + np.arange(filled)
+        ) % len(history)
+        tracked = sorted(
+            {0}.union(*(p.test_dims for p in model.profiles.values()))
+        )
+        legacy_meta = {}
+        for key, value in mon_meta.items():
+            legacy_meta[key] = value
+            if key == "filled":
+                legacy_meta["push_count"] = pushes
+        legacy_meta["tracked_dims"] = tracked
+        arrays = dict(snap.arrays)
+        for dim in tracked:
+            column = history[order, dim]
+            live = np.flatnonzero(~np.isnan(column))
+            live = live[np.argsort(column[live], kind="stable")]
+            arrays[f"mon.dim{dim}.values"] = column[live]
+            arrays[f"mon.dim{dim}.ages"] = pushes - filled + live
+        blob = snapshot_to_bytes(StreamSnapshot(
+            meta=dict(snap.meta, monitor=legacy_meta), arrays=arrays,
+        ))
+        resumed = StreamingMonitor.restore(model, snapshot_from_bytes(blob))
+        after = feed_all(resumed, chunks[cut:])
+        assert before + after == straight_seen
+        resumed_summary = resumed.finish()
+        assert resumed_summary == dataclasses.replace(
+            straight.finish(), session_id=resumed_summary.session_id
+        )
+
 
 class TestRefusals:
     def test_finished_stream_refuses_snapshot(self):
