@@ -4,7 +4,9 @@ Exercises the :mod:`repro.serve` stack over real loopback TCP --
 
 - **latency**: one strict request/response session (``window=1``)
   measures the full chunk round trip (frame encode, socket, queue, DSP
-  in the worker pool, REPORT back): p50/p99 per chunk,
+  in the worker pool, REPORT back): p50/p99 per chunk, next to a local
+  :meth:`StreamingMonitor.feed` over the same chunks -- the per-chunk
+  serving overhead is the median of their paired difference,
 - **throughput**: N concurrent clients each replay a full capture on
   its own connection: sessions/sec and aggregate windows/sec,
 - **shedding**: with every fleet slot held, a burst of OPENs must all
@@ -63,8 +65,21 @@ _CHUNK_SAMPLES = 4096
 _PROGRAM = "bitcount"
 
 
-def _latency(address, trace):
-    """Strict request/response chunk round trips on one session."""
+def _local_chunk_seconds(model, trace):
+    """Per-chunk :meth:`StreamingMonitor.feed` time, no serving layer."""
+    monitor = StreamingMonitor(model, t0=trace.iq.t0)
+    seconds = []
+    for chunk in trace.iq.iter_chunks(_CHUNK_SAMPLES):
+        started = time.perf_counter()
+        monitor.feed(chunk)
+        seconds.append(time.perf_counter() - started)
+    monitor.finish()
+    return np.asarray(seconds)
+
+
+def _latency(address, model, trace):
+    """Strict request/response chunk round trips on one session, and
+    the same chunks fed to a local monitor for the overhead baseline."""
     host, port = address
     latencies = []
     with EddieClient(host, port, window=1) as client:
@@ -76,6 +91,7 @@ def _latency(address, trace):
             latencies.append(time.perf_counter() - started)
         summary = client.close()
     lat = np.asarray(latencies)
+    local = _local_chunk_seconds(model, trace)
     return {
         "chunks": len(lat),
         "chunk_samples": _CHUNK_SAMPLES,
@@ -83,6 +99,8 @@ def _latency(address, trace):
         "p50_rtt_us": float(np.median(lat) * 1e6),
         "p99_rtt_us": float(np.quantile(lat, 0.99) * 1e6),
         "max_rtt_us": float(lat.max() * 1e6),
+        "local_chunk_us_p50": float(np.median(local) * 1e6),
+        "serve_overhead_us_p50": float(np.median(lat - local) * 1e6),
     }
 
 
@@ -256,7 +274,7 @@ def _worker_sweep(registry, model, trace, worker_counts=(1, 2, 4, 8),
     points = []
     for workers in worker_counts:
         with ShardCluster(
-            registry, workers=workers, mode="process", config=config,
+            registry, workers=workers, config=config,
         ) as cluster:
             reports, summary = replay(
                 *cluster.address, _PROGRAM, trace,
@@ -318,7 +336,7 @@ def run_benchmark(scale_name="quick", clients=8, sessions_per_client=2):
                 "benchmark": "serve",
                 "scale": scale_name,
                 "trace_samples": len(trace.iq),
-                "latency": _latency(handle.address, trace),
+                "latency": _latency(handle.address, detector.model, trace),
                 "throughput": _throughput(
                     handle.address, trace, clients, sessions_per_client
                 ),
@@ -344,6 +362,9 @@ def _format(report):
         f"{report['trace_samples']:,} samples/capture)",
         f"  chunk RTT          : p50 {lat['p50_rtt_us']:.0f} us, "
         f"p99 {lat['p99_rtt_us']:.0f} us ({lat['chunks']} chunks)",
+        f"  local feed         : p50 {lat['local_chunk_us_p50']:.0f} us "
+        f"per chunk -> serving overhead p50 "
+        f"{lat['serve_overhead_us_p50']:.0f} us",
         f"  throughput         : {thr['clients']} clients -> "
         f"{thr['sessions_per_sec']:.1f} sessions/s, "
         f"{thr['windows_per_sec']:,.0f} windows/s "

@@ -582,8 +582,8 @@ def _cmd_obs_stats(args: argparse.Namespace) -> int:
         print(
             f"cluster: {router['workers_responding']}"
             f"/{router['workers_configured']} workers responding, "
-            f"{router['redirects']} redirects, {router['splices']} "
-            f"splices, {router['placement_failures']} placement failures"
+            f"{router['redirects']} redirects, "
+            f"{router['placement_failures']} placement failures"
         )
         for worker in stats.get("workers", []):
             print(
@@ -863,7 +863,6 @@ def _serve_sharded(args, registry, entries, config) -> int:
     cluster = ShardCluster(
         registry,
         workers=args.workers,
-        mode="process",
         config=worker_config,
         host=args.host,
         router_port=args.port,

@@ -3,7 +3,7 @@
 Four layers, each usable alone:
 
 - :mod:`repro.serve.protocol` -- length-prefixed binary framing for IQ
-  chunks and JSON control messages, with protocol-version negotiation;
+  chunks and JSON control messages, one protocol revision (D26);
 - :mod:`repro.serve.registry` -- versioned on-disk model registry with
   content addressing and a shared in-memory LRU;
 - :mod:`repro.serve.server` -- asyncio TCP server multiplexing sessions
@@ -13,8 +13,8 @@ Four layers, each usable alone:
   remote reports are bit-identical to a local
   :class:`~repro.stream.StreamingMonitor` run.
 
-Plus the resilience pieces (DESIGN.md D19): revision-2 peers get
-session checkpoint/resume with exactly-once report delivery, clients
+Plus the resilience pieces (DESIGN.md D19): sessions checkpoint and
+resume with exactly-once report delivery, clients
 reconnect transparently with capped backoff, servers drain gracefully,
 and :mod:`repro.serve.chaos` provides the deterministic fault-injection
 proxy the resilience suite and recovery benchmark drive it all with.
@@ -28,7 +28,7 @@ drain, and fleet-wide STATS aggregation.
 from repro.serve.chaos import ChaosConfig, ChaosProxy, ChaosStats
 from repro.serve.client import EddieClient, replay
 from repro.serve.protocol import (
-    PROTOCOL_VERSIONS,
+    PROTOCOL_VERSION,
     Frame,
     FrameDecoder,
     FrameType,
@@ -66,7 +66,7 @@ __all__ = [
     "FrameDecoder",
     "FrameType",
     "ModelRegistry",
-    "PROTOCOL_VERSIONS",
+    "PROTOCOL_VERSION",
     "RegistryEntry",
     "ServerConfig",
     "ServerHandle",

@@ -9,11 +9,11 @@ LAN round trips overlap with the server's DSP instead of serializing
 with it. ``window=1`` degrades to strict request/response -- the shape
 the latency benchmark measures.
 
-Resilience (DESIGN.md D19): against a revision-2 server the client
-keeps every chunk past the server's last ``CHECKPOINT_ACK`` in a
-bounded replay buffer. When the connection dies -- reset, mid-frame
-truncation, an I/O deadline, or the server announcing a drain -- it
-reconnects with capped exponential backoff plus jitter, sends
+Resilience (DESIGN.md D19): the client keeps every chunk past the
+server's last ``CHECKPOINT_ACK`` in a bounded replay buffer. When the
+connection dies -- reset, mid-frame truncation, an I/O deadline, or the
+server announcing a drain -- it reconnects with capped exponential
+backoff plus jitter, sends
 ``RESUME``, applies any re-delivered reports (deduplicated by chunk
 sequence number, so nothing is double-counted), and replays only the
 unacknowledged chunks. The stream of reports and the final summary are
@@ -58,10 +58,9 @@ from repro.serve.protocol import (
     ERR_AT_CAPACITY,
     ERR_BAD_REDIRECT,
     ERR_DRAINING,
-    ERR_RESUME_REJECTED,
     Frame,
     FrameType,
-    PROTOCOL_VERSIONS,
+    PROTOCOL_VERSION,
     encode_chunk,
     json_frame,
     parse_json,
@@ -102,14 +101,12 @@ class EddieClient:
             summary = client.close()
 
     Args:
-        timeout: legacy single deadline; when given it sets both
-            ``connect_timeout`` and ``io_timeout``.
         connect_timeout: deadline for dialing (and redialing) the server.
         io_timeout: deadline for every blocking send/recv once
             connected; expiry raises :class:`ServeTimeoutError`.
         window: chunks in flight before sends block on REPORTs.
         reconnect: transparently resume the session after a lost
-            connection (revision-2 servers only).
+            connection.
         max_retries: reconnect attempts per disconnection before giving
             up with ``ServeError(code='resume_failed')``.
         backoff_base / backoff_max: capped exponential backoff between
@@ -131,7 +128,6 @@ class EddieClient:
         host: str,
         port: int,
         *,
-        timeout: Optional[float] = None,
         connect_timeout: float = 10.0,
         io_timeout: float = 30.0,
         window: int = 8,
@@ -145,8 +141,6 @@ class EddieClient:
     ) -> None:
         if window < 1:
             raise ServeError(f"window must be >= 1, got {window}")
-        if timeout is not None:
-            connect_timeout = io_timeout = float(timeout)
         if replay_buffer_chunks < window:
             raise ServeError(
                 f"replay_buffer_chunks ({replay_buffer_chunks}) must be "
@@ -166,7 +160,6 @@ class EddieClient:
         self.max_redirects = int(max_redirects)
         self.worker_id: Optional[int] = None
         self._rng = random.Random()
-        self._offer_versions = list(PROTOCOL_VERSIONS)
         # A REDIRECT points the connection at a worker, but (host, port)
         # stays the entry address: every reconnect re-enters through the
         # router so placement can move off a dead worker.
@@ -185,16 +178,10 @@ class EddieClient:
         self._windows = 0
         self._status = "ok"
         self.last_summary: Optional[StreamSummary] = None
-        self.protocol_version: Optional[int] = None
         self.reconnects = 0
         self.resume_latencies: List[float] = []
 
     # -- connection lifecycle -------------------------------------------------
-
-    @property
-    def timeout(self) -> float:
-        """Legacy alias for ``io_timeout``."""
-        return self.io_timeout
 
     def connect(self) -> "EddieClient":
         """Dial the server and negotiate a protocol version (HELLO)."""
@@ -218,10 +205,9 @@ class EddieClient:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._send_frame(json_frame(FrameType.HELLO, {
-            "versions": list(self._offer_versions),
+            "versions": [PROTOCOL_VERSION],
         }))
-        reply = self._expect(FrameType.HELLO)
-        self.protocol_version = int(parse_json(reply).get("version", 0))
+        self._expect(FrameType.HELLO)
 
     def __enter__(self) -> "EddieClient":
         if self._sock is None:
@@ -421,7 +407,7 @@ class EddieClient:
     def _place_request(self, ftype: FrameType, payload: Dict) -> Dict:
         """Send an OPEN/RESUME and follow REDIRECT placement hops.
 
-        A shard router answers a revision-3 OPEN/RESUME with the owning
+        A shard router answers an OPEN/RESUME with the owning
         worker's address; the client re-dials it and repeats the request
         there. Hops are bounded so a misconfigured router cannot bounce
         the client forever.
@@ -451,7 +437,6 @@ class EddieClient:
             self.reconnect
             and self._session is not None
             and self._token is not None
-            and (self.protocol_version or 0) >= 2
         )
 
     @staticmethod
@@ -486,12 +471,6 @@ class EddieClient:
                 # surviving worker, and only the router knows where.
                 self._redirect_addr = None
                 self._dial()
-                if (self.protocol_version or 0) < 2:
-                    raise ServeError(
-                        "server no longer speaks a resumable protocol "
-                        "revision",
-                        code=ERR_RESUME_REJECTED,
-                    )
                 resume_payload = {
                     "session": self._session,
                     "token": self._token,
@@ -661,7 +640,7 @@ def replay(
     *,
     chunk_samples: int = 4096,
     window: int = 8,
-    timeout: float = 30.0,
+    io_timeout: float = 30.0,
 ) -> Tuple[List[AnomalyReport], StreamSummary]:
     """One-call replay: open a session, stream ``source``, close.
 
@@ -674,7 +653,9 @@ def replay(
         t0 = source.iq.t0
     elif isinstance(source, Signal):
         t0 = source.t0
-    with EddieClient(host, port, timeout=timeout, window=window) as client:
+    with EddieClient(
+        host, port, io_timeout=io_timeout, window=window
+    ) as client:
         client.open(model_spec, t0=t0)
         reports = list(client.replay(source, chunk_samples=chunk_samples))
         return reports, client.last_summary

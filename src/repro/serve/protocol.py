@@ -25,9 +25,9 @@ STATS is valid any time after HELLO and is answered immediately with a
 STATS frame. ERROR frames carry a machine-readable ``code`` (the
 constants below); ``at_capacity`` is the load-shedding rejection.
 
-Protocol revision 2 adds resumability (DESIGN.md D19). A v2 server
-periodically checkpoints each session's stream state to durable storage
-and acknowledges the checkpoint with ``CHECKPOINT_ACK {seq}`` -- "every
+Sessions are resumable (DESIGN.md D19). The server periodically
+checkpoints each session's stream state to durable storage and
+acknowledges the checkpoint with ``CHECKPOINT_ACK {seq}`` -- "every
 chunk up to ``seq`` is durably scored; you may forget it". A client that
 loses its connection reconnects, re-HELLOs, and sends ``RESUME
 {session, token, delivered, window}`` instead of OPEN; the server
@@ -35,19 +35,22 @@ restores the spilled state and replies with a RESUME frame carrying the
 durable sequence number plus any REPORT payloads the client had not yet
 seen (at most ``window`` of them -- the client's in-flight bound). The
 client then replays only chunks after the durable sequence number:
-exactly-once window scoring, exactly-once report delivery. Version
-negotiation keeps v1 clients working unchanged against v2 servers (they
-simply never see CHECKPOINT_ACK and cannot resume).
+exactly-once window scoring, exactly-once report delivery. CHUNK
+sequence numbers are therefore a contract: they start at 1 and have no
+gaps, and a session that breaks it is refused with ``ERROR bad_frame``.
 
-Protocol revision 3 adds shard placement (DESIGN.md D21). A revision-3
-peer that sends OPEN or RESUME to a shard router may be answered with
-``REDIRECT {worker, host, port}`` instead of the session ack: "your
-session lives on that worker -- dial it directly and repeat the
-request". Clients include an optional ``shard_key`` in OPEN/RESUME so
-the router's consistent-hash placement is stable across reconnects
+Sessions are placeable (DESIGN.md D21). A shard router answers OPEN or
+RESUME with ``REDIRECT {worker, host, port}`` instead of the session
+ack: "your session lives on that worker -- dial it directly and repeat
+the request". Clients include an optional ``shard_key`` in OPEN/RESUME
+so the router's consistent-hash placement is stable across reconnects
 (servers ignore unknown JSON fields, so the key is free against a
-single worker). v1/v2 clients never see REDIRECT: the router splices
-their connection through to the placed worker instead.
+single worker).
+
+There is one protocol revision, :data:`PROTOCOL_VERSION` (DESIGN.md
+D26). HELLO still carries a ``versions`` list so a future revision can
+be negotiated; a peer that does not offer this one is refused with
+``ERROR unsupported_version``.
 
 Exactness: JSON floats are emitted with Python ``repr`` semantics and
 parse back to the identical double, and CHUNK payloads are raw
@@ -87,7 +90,7 @@ __all__ = [
     "FrameDecoder",
     "FrameType",
     "MAX_PAYLOAD",
-    "PROTOCOL_VERSIONS",
+    "PROTOCOL_VERSION",
     "decode_chunk",
     "encode_chunk",
     "encode_frame",
@@ -109,11 +112,10 @@ MAGIC = b"ED"
 HEADER = struct.Struct(">2sBBI")  # magic, type, flags, payload length
 CHUNK_HEADER = struct.Struct(">IB3x")  # seq, dtype code, padding
 
-#: Protocol revisions this build understands, newest last. HELLO
-#: negotiation picks the highest revision both ends share. Revision 2
-#: adds session resumability (RESUME / CHECKPOINT_ACK); revision 3 adds
-#: shard placement (REDIRECT + the optional ``shard_key`` field).
-PROTOCOL_VERSIONS: Tuple[int, ...] = (1, 2, 3)
+#: The one protocol revision this build speaks (DESIGN.md D26): resumable
+#: sessions (RESUME / CHECKPOINT_ACK) and shard placement (REDIRECT + the
+#: optional ``shard_key`` field).
+PROTOCOL_VERSION = 3
 
 #: Refuse payloads beyond this size (a corrupt length prefix must not
 #: make the peer allocate gigabytes). 16 MiB >> any sane IQ chunk.
@@ -143,10 +145,8 @@ class FrameType(IntEnum):
     CLOSE = 5
     ERROR = 6
     STATS = 7
-    # Protocol revision 2 (resumable sessions).
     RESUME = 8
     CHECKPOINT_ACK = 9
-    # Protocol revision 3 (shard placement).
     REDIRECT = 10
 
 
@@ -262,7 +262,7 @@ def decode_chunk(frame: Frame) -> Tuple[int, np.ndarray]:
 
 
 def negotiate_version(client_versions: Any) -> Optional[int]:
-    """The highest protocol revision shared with the peer, or None."""
+    """:data:`PROTOCOL_VERSION` if the peer offers it, else None."""
     try:
         offered = {int(v) for v in client_versions}
     except (TypeError, ValueError):
@@ -270,8 +270,7 @@ def negotiate_version(client_versions: Any) -> Optional[int]:
             f"HELLO versions must be a list of integers, "
             f"got {client_versions!r}"
         ) from None
-    shared = offered & set(PROTOCOL_VERSIONS)
-    return max(shared) if shared else None
+    return PROTOCOL_VERSION if PROTOCOL_VERSION in offered else None
 
 
 def parse_redirect(frame: Frame) -> Tuple[str, int, int]:

@@ -24,7 +24,7 @@ Flow control, inward and outward:
   is set, in which case the scheduler closes the stalest session
   (notifying it with ``ERROR evicted``) and admits the newcomer.
 
-Resilience (DESIGN.md D19), for protocol-revision-2 peers:
+Resilience (DESIGN.md D19):
 
 - **Checkpointing**: every ``checkpoint_interval`` scored chunks the
   session's full stream state (:meth:`StreamingMonitor.snapshot`) is
@@ -145,18 +145,9 @@ class ServerConfig:
         queue_depth: per-session bound on decoded-but-unscored chunks;
             the ingestion backpressure knob.
         worker_threads: size of the shared DSP thread pool.
-        kernel_batching: coalesce concurrently pending sessions' chunks
-            into single :meth:`FleetScheduler.feed_many` rounds, so
-            isomorphic sessions share one vectorized STFT/peak/K-S pass
-            (the fleet batch kernel, DESIGN.md D20) instead of each
-            paying its own. Per-session results and failure isolation
-            are unchanged; turn off to score every chunk on its own
-            pool thread as before.
-        registry_cache: deserialized models kept hot in the registry LRU
-            (only used when the server builds its own registry).
         checkpoint_interval: scored chunks between durable session
-            checkpoints for revision-2 peers; 0 disables checkpointing
-            (and therefore resume).
+            checkpoints; 0 disables checkpointing (and therefore
+            resume).
         spill_dir: where session checkpoints live; defaults to a
             ``.sessions`` directory inside the registry root, so a
             restarted server pointed at the same registry finds them.
@@ -175,8 +166,6 @@ class ServerConfig:
     evict_idle: bool = False
     queue_depth: int = 8
     worker_threads: int = 4
-    kernel_batching: bool = True
-    registry_cache: int = 8
     checkpoint_interval: int = 16
     spill_dir: Optional[str] = None
     worker_id: Optional[int] = None
@@ -217,7 +206,6 @@ class _SessionState:
     evict_notice: Optional[asyncio.Task] = None
     reports_sent: int = 0
     opened_at: float = field(default_factory=time.monotonic)
-    protocol_version: int = 1
     token: str = ""
     window: int = 8
     last_seq: int = 0
@@ -356,9 +344,8 @@ class EddieServer:
             evict_idle=cfg.evict_idle,
             on_evict=self._on_evict,
         )
-        if cfg.kernel_batching:
-            self._batcher = _KernelBatcher(self._fleet, self._pool)
-            self._batcher.start()
+        self._batcher = _KernelBatcher(self._fleet, self._pool)
+        self._batcher.start()
         if cfg.checkpoint_interval > 0:
             self.spill_dir.mkdir(parents=True, exist_ok=True)
         self._server = await asyncio.start_server(
@@ -395,9 +382,9 @@ class EddieServer:
         ``ERROR draining``, and for every live session: checkpoints it,
         acknowledges the durable sequence number, sends a final STATS
         snapshot and ``ERROR draining``, then closes the connection.
-        Sessions that cannot be checkpointed (revision-1 peers,
-        checkpointing disabled) are closed outright. Returns the final
-        stats payload. Call :meth:`stop` afterwards to release the pool.
+        Sessions that cannot be checkpointed (checkpointing disabled)
+        are closed outright. Returns the final stats payload. Call
+        :meth:`stop` afterwards to release the pool.
         """
         self._draining = True
         if self._server is not None:
@@ -450,7 +437,6 @@ class EddieServer:
             "max_sessions": self.config.max_sessions,
             "evict_idle": self.config.evict_idle,
             "draining": self._draining,
-            "kernel_batching": self.config.kernel_batching,
             "checkpoint_interval": self.config.checkpoint_interval,
             "sessions_opened": s.sessions_opened,
             "sessions_closed": s.sessions_closed,
@@ -569,7 +555,7 @@ class EddieServer:
                 error_frame(
                     ERR_UNSUPPORTED_VERSION,
                     f"no shared protocol version (server speaks "
-                    f"{list(protocol.PROTOCOL_VERSIONS)}, client offered "
+                    f"{protocol.PROTOCOL_VERSION}, client offered "
                     f"{hello.get('versions')})",
                 ),
             )
@@ -597,12 +583,10 @@ class EddieServer:
                 )
                 continue
             if frame.type == FrameType.OPEN:
-                return await self._admit(
-                    parse_json(frame), writer, wlock, version
-                )
+                return await self._admit(parse_json(frame), writer, wlock)
             if frame.type == FrameType.RESUME:
                 return await self._admit_resume(
-                    parse_json(frame), writer, wlock, version
+                    parse_json(frame), writer, wlock
                 )
             await self._send(
                 writer, wlock,
@@ -616,11 +600,7 @@ class EddieServer:
 
     def _resumable(self, state: _SessionState) -> bool:
         """Can this session checkpoint for later resumption?"""
-        return (
-            state.protocol_version >= 2
-            and self.config.checkpoint_interval > 0
-            and not state.evicted
-        )
+        return self.config.checkpoint_interval > 0 and not state.evicted
 
     @staticmethod
     def _parse_window(payload: Dict) -> int:
@@ -634,7 +614,6 @@ class EddieServer:
         open_payload: Dict,
         writer: asyncio.StreamWriter,
         wlock: asyncio.Lock,
-        version: int,
     ) -> Optional[_SessionState]:
         spec = open_payload.get("model")
         if not isinstance(spec, str) or not spec:
@@ -699,7 +678,6 @@ class EddieServer:
             queue=asyncio.Queue(maxsize=self.config.queue_depth),
             writer=writer,
             wlock=wlock,
-            protocol_version=version,
             window=self._parse_window(open_payload),
             model_fp=entry.fingerprint,
             model_spec=entry.spec,
@@ -735,18 +713,12 @@ class EddieServer:
         payload: Dict,
         writer: asyncio.StreamWriter,
         wlock: asyncio.Lock,
-        version: int,
     ) -> Optional[_SessionState]:
         """Restore a suspended session from its spill file."""
 
         async def refuse(code: str, message: str) -> None:
             await self._send(writer, wlock, error_frame(code, message))
 
-        if version < 2:
-            await refuse(
-                ERR_BAD_STATE, "RESUME requires protocol revision >= 2"
-            )
-            return None
         if self._draining:
             await refuse(
                 ERR_DRAINING,
@@ -877,7 +849,6 @@ class EddieServer:
                 queue=asyncio.Queue(maxsize=self.config.queue_depth),
                 writer=writer,
                 wlock=wlock,
-                protocol_version=version,
                 token=token,
                 window=window,
                 last_seq=durable,
@@ -1093,9 +1064,7 @@ class EddieServer:
     # -- session worker -------------------------------------------------------
 
     async def _session_worker(self, state: _SessionState) -> None:
-        """Drain the session queue through the DSP pool, emit REPORTs."""
-        loop = asyncio.get_running_loop()
-        fleet = self._fleet
+        """Feed the session queue through the kernel batcher, emit REPORTs."""
         lat_hist = (
             histogram("repro.serve", "chunk_latency_ms", _LATENCY_EDGES_MS)
             if OBS.enabled else None
@@ -1122,10 +1091,7 @@ class EddieServer:
                 if kind == "drain":
                     await self._drain_session(state)
                     return
-                if (
-                    state.protocol_version >= 2
-                    and seq != state.last_seq + 1
-                ):
+                if seq != state.last_seq + 1:
                     # Exactly-once depends on a gapless chunk sequence;
                     # refuse rather than silently mis-score.
                     state.finalized = True
@@ -1145,15 +1111,9 @@ class EddieServer:
                     return
                 started = time.perf_counter()
                 try:
-                    if self._batcher is not None:
-                        results = await self._batcher.submit(
-                            state.session_id, samples
-                        )
-                    else:
-                        results = await loop.run_in_executor(
-                            self._pool, fleet.feed, state.session_id,
-                            samples,
-                        )
+                    results = await self._batcher.submit(
+                        state.session_id, samples
+                    )
                 except Exception:
                     # The session was evicted (or otherwise closed)
                     # between dequeue and feed; the eviction path already
@@ -1331,18 +1291,76 @@ class EddieServer:
 # -- thread-hosted serving (sync callers: tests, benches, CLI clients) --------
 
 
-class ServerHandle:
-    """A server running on its own event-loop thread."""
+class LoopThread:
+    """Runs an object with async ``start``/``stop`` on its own loop thread.
+
+    ``build`` makes the object on that thread, so anything it binds to
+    the running loop binds to the right one. Construction returns once
+    ``start()`` has completed, so a hosted server's address is
+    immediately connectable; a failing start (a bind error) is raised to
+    the caller as :class:`ServeError`. Stop with :meth:`stop` or use the
+    handle as a context manager.
+    """
+
+    def __init__(self, build, name: str) -> None:
+        self._loop = asyncio.new_event_loop()
+        started = threading.Event()
+        failure: List[Exception] = []
+
+        def run() -> None:
+            asyncio.set_event_loop(self._loop)
+            try:
+                self._target = build()
+                self._loop.run_until_complete(self._target.start())
+            except Exception as error:  # surface bind failures to the caller
+                failure.append(error)
+            started.set()
+            if not failure:
+                self._loop.run_forever()
+            with contextlib.suppress(Exception):
+                self._loop.run_until_complete(self._loop.shutdown_asyncgens())
+            self._loop.close()
+
+        self._thread = threading.Thread(target=run, name=name, daemon=True)
+        self._thread.start()
+        if not started.wait(timeout=30):
+            raise ServeError(f"{name} failed to start within 30s")
+        if failure:
+            raise ServeError(f"{name} failed to start: {failure[0]}")
+
+    def call(self, coro, timeout: float):
+        """Run ``coro`` on the hosted loop and return its result."""
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(
+            timeout
+        )
+
+    def stop(self, timeout: float = 10.0) -> None:
+        if not self._thread.is_alive():
+            return
+        with contextlib.suppress(Exception):
+            self.call(self._target.stop(), timeout)
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class ServerHandle(LoopThread):
+    """An :class:`EddieServer` running on its own event-loop thread."""
 
     def __init__(
         self,
-        server: EddieServer,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
+        registry: ModelRegistry,
+        config: Optional[ServerConfig] = None,
     ) -> None:
-        self.server = server
-        self._loop = loop
-        self._thread = thread
+        super().__init__(
+            lambda: EddieServer(registry, config=config), "eddie-serve-loop"
+        )
+        self.server: EddieServer = self._target
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -1356,27 +1374,7 @@ class ServerHandle:
         """Checkpoint and suspend every live session; returns final stats."""
         if not self._thread.is_alive():
             return self.server.stats_payload()
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.drain(), self._loop
-        )
-        return future.result(timeout)
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if not self._thread.is_alive():
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self._loop
-        )
-        with contextlib.suppress(Exception):
-            future.result(timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return self.call(self.server.drain(), timeout)
 
 
 def serve_in_thread(
@@ -1392,36 +1390,4 @@ def serve_in_thread(
     restart: suspended sessions resume against the next server pointed
     at the same registry.
     """
-    started = threading.Event()
-    holder: Dict[str, object] = {}
-
-    def run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        server = EddieServer(registry, config=config)
-        try:
-            loop.run_until_complete(server.start())
-        except Exception as error:  # surface bind failures to the caller
-            holder["error"] = error
-            started.set()
-            loop.close()
-            return
-        holder["server"] = server
-        holder["loop"] = loop
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            with contextlib.suppress(Exception):
-                loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    thread = threading.Thread(
-        target=run, name="eddie-serve-loop", daemon=True
-    )
-    thread.start()
-    if not started.wait(timeout=30):
-        raise ServeError("server failed to start within 30s")
-    if "error" in holder:
-        raise ServeError(f"server failed to start: {holder['error']}")
-    return ServerHandle(holder["server"], holder["loop"], thread)
+    return ServerHandle(registry, config)

@@ -2,7 +2,7 @@
 
 One :class:`EddieServer` is one asyncio loop feeding one thread pool --
 a single-core ceiling. This module scales the serving layer across N
-worker processes (or threads, for tests) behind one entry address:
+worker processes behind one entry address:
 
 - :func:`place` -- rendezvous (highest-random-weight) hashing of a
   session's shard key over the live worker set. Deterministic,
@@ -11,18 +11,16 @@ worker processes (or threads, for tests) behind one entry address:
 - :class:`ShardRouter` -- the asyncio frontend every client dials.
   STATS fans out to the workers and merges their snapshots exactly
   (:func:`merge_stats_payloads`); OPEN/RESUME is placed by shard key
-  and either answered with a ``REDIRECT`` (revision-3 clients, who
-  re-dial the owning worker and talk to it directly -- zero router
-  cost on the chunk hot path) or spliced through byte-for-byte
-  (revision-1/2 clients, who cannot know about shards).
-- :class:`ShardCluster` -- N workers plus a router as one handle.
-  Workers share the read-only model registry but checkpoint into
-  per-worker spill namespaces (``<spill root>/wNN``); every worker
+  and answered with a ``REDIRECT``: the client re-dials the owning
+  worker and talks to it directly -- zero router cost on the chunk hot
+  path.
+- :class:`ShardCluster` -- N worker processes plus a router as one
+  handle. Workers share the read-only model registry but checkpoint
+  into per-worker spill namespaces (``<spill root>/wNN``); every worker
   lists its siblings' namespaces as fallbacks, so when a worker dies
   its sessions RESUME onto a survivor which *adopts* the orphaned
-  spill. ``mode='process'`` spawns real worker processes (SIGTERM
-  drains gracefully -- the rolling-restart path); ``mode='thread'``
-  hosts workers on event-loop threads in-process (fast, for tests).
+  spill. SIGTERM drains a worker gracefully (the rolling-restart
+  path); SIGKILL leaves its sessions to the periodic checkpoints.
 
 Bit-identity is preserved end to end: placement only decides *where* a
 session's monitor lives, never how its windows are scored, so a sharded
@@ -34,9 +32,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import hashlib
+import multiprocessing
 import signal
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,7 +53,7 @@ from repro.serve.protocol import (
     read_frame,
 )
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import ServerConfig, serve_in_thread
+from repro.serve.server import LoopThread, ServerConfig
 
 __all__ = [
     "ShardCluster",
@@ -115,9 +114,7 @@ _SUM_KEYS = frozenset({
     "reports", "bytes_in", "bytes_out", "protocol_errors",
 })
 # Config echoes that are uniform across workers: first one wins.
-_FIRST_KEYS = frozenset({
-    "evict_idle", "kernel_batching", "checkpoint_interval",
-})
+_FIRST_KEYS = frozenset({"evict_idle", "checkpoint_interval"})
 
 
 def _merge_metric_snapshots(snaps: List[Dict]) -> Dict[str, Dict]:
@@ -217,7 +214,6 @@ class RouterStats:
 
     connections: int = 0
     redirects: int = 0
-    splices: int = 0
     stats_fanouts: int = 0
     placement_failures: int = 0
     dead_workers_skipped: int = 0
@@ -226,10 +222,9 @@ class RouterStats:
 class ShardRouter:
     """The cluster's entry point: places sessions, aggregates STATS.
 
-    The router never touches IQ samples on the steady-state path:
-    revision-3 clients are redirected to their worker after one control
-    round trip, and even spliced (v1/v2) connections cost only a byte
-    pump, never a decode. Placement consults a short-TTL liveness probe
+    The router never touches IQ samples: clients are redirected to their
+    worker after one control round trip. Placement consults a short-TTL
+    liveness probe
     so sessions stop landing on a dead worker within ``probe_ttl``
     seconds of its demise.
     """
@@ -383,7 +378,7 @@ class ShardRouter:
             await self._send(writer, error_frame(
                 protocol.ERR_UNSUPPORTED_VERSION,
                 f"no shared protocol version (router speaks "
-                f"{list(protocol.PROTOCOL_VERSIONS)}, client offered "
+                f"{protocol.PROTOCOL_VERSION}, client offered "
                 f"{hello.get('versions')})",
             ))
             return
@@ -412,92 +407,21 @@ class ShardRouter:
                         writer, error_frame(error.code, str(error))
                     )
                     return
-                if version >= 3:
-                    self.stats.redirects += 1
-                    await self._send(writer, json_frame(FrameType.REDIRECT, {
-                        "worker": spec.worker_id,
-                        "host": spec.host,
-                        "port": spec.port,
-                    }))
-                    # The client re-dials the worker; this connection is
-                    # done (it may also send another OPEN/RESUME after a
-                    # failed dial, so keep reading).
-                    continue
-                await self._splice(reader, writer, frame, spec, version)
-                return
+                self.stats.redirects += 1
+                await self._send(writer, json_frame(FrameType.REDIRECT, {
+                    "worker": spec.worker_id,
+                    "host": spec.host,
+                    "port": spec.port,
+                }))
+                # The client re-dials the worker; it may also send
+                # another OPEN/RESUME here after a failed dial, so keep
+                # reading.
+                continue
             await self._send(writer, error_frame(
                 protocol.ERR_BAD_STATE,
                 f"expected OPEN, RESUME, or STATS, got {frame.type.name}",
             ))
             return
-
-    async def _splice(
-        self,
-        client_reader: asyncio.StreamReader,
-        client_writer: asyncio.StreamWriter,
-        first_frame: protocol.Frame,
-        spec: WorkerSpec,
-        version: int,
-    ) -> None:
-        """Proxy a pre-revision-3 connection through to its worker.
-
-        The router re-handshakes with the worker at exactly the
-        client's negotiated revision, forwards the buffered OPEN/RESUME,
-        then pumps raw bytes both ways -- the client never learns the
-        cluster exists.
-        """
-        try:
-            worker_reader, worker_writer = await asyncio.wait_for(
-                asyncio.open_connection(*spec.address),
-                timeout=self.probe_timeout,
-            )
-        except (OSError, asyncio.TimeoutError):
-            self.invalidate_worker(spec.worker_id)
-            await self._send(client_writer, error_frame(
-                ERR_NO_WORKERS,
-                f"worker {spec.worker_id} died during placement; retry",
-            ))
-            return
-        self.stats.splices += 1
-        try:
-            worker_writer.write(json_frame(FrameType.HELLO, {
-                "versions": [version],
-            }))
-            await worker_writer.drain()
-            reply = await read_frame(worker_reader)
-            if reply is None or reply.type != FrameType.HELLO:
-                # Forward the worker's refusal (an ERROR frame) verbatim.
-                if reply is not None:
-                    await self._send(client_writer, protocol.encode_frame(
-                        reply.type, reply.payload
-                    ))
-                return
-            worker_writer.write(protocol.encode_frame(
-                first_frame.type, first_frame.payload
-            ))
-            await worker_writer.drain()
-
-            async def pump(src: asyncio.StreamReader,
-                           dst: asyncio.StreamWriter) -> None:
-                while True:
-                    data = await src.read(65536)
-                    if not data:
-                        break
-                    dst.write(data)
-                    await dst.drain()
-                with contextlib.suppress(Exception):
-                    if dst.can_write_eof():
-                        dst.write_eof()
-
-            await asyncio.gather(
-                pump(client_reader, worker_writer),
-                pump(worker_reader, client_writer),
-                return_exceptions=True,
-            )
-        finally:
-            worker_writer.close()
-            with contextlib.suppress(Exception):
-                await worker_writer.wait_closed()
 
     # -- fleet-wide stats --
 
@@ -511,7 +435,9 @@ class ShardRouter:
             self.invalidate_worker(spec.worker_id)
             return None
         try:
-            writer.write(json_frame(FrameType.HELLO, {"versions": [2]}))
+            writer.write(json_frame(FrameType.HELLO, {
+                "versions": [protocol.PROTOCOL_VERSION],
+            }))
             writer.write(json_frame(FrameType.STATS, {}))
             await writer.drain()
             hello = await read_frame(reader)
@@ -541,93 +467,37 @@ class ShardRouter:
             "workers_responding": len(payloads),
             "connections": self.stats.connections,
             "redirects": self.stats.redirects,
-            "splices": self.stats.splices,
             "stats_fanouts": self.stats.stats_fanouts,
             "placement_failures": self.stats.placement_failures,
         }
         return merged
 
 
-class RouterHandle:
+class RouterHandle(LoopThread):
     """A :class:`ShardRouter` running on its own event-loop thread."""
 
     def __init__(
-        self,
-        router: ShardRouter,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
+        self, workers: Sequence[WorkerSpec], **router_kwargs
     ) -> None:
-        self.router = router
-        self._loop = loop
-        self._thread = thread
+        super().__init__(
+            lambda: ShardRouter(workers, **router_kwargs),
+            "eddie-shard-router",
+        )
+        self.router: ShardRouter = self._target
 
     @property
     def address(self) -> Tuple[str, int]:
         return self.router.address
 
     def cluster_stats(self, timeout: float = 30.0) -> Dict:
-        future = asyncio.run_coroutine_threadsafe(
-            self.router.cluster_stats(), self._loop
-        )
-        return future.result(timeout)
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if not self._thread.is_alive():
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.router.stop(), self._loop
-        )
-        with contextlib.suppress(Exception):
-            future.result(timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
+        return self.call(self.router.cluster_stats(), timeout)
 
 
 def route_in_thread(
-    workers: Sequence[WorkerSpec],
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    probe_timeout: float = 1.0,
-    probe_ttl: float = 1.0,
+    workers: Sequence[WorkerSpec], **router_kwargs
 ) -> RouterHandle:
     """Start a :class:`ShardRouter` on a dedicated event-loop thread."""
-    started = threading.Event()
-    holder: Dict[str, Any] = {}
-
-    def run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        router = ShardRouter(
-            workers, host=host, port=port,
-            probe_timeout=probe_timeout, probe_ttl=probe_ttl,
-        )
-        try:
-            loop.run_until_complete(router.start())
-        except Exception as error:
-            holder["error"] = error
-            started.set()
-            loop.close()
-            return
-        holder["router"] = router
-        holder["loop"] = loop
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            with contextlib.suppress(Exception):
-                loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    thread = threading.Thread(
-        target=run, name="eddie-shard-router", daemon=True
-    )
-    thread.start()
-    if not started.wait(timeout=30):
-        raise ServeError("router failed to start within 30s")
-    if "error" in holder:
-        raise ServeError(f"router failed to start: {holder['error']}")
-    return RouterHandle(holder["router"], holder["loop"], thread)
+    return RouterHandle(workers, **router_kwargs)
 
 
 # -- worker processes ---------------------------------------------------------
@@ -635,20 +505,20 @@ def route_in_thread(
 
 def _worker_process_main(
     registry_root: str,
-    config_kwargs: Dict,
+    cache_size: int,
+    config: ServerConfig,
     conn,
 ) -> None:
     """Entry point of one spawned worker process.
 
-    Binds the server, reports the bound address back over ``conn``, and
-    runs until SIGTERM -- which triggers a graceful drain (checkpoint +
-    suspend every session) before exit, the rolling-restart half of
-    DESIGN.md D21. SIGKILL is the chaos path: no drain, the periodic
-    checkpoints alone must carry the sessions (and do -- the survivor
-    adopts the spills).
+    Rebuilds the registry (with the parent's LRU size), binds the
+    server, reports the bound address back over ``conn``, and runs until
+    SIGTERM -- which triggers a graceful drain (checkpoint + suspend
+    every session) before exit, the rolling-restart half of DESIGN.md
+    D21. SIGKILL is the chaos path: no drain, the periodic checkpoints
+    alone must carry the sessions (and do -- the survivor adopts the
+    spills).
     """
-    import asyncio as _asyncio
-
     from repro.serve.server import EddieServer
 
     # A terminal Ctrl-C signals the whole foreground process group; the
@@ -657,8 +527,7 @@ def _worker_process_main(
     with contextlib.suppress(ValueError, OSError):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    registry = ModelRegistry(registry_root)
-    config = ServerConfig(**config_kwargs)
+    registry = ModelRegistry(registry_root, cache_size=cache_size)
 
     async def run() -> None:
         server = EddieServer(registry, config=config)
@@ -670,15 +539,24 @@ def _worker_process_main(
             return
         conn.send(("ready", server.address))
         conn.close()
-        stop = _asyncio.Event()
-        loop = _asyncio.get_running_loop()
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
         with contextlib.suppress(NotImplementedError, ValueError):
             loop.add_signal_handler(signal.SIGTERM, stop.set)
         await stop.wait()
         await server.drain()
         await server.stop()
 
-    _asyncio.run(run())
+    asyncio.run(run())
+
+
+def _end_process(process, timeout: float) -> None:
+    """SIGTERM (the worker drains), then SIGKILL if it overstays."""
+    process.terminate()
+    process.join(timeout)
+    if process.is_alive():
+        process.kill()
+        process.join(5)
 
 
 # -- the cluster handle -------------------------------------------------------
@@ -687,14 +565,12 @@ def _worker_process_main(
 @dataclass
 class _WorkerSlot:
     spec: WorkerSpec
-    config: ServerConfig
-    handle: Any = None  # ServerHandle (thread mode) or Process
+    process: Any = field(repr=False)
     alive: bool = True
-    pipe: Any = field(default=None, repr=False)
 
 
 class ShardCluster:
-    """N serving workers behind one :class:`ShardRouter` entry address.
+    """N serving worker processes behind one :class:`ShardRouter`.
 
     ::
 
@@ -706,10 +582,10 @@ class ShardCluster:
         stats = cluster.stats()               # fleet-wide merged STATS
         cluster.stop()
 
-    ``mode='thread'`` hosts each worker on an in-process event-loop
-    thread (one GIL -- fine for conformance tests); ``mode='process'``
-    spawns real processes so the DSP scales across cores (the
-    ``eddie serve --workers N`` and benchmark path).
+    Each worker is a spawned process running one :class:`EddieServer`,
+    so the DSP scales across cores (the ``eddie serve --workers N`` and
+    benchmark path). Workers rebuild ``registry`` from its root with the
+    same LRU size.
     """
 
     def __init__(
@@ -717,7 +593,6 @@ class ShardCluster:
         registry: ModelRegistry,
         *,
         workers: int = 2,
-        mode: str = "thread",
         config: Optional[ServerConfig] = None,
         host: str = "127.0.0.1",
         router_port: int = 0,
@@ -727,11 +602,8 @@ class ShardCluster:
     ) -> None:
         if workers < 1:
             raise ServeError(f"need at least 1 worker, got {workers}")
-        if mode not in ("thread", "process"):
-            raise ServeError(f"unknown cluster mode {mode!r}")
         self.registry = registry
         self.n_workers = int(workers)
-        self.mode = mode
         self.base_config = config or ServerConfig()
         self.host = host
         self.router_port = router_port
@@ -746,18 +618,16 @@ class ShardCluster:
 
     # -- lifecycle --
 
-    def _worker_config(self, worker_id: int, port: int = 0) -> ServerConfig:
+    def _worker_config(self, worker_id: int) -> ServerConfig:
         spill = self.spill_root / f"w{worker_id:02d}"
         siblings = tuple(
             str(self.spill_root / f"w{k:02d}")
             for k in range(self.n_workers) if k != worker_id
         )
-        import dataclasses
-
         return dataclasses.replace(
             self.base_config,
             host=self.host,
-            port=port,
+            port=0,
             worker_id=worker_id,
             spill_dir=str(spill),
             spill_fallback_dirs=siblings,
@@ -782,44 +652,43 @@ class ShardCluster:
             raise
         return self
 
-    def _start_worker(self, worker_id: int, port: int = 0) -> _WorkerSlot:
-        config = self._worker_config(worker_id, port)
+    def _start_worker(self, worker_id: int) -> _WorkerSlot:
+        config = self._worker_config(worker_id)
         Path(config.spill_dir).mkdir(parents=True, exist_ok=True)
-        if self.mode == "thread":
-            handle = serve_in_thread(self.registry, config)
-            host, bound = handle.address
-            return _WorkerSlot(
-                spec=WorkerSpec(worker_id, host, bound),
-                config=config, handle=handle,
-            )
-        import multiprocessing
-
         ctx = multiprocessing.get_context("spawn")
         parent_conn, child_conn = ctx.Pipe(duplex=False)
-        kwargs = {
-            f.name: getattr(config, f.name)
-            for f in config.__dataclass_fields__.values()
-        }
         proc = ctx.Process(
             target=_worker_process_main,
-            args=(str(self.registry.root), kwargs, child_conn),
+            args=(
+                str(self.registry.root), self.registry.cache_size,
+                config, child_conn,
+            ),
             name=f"eddie-worker-{worker_id}",
             daemon=True,
         )
         proc.start()
         child_conn.close()
-        if not parent_conn.poll(60):
-            proc.kill()
-            raise ServeError(f"worker {worker_id} did not bind within 60s")
-        status, detail = parent_conn.recv()
+        with parent_conn:
+            if not parent_conn.poll(60):
+                proc.kill()
+                proc.join(5)
+                raise ServeError(
+                    f"worker {worker_id} did not bind within 60s"
+                )
+            try:
+                status, detail = parent_conn.recv()
+            except EOFError:
+                # The child died before reporting: its pipe end closed.
+                proc.join(5)
+                raise ServeError(
+                    f"worker {worker_id} exited with code {proc.exitcode} "
+                    f"before binding"
+                ) from None
         if status != "ready":
             proc.join(5)
             raise ServeError(f"worker {worker_id} failed to start: {detail}")
         host, bound = detail
-        return _WorkerSlot(
-            spec=WorkerSpec(worker_id, host, bound),
-            config=config, handle=proc, pipe=parent_conn,
-        )
+        return _WorkerSlot(WorkerSpec(worker_id, host, bound), proc)
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -836,8 +705,8 @@ class ShardCluster:
         ]
 
     def worker_handle(self, worker_id: int):
-        """The underlying ServerHandle (thread mode) or Process."""
-        return self._slot(worker_id).handle
+        """The worker's :class:`multiprocessing.Process`."""
+        return self._slot(worker_id).process
 
     def _slot(self, worker_id: int) -> _WorkerSlot:
         for slot in self._slots:
@@ -847,34 +716,24 @@ class ShardCluster:
 
     # -- fault / restart operations --
 
+    def _retire(self, slot: _WorkerSlot) -> None:
+        slot.alive = False
+        if self._router is not None:
+            self._router.router.invalidate_worker(slot.spec.worker_id)
+
     def kill_worker(self, worker_id: int) -> None:
         """Hard-kill one worker: no drain, no checkpoint, no goodbye."""
         slot = self._slot(worker_id)
-        if self.mode == "thread":
-            slot.handle.stop()
-        else:
-            slot.handle.kill()
-            slot.handle.join(10)
-        slot.alive = False
-        if self._router is not None:
-            self._router.router.invalidate_worker(worker_id)
+        slot.process.kill()
+        slot.process.join(10)
+        self._retire(slot)
 
     def drain_worker(self, worker_id: int, timeout: float = 30.0) -> None:
         """Gracefully drain one worker (the rolling-restart step):
         every session is checkpointed and suspended before it exits."""
         slot = self._slot(worker_id)
-        if self.mode == "thread":
-            slot.handle.drain(timeout)
-            slot.handle.stop()
-        else:
-            slot.handle.terminate()  # SIGTERM -> drain in the child
-            slot.handle.join(timeout)
-            if slot.handle.is_alive():
-                slot.handle.kill()
-                slot.handle.join(5)
-        slot.alive = False
-        if self._router is not None:
-            self._router.router.invalidate_worker(worker_id)
+        _end_process(slot.process, timeout)
+        self._retire(slot)
 
     # -- observability --
 
@@ -891,18 +750,10 @@ class ShardCluster:
                 self._router.stop()
             self._router = None
         for slot in self._slots:
-            if not slot.alive:
-                continue
-            with contextlib.suppress(Exception):
-                if self.mode == "thread":
-                    slot.handle.stop()
-                else:
-                    slot.handle.terminate()
-                    slot.handle.join(10)
-                    if slot.handle.is_alive():
-                        slot.handle.kill()
-                        slot.handle.join(5)
-            slot.alive = False
+            if slot.alive:
+                with contextlib.suppress(Exception):
+                    _end_process(slot.process, 10)
+                slot.alive = False
         self._slots.clear()
 
     def __enter__(self) -> "ShardCluster":

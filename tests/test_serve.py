@@ -5,8 +5,9 @@ replaying a capture through a real TCP loopback session produces reports
 and a summary *bit-identical* to a local :class:`StreamingMonitor` run
 on the same chunking. On top of that: load shedding at capacity is a
 typed ``at_capacity`` ERROR that leaves surviving sessions untouched,
-and ``evict_idle`` displaces the stalest session with a typed
-``evicted`` notification.
+``evict_idle`` displaces the stalest session with a typed ``evicted``
+notification, and a session whose CHUNK seqs skip or repeat is refused
+with ``bad_frame`` while its neighbours finish bit-identically.
 """
 
 import dataclasses
@@ -30,7 +31,7 @@ from repro.serve import (
     FrameDecoder,
     FrameType,
     ModelRegistry,
-    PROTOCOL_VERSIONS,
+    PROTOCOL_VERSION,
     ServerConfig,
     decode_chunk,
     encode_chunk,
@@ -45,8 +46,10 @@ from repro.serve.client import replay
 from repro.serve.protocol import (
     HEADER,
     MAX_PAYLOAD,
+    recv_frame,
     report_from_json,
     report_to_json,
+    send_frame,
     summary_from_json,
     summary_to_json,
 )
@@ -151,10 +154,10 @@ class TestFraming:
             decode_chunk(torn)
 
     def test_negotiate_version(self):
-        assert negotiate_version(list(PROTOCOL_VERSIONS)) == max(
-            PROTOCOL_VERSIONS
-        )
-        assert negotiate_version([99, 1]) == 1
+        assert negotiate_version([PROTOCOL_VERSION]) == PROTOCOL_VERSION
+        # What a client of an older build offers still negotiates.
+        assert negotiate_version([1, 2, 3]) == 3
+        assert negotiate_version([99, 1]) is None
         assert negotiate_version([99]) is None
         with pytest.raises(ProtocolError):
             negotiate_version("not-a-list-of-ints")
@@ -302,12 +305,18 @@ class TestLoopbackBitIdentity:
         assert stats["sessions_opened"] >= 1
         assert stats["registry"]["lru_misses"] >= 1
 
-    def test_version_negotiation_refuses_future_client(self, server):
+    @pytest.mark.parametrize(
+        "offered", [[99], [1], [1, 2]], ids=["v99", "v1", "v1-v2"]
+    )
+    def test_version_negotiation_refuses_unsupported_offers(
+        self, server, offered
+    ):
+        # A future revision and the retired revisions 1 and 2 alike.
         host, port = server.address
         with socket.create_connection((host, port), timeout=10) as sock:
-            from repro.serve.protocol import recv_frame, send_frame
-
-            send_frame(sock, json_frame(FrameType.HELLO, {"versions": [99]}))
+            send_frame(sock, json_frame(
+                FrameType.HELLO, {"versions": offered}
+            ))
             frame = recv_frame(sock)
         assert frame.type == FrameType.ERROR
         assert parse_json(frame)["code"] == "unsupported_version"
@@ -325,6 +334,56 @@ class TestLoopbackBitIdentity:
         # The server survived and still serves sessions.
         with EddieClient(host, port) as client:
             assert client.stats()["protocol_errors"] >= 1
+
+
+class TestChunkSequencing:
+    @pytest.mark.parametrize("bad_seq", [3, 1], ids=["skipped", "repeated"])
+    def test_out_of_order_chunk_is_refused_and_neighbour_unharmed(
+        self, registry, bad_seq
+    ):
+        detector = detector_for("bitcount")
+        trace = detector.source.capture(seed=TINY.monitor_seed(0))
+        chunks = list(trace.iq.iter_chunks(4096))
+        local_reports, local_summary = local_reference(
+            detector.model, trace, 4096
+        )
+        half = len(chunks) // 2
+        with serve_in_thread(
+            registry, ServerConfig(max_sessions=4, worker_threads=2)
+        ) as handle:
+            host, port = handle.address
+            with EddieClient(host, port, window=4) as neighbour:
+                neighbour.open("bitcount", t0=trace.iq.t0)
+                reports = []
+                for chunk in chunks[:half]:
+                    reports.extend(neighbour.send(chunk))
+                with socket.create_connection((host, port), timeout=10) as sock:
+                    sock.settimeout(10)
+                    send_frame(sock, json_frame(FrameType.HELLO, {
+                        "versions": [PROTOCOL_VERSION],
+                    }))
+                    assert recv_frame(sock).type == FrameType.HELLO
+                    send_frame(sock, json_frame(FrameType.OPEN, {
+                        "model": "bitcount", "t0": trace.iq.t0,
+                    }))
+                    assert recv_frame(sock).type == FrameType.OPEN
+                    send_frame(sock, encode_chunk(1, chunks[0].samples))
+                    assert recv_frame(sock).type == FrameType.REPORT
+                    send_frame(sock, encode_chunk(bad_seq, chunks[1].samples))
+                    error = recv_frame(sock)
+                    assert error.type == FrameType.ERROR
+                    assert parse_json(error)["code"] == "bad_frame"
+                    assert "out of order" in parse_json(error)["message"]
+                    assert recv_frame(sock) is None  # the server hung up
+                for chunk in chunks[half:]:
+                    reports.extend(neighbour.send(chunk))
+                reports.extend(neighbour.drain())
+                summary = neighbour.close()
+            assert handle.stats.protocol_errors == 1
+        assert reports == local_reports
+        assert dataclasses.replace(
+            summary, session_id=local_summary.session_id
+        ) == local_summary
 
 
 class TestLoadShedding:

@@ -5,8 +5,7 @@ chaos proxy resetting/truncating connections, by a scripted kill, or by
 a full server stop/start -- finishes with reports and a summary
 bit-identical to an uninterrupted local :class:`StreamingMonitor` run,
 with zero windows lost and zero windows scored twice. Around that:
-graceful drain, protocol-revision-1 compatibility, typed I/O deadlines,
-and resume-token authentication.
+graceful drain, typed I/O deadlines, and resume-token authentication.
 """
 
 import dataclasses
@@ -27,6 +26,7 @@ from repro.serve import (
     serve_in_thread,
 )
 from repro.serve.protocol import (
+    PROTOCOL_VERSION,
     FrameType,
     json_frame,
     parse_json,
@@ -278,31 +278,6 @@ class TestServerRestart:
 
 
 class TestProtocolCompat:
-    def test_revision_1_client_streams_unaffected(self, registry):
-        detector = detector_for("bitcount")
-        trace = detector.source.capture(seed=TINY.monitor_seed(5))
-        local_reports, local_summary = local_reference(
-            detector.model, trace, 4096
-        )
-        with serve_in_thread(registry, resilient_config()) as handle:
-            host, port = handle.address
-            client = resilient_client(host, port)
-            client._offer_versions = [1]  # an old deployment
-            with client:
-                client.open("bitcount", t0=trace.iq.t0)
-                assert client.protocol_version == 1
-                assert not client.resumable
-                reports = []
-                for chunk in trace.iq.iter_chunks(4096):
-                    reports.extend(client.send(chunk))
-                reports.extend(client.drain())
-                summary = client.close()
-                assert client.unacked_chunks == 0  # no buffering for v1
-                assert_matches_local(
-                    reports, summary, client, local_reports, local_summary
-                )
-            assert handle.stats.checkpoints == 0
-
     def test_resume_with_bad_token_is_rejected(self, registry):
         detector = detector_for("bitcount")
         trace = detector.source.capture(seed=TINY.monitor_seed(0))
@@ -318,7 +293,7 @@ class TestProtocolCompat:
             with socket.create_connection((host, port), timeout=5) as sock:
                 sock.settimeout(5)
                 send_frame(sock, json_frame(FrameType.HELLO, {
-                    "versions": [1, 2],
+                    "versions": [PROTOCOL_VERSION],
                 }))
                 assert recv_frame(sock).type == FrameType.HELLO
                 send_frame(sock, json_frame(FrameType.RESUME, {
@@ -337,7 +312,7 @@ class TestProtocolCompat:
             with socket.create_connection((host, port), timeout=5) as sock:
                 sock.settimeout(5)
                 send_frame(sock, json_frame(FrameType.HELLO, {
-                    "versions": [1, 2],
+                    "versions": [PROTOCOL_VERSION],
                 }))
                 assert recv_frame(sock).type == FrameType.HELLO
                 send_frame(sock, json_frame(FrameType.RESUME, {
@@ -391,11 +366,7 @@ class TestTimeouts:
         assert excinfo.value.code == "timeout"
         client.disconnect()
 
-    def test_legacy_timeout_sets_both_deadlines(self):
-        client = EddieClient("127.0.0.1", 1, timeout=7.5)
-        assert client.connect_timeout == 7.5
-        assert client.io_timeout == 7.5
-        assert client.timeout == 7.5
+    def test_connect_and_io_deadlines_are_separate(self):
         split = EddieClient(
             "127.0.0.1", 1, connect_timeout=1.5, io_timeout=20.0
         )

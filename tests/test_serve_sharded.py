@@ -1,18 +1,21 @@
 """Sharded serving conformance (DESIGN.md D21): placement + the router.
 
 The load-bearing assertions, one hop out from the resilience suite: a
-replay through a multi-worker :class:`ShardCluster` is bit-identical to
-a single-worker replay and to a local :class:`StreamingMonitor` run; a
-session's placement is stable under reconnect; hard-killing the owning
-worker mid-stream loses zero windows and double-scores none (the
-survivor adopts the orphaned spill). Around that: rendezvous-hashing
-properties (hypothesis), pre-revision-3 clients spliced through the
-router untouched, typed REDIRECT validation, exact fleet-wide STATS
-merging, and the drain/eviction checkpoint races of this revision.
+replay through a multi-worker :class:`ShardCluster` (real worker
+processes) is bit-identical to a single-worker replay and to a local
+:class:`StreamingMonitor` run; a session's placement is stable under
+reconnect; SIGKILL of the owning worker mid-stream, and a SIGTERM drain
+of it, lose zero windows and double-score none (the survivor adopts the
+orphaned spill). Around that: rendezvous-hashing properties
+(hypothesis), typed REDIRECT validation, the router's version refusal,
+typed worker start failures, workers inheriting the registry's LRU
+size, exact fleet-wide STATS merging, and the drain/eviction checkpoint
+races.
 """
 
 import dataclasses
 import json
+import shutil
 import socket
 import threading
 
@@ -24,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError, ServeError
 from repro.serve import (
-    ChaosProxy,
     EddieClient,
     ModelRegistry,
     ServerConfig,
@@ -72,12 +74,11 @@ def sharded_config(**overrides):
 
 @pytest.fixture(scope="module")
 def cluster(registry, tmp_path_factory):
-    """Two thread-hosted workers behind a router, shared by the
-    non-destructive tests (the kill tests build their own)."""
+    """Two worker processes behind a router, shared by the
+    non-destructive tests (the kill and drain tests build their own)."""
     with ShardCluster(
         registry,
         workers=2,
-        mode="thread",
         config=sharded_config(),
         spill_root=str(tmp_path_factory.mktemp("spills")),
     ) as shared:
@@ -324,17 +325,19 @@ class TestShardedBitIdentity:
                 reports, summary, client, local_reports, local_summary
             )
 
-    def test_worker_kill_mid_stream_resumes_on_survivor(
-        self, registry, tmp_path
-    ):
+    @staticmethod
+    def resume_after_losing_owner(registry, tmp_path, lose_owner, seed):
+        """Stream half a capture, take the owning worker down with
+        ``lose_owner(cluster, owner)``, finish: exactly once, on the
+        survivor, which adopts the orphaned spill."""
         detector = detector_for("bitcount")
-        trace = detector.source.capture(seed=TINY.monitor_seed(2))
+        trace = detector.source.capture(seed=TINY.monitor_seed(seed))
         chunks = list(trace.iq.iter_chunks(4096))
         local_reports, local_summary = local_reference(
             detector.model, trace, 4096
         )
         with ShardCluster(
-            registry, workers=2, mode="thread", config=sharded_config(),
+            registry, workers=2, config=sharded_config(),
             spill_root=str(tmp_path / "spills"),
         ) as doomed:
             host, port = doomed.address
@@ -347,7 +350,7 @@ class TestShardedBitIdentity:
                     reports.extend(client.send(chunk))
                 reports.extend(client.drain())
                 assert client.acked_seq > 0, "need a durable checkpoint"
-                doomed.kill_worker(owner)  # no drain, no goodbye
+                lose_owner(doomed, owner)
                 for chunk in chunks[half:]:
                     reports.extend(client.send(chunk))
                 reports.extend(client.drain())
@@ -359,93 +362,75 @@ class TestShardedBitIdentity:
                     reports, summary, client, local_reports, local_summary
                 )
 
-
-# -- pre-revision-3 clients through the router --------------------------------
-
-
-class TestSpliceCompat:
-    def test_v2_client_streams_through_router_unchanged(self, cluster):
-        detector = detector_for("bitcount")
-        trace = detector.source.capture(seed=TINY.monitor_seed(3))
-        local_reports, local_summary = local_reference(
-            detector.model, trace, 4096
-        )
-        host, port = cluster.address
-        client = sharded_client(host, port)
-        client._offer_versions = [1, 2]  # a pre-shard deployment
-        with client:
-            client.open("bitcount", t0=trace.iq.t0)
-            assert client.protocol_version == 2
-            reports = []
-            for chunk in trace.iq.iter_chunks(4096):
-                reports.extend(client.send(chunk))
-            reports.extend(client.drain())
-            summary = client.close()
-            assert_matches_local(
-                reports, summary, client, local_reports, local_summary
-            )
-        assert cluster.stats()["router"]["splices"] >= 1
-
-    def test_keyless_v1_open_is_spliced_round_robin(self, cluster):
-        # The oldest possible peer: revision 1, no shard key at all.
-        host, port = cluster.address
-        with socket.create_connection((host, port), timeout=10) as sock:
-            sock.settimeout(10)
-            send_frame(sock, json_frame(FrameType.HELLO, {"versions": [1]}))
-            hello = recv_frame(sock)
-            assert hello.type == FrameType.HELLO
-            assert parse_json(hello)["version"] == 1
-            send_frame(sock, json_frame(FrameType.OPEN, {
-                "model": "bitcount", "t0": 0.0, "window": 4,
-            }))
-            ack = recv_frame(sock)
-            assert ack.type == FrameType.OPEN
-            payload = parse_json(ack)
-            assert payload["session"]
-            assert payload["worker"] in (0, 1)
-
-    def test_v2_client_survives_proxy_and_worker_kill(
+    def test_worker_kill_mid_stream_resumes_on_survivor(
         self, registry, tmp_path
     ):
-        # The full gauntlet for an old client: chaos proxy in front of
-        # the router, spliced to its worker, and the worker hard-killed
-        # mid-stream. Still exactly-once.
-        detector = detector_for("bitcount")
-        trace = detector.source.capture(seed=TINY.monitor_seed(4))
-        chunks = list(trace.iq.iter_chunks(4096))
-        local_reports, local_summary = local_reference(
-            detector.model, trace, 4096
+        # SIGKILL: no drain, no goodbye; the periodic checkpoints alone
+        # carry the session.
+        self.resume_after_losing_owner(
+            registry, tmp_path, ShardCluster.kill_worker, seed=2
         )
+
+    def test_worker_drain_mid_stream_resumes_on_survivor(
+        self, registry, tmp_path
+    ):
+        # The rolling-restart step: SIGTERM makes the owner checkpoint
+        # and suspend the session before it exits.
+        def drain(cluster, owner):
+            cluster.drain_worker(owner)
+            assert cluster.worker_handle(owner).exitcode == 0
+
+        self.resume_after_losing_owner(registry, tmp_path, drain, seed=3)
+
+
+# -- cluster lifecycle --------------------------------------------------------
+
+
+class TestClusterWorkers:
+    @pytest.mark.parametrize(
+        "offered", [[99], [1], [1, 2]], ids=["v99", "v1", "v1-v2"]
+    )
+    def test_router_refuses_unsupported_versions(self, cluster, offered):
+        with socket.create_connection(cluster.address, timeout=10) as sock:
+            sock.settimeout(10)
+            send_frame(sock, json_frame(
+                FrameType.HELLO, {"versions": offered}
+            ))
+            frame = recv_frame(sock)
+        assert frame.type == FrameType.ERROR
+        assert parse_json(frame)["code"] == "unsupported_version"
+
+    def test_worker_dying_before_bind_is_typed(self, tmp_path):
+        # The worker rebuilds the registry from its root; a root that
+        # has become a file kills it before it reports an address.
+        root = tmp_path / "registry"
+        broken = ModelRegistry(root)
+        shutil.rmtree(root)
+        root.write_text("not a directory")
+        cluster = ShardCluster(
+            broken, workers=1, spill_root=str(tmp_path / "spills")
+        )
+        with pytest.raises(ServeError, match=r"worker 0 exited with code 1"):
+            cluster.start()
+        assert cluster.worker_addresses == []
+
+    def test_workers_inherit_the_registry_lru_size(
+        self, registry, tmp_path
+    ):
+        tiny_lru = ModelRegistry(registry.root, cache_size=1)
         with ShardCluster(
-            registry, workers=2, mode="thread", config=sharded_config(),
+            tiny_lru, workers=1, config=sharded_config(),
             spill_root=str(tmp_path / "spills"),
-        ) as doomed:
-            with ChaosProxy(doomed.address, seed=11) as proxy:
-                host, port = proxy.address
-                client = sharded_client(host, port)
-                client._offer_versions = [1, 2]
-                with client:
-                    client.open("bitcount", t0=trace.iq.t0)
-                    owner = client.worker_id
-                    reports = []
-                    third = len(chunks) // 3
-                    for chunk in chunks[:third]:
-                        reports.extend(client.send(chunk))
-                    reports.extend(client.drain())
-                    assert proxy.kill_connections() >= 1
-                    for chunk in chunks[third:2 * third]:
-                        reports.extend(client.send(chunk))
-                    reports.extend(client.drain())
-                    doomed.kill_worker(owner)
-                    for chunk in chunks[2 * third:]:
-                        reports.extend(client.send(chunk))
-                    reports.extend(client.drain())
-                    summary = client.close()
-                    assert client.reconnects >= 2
-                    assert_matches_local(
-                        reports, summary, client,
-                        local_reports, local_summary,
-                    )
+        ) as single_worker:
+            host, port = single_worker.address
+            for name in SHARDED_PROGRAMS:
+                with sharded_client(host, port) as client:
+                    client.open(name)
+                    assert client.worker_id == 0
+                    client.close()
+            (worker,) = single_worker.stats()["workers"]
+        assert worker["registry"]["lru_misses"] == len(SHARDED_PROGRAMS)
+        assert worker["registry"]["cached"] == 1
 
 
 # -- fleet-wide STATS ---------------------------------------------------------
