@@ -1,14 +1,12 @@
-"""Serving benchmark: session throughput, chunk RTT, and shed behavior.
+"""Serving gates: load shedding, chaos recovery, and worker scaling.
 
 Exercises the :mod:`repro.serve` stack over real loopback TCP --
 
 - **latency**: one strict request/response session (``window=1``)
-  measures the full chunk round trip (frame encode, socket, queue, DSP
-  in the worker pool, REPORT back): p50/p99 per chunk, next to a local
-  :meth:`StreamingMonitor.feed` over the same chunks -- the per-chunk
-  serving overhead is the median of their paired difference,
-- **throughput**: N concurrent clients each replay a full capture on
-  its own connection: sessions/sec and aggregate windows/sec,
+  times the full chunk round trip next to a local
+  :meth:`StreamingMonitor.feed` over the same chunks; the per-chunk
+  serving overhead is the median of their paired difference. No
+  ``perfbench`` metric has this same-chunk local baseline,
 - **shedding**: with every fleet slot held, a burst of OPENs must all
   be refused with the typed ``at_capacity`` error, the holders must
   stream on unharmed, and a freed slot must admit again,
@@ -17,15 +15,19 @@ Exercises the :mod:`repro.serve` stack over real loopback TCP --
   times mid-stream must transparently resume from the server's
   checkpoints -- p50/p99 resume latency, with zero windows lost and the
   report stream bit-identical to a local run,
-- **worker sweep** (DESIGN.md D21): the same client load against a
-  :class:`~repro.serve.ShardCluster` of 1/2/4/8 worker *processes*
-  behind the shard router, one DSP thread per worker so adding workers
-  is the only axis. Every sweep point must stay bit-identical to a
-  local run; the 4-worker point must beat the same-run single-worker
-  baseline by >=2x wherever the machine has >=4 cores to scale onto
-  (the core count is recorded so the CI gate can tell).
+- **worker sweep** (DESIGN.md D21): N concurrent clients replaying
+  captures against a :class:`~repro.serve.ShardCluster` of 1/2/4/8
+  worker *processes* behind the shard router, one DSP thread per worker
+  so adding workers is the only axis. Every sweep point must stay
+  bit-identical to a local run with every session clean; the 4-worker
+  point must beat the same-run single-worker baseline by >=2x wherever
+  the machine has >=4 cores to scale onto. A point with more workers
+  than cores records its speedup as ``not_measurable``.
 
--- and writes ``BENCH_serve.json`` at the repo root.
+Served throughput and latency as such are measured host-normalized by
+``perfbench`` (``serve-2conn``); concurrent clients against one server
+are tier-1 in ``tests/test_serve.py``. Writes ``BENCH_serve.json`` at
+the repo root.
 
 Run as pytest (``REPRO_SCALE=quick`` by default) or directly::
 
@@ -33,9 +35,9 @@ Run as pytest (``REPRO_SCALE=quick`` by default) or directly::
 """
 
 import argparse
+import collections
 import dataclasses
 import json
-import os
 import sys
 import tempfile
 import threading
@@ -58,6 +60,8 @@ from repro.serve import (
 from repro.serve.client import replay
 from repro.stream import StreamingMonitor
 
+from hostinfo import NOT_MEASURABLE, cores, format_speedup, host_record
+
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _OUTPUT = _REPO_ROOT / "BENCH_serve.json"
 
@@ -65,21 +69,9 @@ _CHUNK_SAMPLES = 4096
 _PROGRAM = "bitcount"
 
 
-def _local_chunk_seconds(model, trace):
-    """Per-chunk :meth:`StreamingMonitor.feed` time, no serving layer."""
-    monitor = StreamingMonitor(model, t0=trace.iq.t0)
-    seconds = []
-    for chunk in trace.iq.iter_chunks(_CHUNK_SAMPLES):
-        started = time.perf_counter()
-        monitor.feed(chunk)
-        seconds.append(time.perf_counter() - started)
-    monitor.finish()
-    return np.asarray(seconds)
-
-
-def _latency(address, model, trace):
-    """Strict request/response chunk round trips on one session, and
-    the same chunks fed to a local monitor for the overhead baseline."""
+def _latency(address, local, trace):
+    """Strict request/response chunk round trips on one session, paired
+    with the local run's per-chunk feed times for the overhead."""
     host, port = address
     latencies = []
     with EddieClient(host, port, window=1) as client:
@@ -91,20 +83,19 @@ def _latency(address, model, trace):
             latencies.append(time.perf_counter() - started)
         summary = client.close()
     lat = np.asarray(latencies)
-    local = _local_chunk_seconds(model, trace)
     return {
         "chunks": len(lat),
         "chunk_samples": _CHUNK_SAMPLES,
         "windows": summary.windows,
         "p50_rtt_us": float(np.median(lat) * 1e6),
-        "p99_rtt_us": float(np.quantile(lat, 0.99) * 1e6),
-        "max_rtt_us": float(lat.max() * 1e6),
-        "local_chunk_us_p50": float(np.median(local) * 1e6),
-        "serve_overhead_us_p50": float(np.median(lat - local) * 1e6),
+        "local_chunk_us_p50": float(np.median(local.chunk_seconds) * 1e6),
+        "serve_overhead_us_p50": float(
+            np.median(lat - local.chunk_seconds) * 1e6
+        ),
     }
 
 
-def _throughput(address, trace, clients, sessions_per_client):
+def _client_load(address, trace, clients, sessions_per_client):
     """N concurrent clients, each replaying full captures."""
     host, port = address
     summaries = []
@@ -131,15 +122,10 @@ def _throughput(address, trace, clients, sessions_per_client):
     for thread in threads:
         thread.join()
     elapsed = time.perf_counter() - started
-    sessions = len(summaries)
-    windows = sum(s.windows for s in summaries)
     return {
-        "clients": clients,
-        "sessions": sessions,
+        "sessions": len(summaries),
         "errors": errors,
-        "seconds": elapsed,
-        "sessions_per_sec": sessions / elapsed if elapsed else None,
-        "windows_per_sec": windows / elapsed if elapsed else None,
+        "windows_per_sec": sum(s.windows for s in summaries) / elapsed,
         "all_sessions_clean": not errors and all(
             s.status == "ok" for s in summaries
         ),
@@ -196,16 +182,36 @@ def _shedding(registry, trace, capacity=2, burst=6):
         }
 
 
-def _recovery(registry, model, trace, kills=3):
-    """Kill the connection mid-stream; measure the cost of resuming."""
-    monitor = StreamingMonitor(model, t0=trace.iq.t0)
-    local_reports = []
-    chunks = list(trace.iq.iter_chunks(_CHUNK_SAMPLES))
-    for chunk in chunks:
-        for result in monitor.feed(chunk):
-            local_reports.extend(result.reports)
-    local_summary = monitor.finish()
+_LocalRun = collections.namedtuple(
+    "_LocalRun", "reports summary chunk_seconds"
+)
 
+
+def _local_run(model, trace):
+    """A local streaming run of ``trace``: the served runs' reference,
+    with each :meth:`StreamingMonitor.feed` timed (no serving layer)."""
+    monitor = StreamingMonitor(model, t0=trace.iq.t0)
+    reports = []
+    seconds = []
+    for chunk in trace.iq.iter_chunks(_CHUNK_SAMPLES):
+        started = time.perf_counter()
+        results = monitor.feed(chunk)
+        seconds.append(time.perf_counter() - started)
+        for result in results:
+            reports.extend(result.reports)
+    return _LocalRun(reports, monitor.finish(), np.asarray(seconds))
+
+
+def _matches_local(local, reports, summary):
+    """Served reports and summary bit-identical to the local run's."""
+    return reports == local.reports and summary == dataclasses.replace(
+        local.summary, session_id=summary.session_id
+    )
+
+
+def _recovery(registry, local, trace, kills=3):
+    """Kill the connection mid-stream; measure the cost of resuming."""
+    chunks = list(trace.iq.iter_chunks(_CHUNK_SAMPLES))
     kill_every = max(1, len(chunks) // (kills + 1))
     with serve_in_thread(
         registry,
@@ -228,9 +234,6 @@ def _recovery(registry, model, trace, kills=3):
                 reports.extend(client.drain())
                 summary = client.close()
                 elapsed = time.perf_counter() - started
-    identical = reports == local_reports and summary == dataclasses.replace(
-        local_summary, session_id=summary.session_id
-    )
     lat = np.asarray(client.resume_latencies or [0.0])
     return {
         "kills": proxy.stats.kills,
@@ -238,22 +241,14 @@ def _recovery(registry, model, trace, kills=3):
         "seconds": elapsed,
         "recovery_p50_ms": float(np.median(lat) * 1e3),
         "recovery_p99_ms": float(np.quantile(lat, 0.99) * 1e3),
-        "windows_local": local_summary.windows,
+        "windows_local": local.summary.windows,
         "windows_remote": client.windows_seen,
-        "windows_lost": local_summary.windows - client.windows_seen,
-        "bit_identical": identical,
+        "windows_lost": local.summary.windows - client.windows_seen,
+        "bit_identical": _matches_local(local, reports, summary),
     }
 
 
-def _cores():
-    """Cores actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _worker_sweep(registry, model, trace, worker_counts=(1, 2, 4, 8),
+def _worker_sweep(registry, local, trace, worker_counts=(1, 2, 4, 8),
                   clients=8, sessions_per_client=2):
     """The same load against 1/2/4/8 worker processes, same run.
 
@@ -261,13 +256,6 @@ def _worker_sweep(registry, model, trace, worker_counts=(1, 2, 4, 8),
     single-worker point is the baseline every speedup is measured
     against, taken in the same run on the same machine.
     """
-    monitor = StreamingMonitor(model, t0=trace.iq.t0)
-    local_reports = []
-    for chunk in trace.iq.iter_chunks(_CHUNK_SAMPLES):
-        for result in monitor.feed(chunk):
-            local_reports.extend(result.reports)
-    local_summary = monitor.finish()
-
     config = ServerConfig(
         max_sessions=clients + 2, worker_threads=1, checkpoint_interval=2,
     )
@@ -280,41 +268,31 @@ def _worker_sweep(registry, model, trace, worker_counts=(1, 2, 4, 8),
                 *cluster.address, _PROGRAM, trace,
                 chunk_samples=_CHUNK_SAMPLES,
             )
-            identical = (
-                reports == local_reports
-                and summary == dataclasses.replace(
-                    local_summary, session_id=summary.session_id
-                )
-            )
-            thr = _throughput(
+            identical = _matches_local(local, reports, summary)
+            point = _client_load(
                 cluster.address, trace, clients, sessions_per_client
             )
-        points.append({
-            "workers": workers,
-            "windows_per_sec": thr["windows_per_sec"],
-            "sessions_per_sec": thr["sessions_per_sec"],
-            "seconds": thr["seconds"],
-            "sessions": thr["sessions"],
-            "all_sessions_clean": thr["all_sessions_clean"],
-            "errors": thr["errors"],
-            "bit_identical": identical,
-        })
+        points.append(
+            {"workers": workers, **point, "bit_identical": identical}
+        )
 
-    baseline = points[0]["windows_per_sec"] or 1e-9
+    # A point with more workers than cores measures contention, not
+    # scaling, so it gets no speedup; the >=2x gate needs >=4 cores.
+    available = cores()
+    baseline = points[0]["windows_per_sec"]
     for point in points:
-        point["speedup"] = (point["windows_per_sec"] or 0.0) / baseline
-    cores = _cores()
-    four = next((p for p in points if p["workers"] == 4), None)
+        point["speedup"] = (
+            point["windows_per_sec"] / baseline
+            if point["workers"] <= available else NOT_MEASURABLE
+        )
+    four = next(p for p in points if p["workers"] == 4)
     return {
-        "cores": cores,
         "clients": clients,
         "sessions_per_client": sessions_per_client,
         "worker_threads_per_worker": config.worker_threads,
         "points": points,
-        # The >=2x gate only means something with >=4 cores to scale
-        # onto; single-core machines still gate bit-identity.
-        "scaling_gate_enforced": cores >= 4 and four is not None,
-        "speedup_4_workers": four["speedup"] if four else None,
+        "scaling_gate_enforced": available >= 4,
+        "speedup_4_workers": four["speedup"],
         "all_bit_identical": all(p["bit_identical"] for p in points),
         "all_sessions_clean": all(p["all_sessions_clean"] for p in points),
     }
@@ -328,50 +306,68 @@ def run_benchmark(scale_name="quick", clients=8, sessions_per_client=2):
     with tempfile.TemporaryDirectory() as root:
         registry = ModelRegistry(root)
         registry.publish(detector.model, _PROGRAM)
+        local = _local_run(detector.model, trace)
         with serve_in_thread(
-            registry,
-            ServerConfig(max_sessions=max(clients, 4), worker_threads=4),
+            registry, ServerConfig(max_sessions=4, worker_threads=4),
         ) as handle:
             report = {
                 "benchmark": "serve",
                 "scale": scale_name,
+                "host": host_record(),
                 "trace_samples": len(trace.iq),
-                "latency": _latency(handle.address, detector.model, trace),
-                "throughput": _throughput(
-                    handle.address, trace, clients, sessions_per_client
-                ),
+                "latency": _latency(handle.address, local, trace),
             }
         report["shedding"] = _shedding(registry, trace)
-        report["recovery"] = _recovery(registry, detector.model, trace)
+        report["recovery"] = _recovery(registry, local, trace)
         report["worker_sweep"] = _worker_sweep(
-            registry, detector.model, trace,
+            registry, local, trace,
             clients=clients, sessions_per_client=sessions_per_client,
         )
     _OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
+def _gate_failures(report):
+    """Every gate of this benchmark that the report fails."""
+    shed = report["shedding"]
+    rec = report["recovery"]
+    sweep = report["worker_sweep"]
+    checks = [
+        (shed["shed_all_over_capacity"],
+         "an over-capacity OPEN was admitted"),
+        (shed["holders_clean"],
+         "a slot holder errored after the OPEN burst"),
+        (rec["windows_lost"] == 0,
+         f"recovery lost {rec['windows_lost']} windows"),
+        (rec["bit_identical"],
+         "recovery diverged from the local run"),
+        (sweep["all_bit_identical"],
+         "a sharded sweep point diverged from the local run"),
+        (sweep["all_sessions_clean"],
+         "a sharded sweep session errored"),
+        (not sweep["scaling_gate_enforced"]
+         or sweep["speedup_4_workers"] >= 2.0,
+         f"4-worker speedup {sweep['speedup_4_workers']} < 2x on a "
+         f"{report['host']['cores']}-core host"),
+    ]
+    return [message for ok, message in checks if not ok]
+
+
 def _format(report):
     lat = report["latency"]
-    thr = report["throughput"]
     shed = report["shedding"]
     rec = report["recovery"]
     sweep = report["worker_sweep"]
     return "\n".join([
-        f"serving benchmark (scale={report['scale']}, "
-        f"{report['trace_samples']:,} samples/capture)",
-        f"  chunk RTT          : p50 {lat['p50_rtt_us']:.0f} us, "
-        f"p99 {lat['p99_rtt_us']:.0f} us ({lat['chunks']} chunks)",
-        f"  local feed         : p50 {lat['local_chunk_us_p50']:.0f} us "
-        f"per chunk -> serving overhead p50 "
-        f"{lat['serve_overhead_us_p50']:.0f} us",
-        f"  throughput         : {thr['clients']} clients -> "
-        f"{thr['sessions_per_sec']:.1f} sessions/s, "
-        f"{thr['windows_per_sec']:,.0f} windows/s "
-        f"(clean={thr['all_sessions_clean']})",
+        f"serving gates (scale={report['scale']}, "
+        f"{report['trace_samples']:,} samples/capture, "
+        f"{report['host']['cores']} cores)",
+        f"  chunk RTT          : p50 {lat['p50_rtt_us']:.0f} us vs local "
+        f"feed p50 {lat['local_chunk_us_p50']:.0f} us -> serving overhead "
+        f"p50 {lat['serve_overhead_us_p50']:.0f} us",
         f"  load shedding      : {shed['shed']}/{shed['open_attempts']} "
         f"OPENs shed at capacity {shed['capacity']} "
-        f"(rate {shed['shed_rate']:.0%}, holders "
+        f"(all over capacity={shed['shed_all_over_capacity']}, holders "
         f"clean={shed['holders_clean']})",
         f"  recovery           : {rec['kills']} kills -> "
         f"{rec['reconnects']} resumes, p50 {rec['recovery_p50_ms']:.0f} ms, "
@@ -381,14 +377,15 @@ def _format(report):
     ] + [
         f"  {point['workers']} worker(s)        : "
         f"{point['windows_per_sec']:,.0f} windows/s "
-        f"({point['speedup']:.2f}x, "
-        f"identical={point['bit_identical']})"
+        f"({format_speedup(point['speedup'])}, "
+        f"identical={point['bit_identical']}, "
+        f"clean={point['all_sessions_clean']})"
         for point in sweep["points"]
     ] + [
-        f"  worker scaling     : {sweep['cores']} cores, 4-worker gate "
+        "  worker scaling     : 4-worker gate "
         + (
             f"{'met' if sweep['speedup_4_workers'] >= 2 else 'MISSED'} "
-            f"({sweep['speedup_4_workers']:.2f}x)"
+            f"({format_speedup(sweep['speedup_4_workers'])})"
             if sweep["scaling_gate_enforced"]
             else "not enforced (needs >=4 cores)"
         ),
@@ -402,18 +399,8 @@ def test_serve_benchmark(scale, show):
     scale_name = os.environ.get("REPRO_SCALE", "quick")
     report = run_benchmark(scale_name=scale_name, clients=4)
     show(_format(report))
-    assert report["throughput"]["all_sessions_clean"], (
-        report["throughput"]["errors"]
-    )
-    assert report["shedding"]["shed_all_over_capacity"]
-    assert report["shedding"]["holders_clean"]
-    assert report["recovery"]["windows_lost"] == 0, report["recovery"]
-    assert report["recovery"]["bit_identical"], report["recovery"]
-    sweep = report["worker_sweep"]
-    assert sweep["all_bit_identical"], sweep["points"]
-    assert sweep["all_sessions_clean"], sweep["points"]
-    if sweep["scaling_gate_enforced"]:
-        assert sweep["speedup_4_workers"] >= 2.0, sweep["points"]
+    failures = _gate_failures(report)
+    assert not failures, failures
 
 
 if __name__ == "__main__":
@@ -429,18 +416,7 @@ if __name__ == "__main__":
         sessions_per_client=args.sessions_per_client,
     )
     print(_format(result))
-    sweep = result["worker_sweep"]
-    ok = (
-        result["throughput"]["all_sessions_clean"]
-        and result["shedding"]["shed_all_over_capacity"]
-        and result["shedding"]["holders_clean"]
-        and result["recovery"]["windows_lost"] == 0
-        and result["recovery"]["bit_identical"]
-        and sweep["all_bit_identical"]
-        and sweep["all_sessions_clean"]
-        and (
-            not sweep["scaling_gate_enforced"]
-            or sweep["speedup_4_workers"] >= 2.0
-        )
-    )
-    sys.exit(0 if ok else 1)
+    failures = _gate_failures(result)
+    for failure in failures:
+        print(f"GATE FAILED: {failure}")
+    sys.exit(1 if failures else 0)

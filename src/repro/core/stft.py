@@ -31,6 +31,7 @@ __all__ = [
     "QF_GAPPED",
     "QF_DEAD",
     "QF_ENERGY_OUTLIER",
+    "QF_NONFINITE",
     "QF_UNSCORABLE",
 ]
 
@@ -43,7 +44,11 @@ QF_GAPPED = 0x2          # sample-drop gap: a run of exact zeros inside
 QF_DEAD = 0x4            # dead channel: the window is (almost) all zeros
 QF_ENERGY_OUTLIER = 0x8  # impulsive interference / gain step: energy far
                          # outside the capture's robust range
-QF_UNSCORABLE = QF_CLIPPED | QF_GAPPED | QF_DEAD | QF_ENERGY_OUTLIER
+QF_NONFINITE = 0x10      # NaN or inf samples: a host-side DMA fault, no
+                         # spectrum can be computed from the window
+QF_UNSCORABLE = (
+    QF_CLIPPED | QF_GAPPED | QF_DEAD | QF_ENERGY_OUTLIER | QF_NONFINITE
+)
 
 
 @dataclass(frozen=True)
@@ -252,6 +257,10 @@ def window_quality(
       is more than ``energy_outlier_mads`` robust standard deviations
       (scaled MAD over the not-otherwise-flagged windows) from the
       capture's median -- impulsive interference or an AGC gain step.
+    - *non-finite* (``QF_NONFINITE``): the window holds a NaN or inf
+      sample. The rail and energy statistics above are taken over finite
+      samples only, so such samples cannot blind the other flags of the
+      rest of the capture.
     """
     if window_samples < 8:
         raise SignalError(f"window_samples must be >= 8, got {window_samples}")
@@ -267,14 +276,14 @@ def window_quality(
     n_windows = 1 + (len(samples) - window_samples) // hop
     starts = np.arange(n_windows) * hop
 
-    if np.iscomplexobj(samples):
-        amp = np.maximum(np.abs(samples.real), np.abs(samples.imag))
-        is_zero = samples == 0
-    else:
-        amp = np.abs(samples)
-        is_zero = samples == 0
+    is_zero = samples == 0
+    samples, finite = _finite_view(samples)
+    amp = _amplitude(samples)
 
     flags = np.zeros(n_windows, dtype=np.uint8)
+    if finite is not None:
+        bad = _window_sums(~finite, starts, window_samples)
+        flags[bad > 0] |= QF_NONFINITE
 
     # Clipping: samples at the capture's rails.
     full_scale = float(amp.max()) if len(amp) else 0.0
@@ -310,11 +319,31 @@ def window_quality(
             (QF_GAPPED, "flagged_gapped"),
             (QF_DEAD, "flagged_dead"),
             (QF_ENERGY_OUTLIER, "flagged_energy_outlier"),
+            (QF_NONFINITE, "flagged_nonfinite"),
         ):
             hits = int(np.count_nonzero(flags & bit))
             if hits:
                 record_count("core.stft", name, hits)
     return flags
+
+
+def _finite_view(samples: np.ndarray):
+    """``(samples, finite)`` with non-finite entries zeroed.
+
+    ``finite`` is the per-sample mask, or ``None`` when every sample is
+    finite (then ``samples`` is returned as is, without a copy).
+    """
+    finite = np.isfinite(samples)
+    if finite.all():
+        return samples, None
+    return np.where(finite, samples, 0), finite
+
+
+def _amplitude(samples: np.ndarray) -> np.ndarray:
+    """Per-sample rail amplitude: max(|I|, |Q|) for IQ, |x| for real."""
+    if np.iscomplexobj(samples):
+        return np.maximum(np.abs(samples.real), np.abs(samples.imag))
+    return np.abs(samples)
 
 
 def _window_sums(
@@ -364,6 +393,8 @@ class StreamingQuality:
 
     - *gapped* / *dead* flags are bit-identical: zero runs only ever look
       backward, and the run length at the chunk boundary is carried over.
+    - *non-finite* flags are bit-identical: they depend on the window's
+      own samples only.
     - *clipped* uses the running amplitude maximum instead of the global
       one, so a window early in the stream may miss the flag if the
       capture's true rail only appears later (a fielded receiver knows its
@@ -420,11 +451,8 @@ class StreamingQuality:
             # ``buf``).
             buf = samples
             private = False
-        if np.iscomplexobj(samples) and len(samples):
-            amp_new = np.maximum(np.abs(samples.real), np.abs(samples.imag))
-        else:
-            amp_new = np.abs(samples)
-        if len(amp_new):
+        if len(samples):
+            amp_new = _amplitude(_finite_view(samples)[0])
             self._full_scale = max(self._full_scale, float(amp_new.max()))
         w, hop = self._window, self._hop
         if len(buf) < w:
@@ -432,14 +460,14 @@ class StreamingQuality:
             return np.zeros(0, dtype=np.uint8)
         n = 1 + (len(buf) - w) // hop
         starts = np.arange(n) * hop
-        region = buf[: (n - 1) * hop + w]
-        if np.iscomplexobj(region):
-            amp = np.maximum(np.abs(region.real), np.abs(region.imag))
-        else:
-            amp = np.abs(region)
-        is_zero = region == 0
+        raw = buf[: (n - 1) * hop + w]
+        is_zero = raw == 0
+        region, finite = _finite_view(raw)
+        amp = _amplitude(region)
 
         flags = np.zeros(n, dtype=np.uint8)
+        if finite is not None:
+            flags[_window_sums(~finite, starts, w) > 0] |= QF_NONFINITE
         if self._full_scale > 0:
             at_rail = amp >= 0.999 * self._full_scale
             rail_counts = _window_sums(at_rail, starts, w)

@@ -18,7 +18,7 @@ package synthesizes the equivalent received signal:
   decimation),
 - :mod:`repro.em.faults` -- acquisition fault injection (overflow gaps,
   saturation bursts, AGC gain steps, impulsive interference, dead
-  channels) with ground-truth fault logs,
+  channels, non-finite samples) with ground-truth fault logs,
 - :mod:`repro.em.scenario` -- one-call pipeline: run a program on a core,
   emanate, propagate, receive.
 """
@@ -39,6 +39,7 @@ from repro.em.faults import (
     FaultInjector,
     GainStepFault,
     ImpulseNoiseFault,
+    NonFiniteFault,
     SampleDropFault,
     SaturationFault,
     standard_fault_mix,
@@ -69,5 +70,6 @@ __all__ = [
     "GainStepFault",
     "ImpulseNoiseFault",
     "DeadChannelFault",
+    "NonFiniteFault",
     "standard_fault_mix",
 ]

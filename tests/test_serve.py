@@ -13,6 +13,7 @@ with ``bad_frame`` while its neighbours finish bit-identically.
 import dataclasses
 import json
 import socket
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -276,6 +277,28 @@ class TestLoopbackBitIdentity:
         assert dataclasses.replace(
             summary, session_id=local_summary.session_id
         ) == local_summary
+
+    def test_concurrent_clients_are_clean_and_bit_identical(self, server):
+        """Four client threads replay twice each against one server."""
+        detector = detector_for("bitcount")
+        trace = detector.source.capture(seed=TINY.monitor_seed(0))
+        local_reports, local_summary = local_reference(
+            detector.model, trace, 4096
+        )
+        host, port = server.address
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outcomes = list(pool.map(
+                lambda _: replay(
+                    host, port, "bitcount", trace, chunk_samples=4096
+                ),
+                range(8),
+            ))
+        for reports, summary in outcomes:
+            assert summary.status == "ok"
+            assert reports == local_reports
+            assert dataclasses.replace(
+                summary, session_id=local_summary.session_id
+            ) == local_summary
 
     def test_odd_chunking_and_single_flight_window(self, server):
         detector = detector_for("bitcount")
