@@ -2,8 +2,9 @@
 
 Zero-dependency (numpy only, which the pipeline already requires) and
 disabled by default: every instrumentation point in the pipeline guards
-on ``OBS.enabled``, a single attribute check, so the disabled path stays
-within the <2% overhead budget on ``bench_pipeline`` (DESIGN.md D16).
+on ``OBS.enabled``, a single attribute check. The disabled path's <2%
+overhead budget (DESIGN.md D16) is not measured by any benchmark yet
+(ROADMAP item 4).
 
 Enable with :func:`enable` (the CLI's ``--trace`` / ``--manifest-dir``
 flags do), or set ``REPRO_OBS=1`` in the environment before the first

@@ -9,8 +9,8 @@ lock.
 
 Disabled-by-default: :func:`span` returns a shared no-op context manager
 unless :func:`enable` was called, so instrumented hot paths cost one
-attribute check (the ``< 2%`` overhead budget of DESIGN.md D16 --
-measured by ``benchmarks/bench_pipeline.py``).
+attribute check. The ``< 2%`` overhead budget of DESIGN.md D16 is not
+measured by any benchmark yet (ROADMAP item 4).
 
 Process-pool fan-outs survive tracing: a worker exports its completed
 spans (:func:`export_spans`), the parent re-attaches them under its
