@@ -16,7 +16,9 @@ instruction-by-instruction interpreter.
 
 from __future__ import annotations
 
+import threading
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -25,8 +27,8 @@ import numpy as np
 from repro.arch.branch import two_bit_mispredict_rate
 from repro.arch.cache import stream_miss_profile
 from repro.arch.config import CoreConfig
-from repro.arch.pipeline import PathSchedule, schedule_path
-from repro.arch.power import PowerModel
+from repro.arch.pipeline import schedule_path
+from repro.arch.power import PowerModel, PowerParams
 from repro.cfg.loops import Loop, LoopForest
 from repro.errors import SimulationError
 from repro.obs import OBS, record_count
@@ -55,6 +57,16 @@ _OOO_MISS_EXPOSURE = 0.45
 _OOO_VARIANT_DWELL = 75
 # Iterations composed per numpy chunk (bounds peak memory).
 _CHUNK_ITERS = 65536
+# Compiled segments the process-wide variant memo keeps, least recently
+# used first out (DESIGN.md D27). A quick-scale Table 2 protocol fills 154
+# (0.4 MB of waveforms).
+_VARIANT_MEMO_SIZE = 4096
+# (context, segment key) -> the segment's schedule variants.
+_VARIANT_MEMO: "OrderedDict[Tuple, Tuple[Variant, ...]]" = OrderedDict()
+# (core, power params) -> context number, resolved once per engine so a
+# memo lookup hashes and compares no config objects.
+_CONTEXTS: Dict[Tuple[CoreConfig, PowerParams], int] = {}
+_VARIANT_MEMO_LOCK = threading.Lock()
 
 
 class TraceBuilder:
@@ -78,7 +90,15 @@ class TraceBuilder:
         self.total_cycles += len(power)
         cps = self.cycles_per_sample
         if len(self._carry):
-            power = np.concatenate([self._carry, power])
+            # Close the carried partial bin from the chunk's head, then
+            # bin the rest of the chunk in place.
+            need = cps - len(self._carry)
+            head = np.concatenate([self._carry, power[:need]])
+            if len(head) < cps:
+                self._carry = head
+                return
+            self._sample_chunks.append(head.reshape(1, cps).mean(axis=1))
+            power = power[need:]
         n_full = len(power) // cps
         if n_full:
             full = power[: n_full * cps].reshape(n_full, cps)
@@ -100,13 +120,15 @@ class TraceBuilder:
 class Variant:
     """One memoized execution variant of a straight-line path.
 
+    Variants are shared process-wide (DESIGN.md D27), so ``waveform`` is
+    read-only.
+
     Attributes:
         waveform: per-cycle power, assuming L1 hits and correct prediction.
         cycles: base length.
         instr_count: dynamic instructions in the path.
         mem_groups: (accesses, l1_miss_prob, l2_miss_prob) per stream class.
         br_groups: (branches, mispredict_rate) per rate class.
-        prob: selection probability among its loop's variants.
     """
 
     waveform: np.ndarray
@@ -114,7 +136,6 @@ class Variant:
     instr_count: int
     mem_groups: Tuple[Tuple[int, float, float], ...]
     br_groups: Tuple[Tuple[int, float], ...]
-    prob: float
 
 
 # Path elements produced by loop-body enumeration.
@@ -122,6 +143,12 @@ class Variant:
 class _Segment:
     instrs: Tuple[Instr, ...]
     branch_probs: Tuple[float, ...]  # taken-direction prob of each cond branch
+
+    def __post_init__(self) -> None:
+        # The segment's part of a variant-memo key: plain values only.
+        object.__setattr__(
+            self, "key", (tuple(i.key for i in self.instrs), self.branch_probs)
+        )
 
 
 @dataclass(frozen=True)
@@ -150,9 +177,11 @@ class LoopExecution:
 class CompositionEngine:
     """Renders loop-nest executions into a :class:`TraceBuilder`.
 
-    One engine instance serves one (program, core) pair and memoizes path
-    schedules across runs. Per-run state (inputs, rng) is passed to
-    :meth:`run_nest`.
+    One engine instance serves one (program, core) pair. Compiled path
+    schedules come from the process-wide variant memo (DESIGN.md D27), so
+    every engine on the same core and power parameters shares them; the
+    engine itself only memoizes its program's path enumeration. Per-run
+    state (inputs, rng) is passed to :meth:`run_nest`.
     """
 
     def __init__(
@@ -166,7 +195,14 @@ class CompositionEngine:
         self.core = core
         self.forest = forest
         self.power = power_model or PowerModel(core)
-        self._variant_cache: Dict[Tuple, Tuple[Variant, ...]] = {}
+        if self.power.core != core:
+            # The variant memo keys on one core; a power model for another
+            # core would compile waveforms the key does not describe.
+            raise SimulationError("the power model is for a different core")
+        with _VARIANT_MEMO_LOCK:
+            self._context = _CONTEXTS.setdefault(
+                (core, self.power.params), len(_CONTEXTS)
+            )
         self._path_cache: Dict[Tuple, Tuple] = {}
         # Injected instructions per loop header: (instrs, contamination).
         self.loop_injections: Dict[str, Tuple[Tuple[Instr, ...], float]] = {}
@@ -193,10 +229,16 @@ class CompositionEngine:
         builder: TraceBuilder,
     ) -> int:
         """Render one execution of a straight-line stretch; returns instrs."""
-        if not instrs:
+        return self._run_segment(
+            _Segment(tuple(instrs), tuple(branch_probs)), rng, builder
+        )
+
+    def _run_segment(
+        self, segment: _Segment, rng: np.random.Generator, builder: TraceBuilder
+    ) -> int:
+        if not segment.instrs:
             return 0
-        segment = _Segment(tuple(instrs), tuple(branch_probs))
-        variants = self._compile_segment(segment, prob=1.0)
+        variants = self._compile_segment(segment)
         idx = int(rng.integers(len(variants)))
         variant = variants[idx]
         extra, energy = self._sample_extras(variant, 1, rng)
@@ -319,16 +361,15 @@ class CompositionEngine:
         a sticky Markov chain with mean dwell ``_OOO_VARIANT_DWELL`` (see
         that constant's comment).
         """
-        variants = self._iteration_variants(iter_paths, injection)
-        k_variants = _OOO_VARIANTS if self.core.is_ooo else 1
-        n_families = len(variants) // k_variants
-        family_probs = np.array(
-            [variants[f * k_variants].prob * k_variants for f in range(n_families)]
+        variants, family_probs, n_clean_variants = self._iteration_variants(
+            iter_paths, injection
         )
+        k_variants = _OOO_VARIANTS if self.core.is_ooo else 1
+        n_families = len(family_probs)
+        family_probs = np.array(family_probs)
         family_probs = family_probs / family_probs.sum()
         base_len = np.array([v.cycles for v in variants])
         instr_counts = np.array([v.instr_count for v in variants])
-        n_clean_variants = getattr(variants, "n_clean", len(variants))
 
         total_instrs = 0
         injected_instrs = 0
@@ -416,9 +457,7 @@ class CompositionEngine:
                             element.instrs + injection[0], element.branch_probs
                         )
                         injected_instrs += len(injection[0])
-                    total_instrs += self.run_straightline(
-                        segment.instrs, segment.branch_probs, rng, builder
-                    )
+                    total_instrs += self._run_segment(segment, rng, builder)
                 else:
                     child = self.forest.by_header(element.header)
                     execution = self._run_loop(child, inputs, rng, builder)
@@ -437,9 +476,7 @@ class CompositionEngine:
         instrs = 0
         for element in path.elements:
             if isinstance(element, _Segment):
-                instrs += self.run_straightline(
-                    element.instrs, element.branch_probs, rng, builder
-                )
+                instrs += self._run_segment(element, rng, builder)
             else:
                 child = self.forest.by_header(element.header)
                 execution = self._run_loop(child, inputs, rng, builder)
@@ -608,33 +645,34 @@ class CompositionEngine:
         self,
         iter_paths: List[_LoopPath],
         injection: Optional[Tuple[Tuple[Instr, ...], float]],
-    ) -> List[Variant]:
+    ) -> Tuple[List[Variant], List[float], int]:
         """Compile all iteration variants of a leaf loop, injection included.
 
         With a loop-body injection at contamination rate c, each iteration
         independently executes the injected variant with probability c
         (Section 5.4 of the paper); this is expressed by splitting every
         path's probability mass between its clean and injected variants.
+
+        Returns the variants (each path's schedule variants in a row), the
+        probability of each path's row, and how many variants are clean.
         """
         contamination = injection[1] if injection else 0.0
         variants: List[Variant] = []
+        family_probs: List[float] = []
         for path in iter_paths:
             segment = self._single_segment(path)
-            for variant in self._compile_segment(segment, path.prob * (1 - contamination)):
-                if variant.prob > 0:
-                    variants.append(variant)
+            prob = path.prob * (1 - contamination)
+            if prob > 0:
+                variants.extend(self._compile_segment(segment))
+                family_probs.append(prob)
         n_clean = len(variants)
         if injection is not None and contamination > 0:
             for path in iter_paths:
                 segment = self._single_segment(path)
                 injected = _Segment(segment.instrs + injection[0], segment.branch_probs)
-                for variant in self._compile_segment(injected, path.prob * contamination):
-                    variants.append(variant)
-        result = variants
-        # Stash the clean/injected boundary for the renderer.
-        result_list = _VariantList(result)
-        result_list.n_clean = n_clean
-        return result_list
+                variants.extend(self._compile_segment(injected))
+                family_probs.append(path.prob * contamination)
+        return variants, family_probs, n_clean
 
     @staticmethod
     def _single_segment(path: _LoopPath) -> _Segment:
@@ -642,36 +680,38 @@ class CompositionEngine:
             raise SimulationError("leaf rendering requires single-segment paths")
         return path.elements[0]
 
-    def _compile_segment(self, segment: _Segment, prob: float) -> List[Variant]:
-        """Compile a segment into its schedule variants (memoized)."""
-        n_variants = _OOO_VARIANTS if self.core.is_ooo else 1
-        key = (segment.instrs, segment.branch_probs)
-        cached = self._variant_cache.get(key)
-        if cached is None:
-            base = schedule_path(segment.instrs, self.core)
-            compiled = [self._make_variant(segment, base)]
-            for k in range(1, n_variants):
-                rng = np.random.default_rng(_stable_seed(key) + k)
-                schedule = schedule_path(
-                    segment.instrs, self.core, rng, expected_cycles=base.cycles
-                )
-                compiled.append(self._make_variant(segment, schedule))
-            cached = tuple(compiled)
-            self._variant_cache[key] = cached
-        return [
-            Variant(
-                waveform=v.waveform,
-                cycles=v.cycles,
-                instr_count=v.instr_count,
-                mem_groups=v.mem_groups,
-                br_groups=v.br_groups,
-                prob=prob / len(cached),
-            )
-            for v in cached
-        ]
+    def _compile_segment(self, segment: _Segment) -> Tuple[Variant, ...]:
+        """The schedule variants of ``segment`` on this engine's core and
+        power parameters: a memo hit, or a compile that fills the memo."""
+        key = (self._context, segment.key)
+        with _VARIANT_MEMO_LOCK:
+            variants = _VARIANT_MEMO.get(key)
+            if variants is not None:
+                _VARIANT_MEMO.move_to_end(key)
+        if variants is not None:
+            if OBS.enabled:
+                record_count("arch.engine", "variant_memo_hits")
+            return variants
+        if OBS.enabled:
+            record_count("arch.engine", "variant_compiles")
+        variants = self._compile(segment)
+        with _VARIANT_MEMO_LOCK:
+            _VARIANT_MEMO[key] = variants
+            if len(_VARIANT_MEMO) > _VARIANT_MEMO_SIZE:
+                _VARIANT_MEMO.popitem(last=False)
+        return variants
 
-    def _make_variant(self, segment: _Segment, schedule: PathSchedule) -> Variant:
-        waveform = self.power.waveform(schedule)
+    def _compile(self, segment: _Segment) -> Tuple[Variant, ...]:
+        """Schedule ``segment`` (plus its perturbed OOO variants) and
+        render each schedule's waveform."""
+        schedules = [schedule_path(segment.instrs, self.core)]
+        if self.core.is_ooo:
+            seed = _stable_seed((segment.instrs, segment.branch_probs))
+            for k in range(1, _OOO_VARIANTS):
+                schedules.append(schedule_path(
+                    segment.instrs, self.core, np.random.default_rng(seed + k),
+                    expected_cycles=schedules[0].cycles,
+                ))
         mem_groups: Dict[Tuple[float, float], int] = {}
         for instr in segment.instrs:
             if instr.mem is None:
@@ -686,14 +726,16 @@ class CompositionEngine:
             rate = two_bit_mispredict_rate(round(p_taken, 6))
             if rate > 0:
                 br_groups[rate] = br_groups.get(rate, 0) + 1
-        return Variant(
-            waveform=waveform,
-            cycles=schedule.cycles,
-            instr_count=len(segment.instrs),
-            mem_groups=tuple((n, k[0], k[1]) for k, n in mem_groups.items()),
-            br_groups=tuple((n, rate) for rate, n in br_groups.items()),
-            prob=1.0,
-        )
+        mem = tuple((n, k[0], k[1]) for k, n in mem_groups.items())
+        br = tuple((n, rate) for rate, n in br_groups.items())
+        variants = []
+        for schedule in schedules:
+            waveform = self.power.waveform(schedule)
+            waveform.flags.writeable = False
+            variants.append(
+                Variant(waveform, schedule.cycles, len(segment.instrs), mem, br)
+            )
+        return tuple(variants)
 
     # -- stochastic extras ---------------------------------------------------------
 
@@ -728,12 +770,6 @@ class CompositionEngine:
         return np.round(extra).astype(np.int64), energy
 
 
-class _VariantList(list):
-    """A list of variants carrying the clean/injected split index."""
-
-    n_clean: int
-
-
 def _sticky_stream(
     n: int,
     n_states: int,
@@ -757,10 +793,13 @@ def _sticky_stream(
 
 
 def _stable_seed(key: object) -> int:
-    """A process-independent seed derived from a path's identity.
+    """A process-independent seed derived from a path's identity, the
+    ``(instrs, branch_probs)`` pair.
 
     ``hash()`` is randomized per interpreter process; using it would make
-    OOO schedule variants differ between runs of the same experiment.
+    OOO schedule variants differ between runs of the same experiment. The
+    seed depends on nothing else, so a segment evicted from the variant
+    memo recompiles byte-identically.
     """
     return zlib.crc32(repr(key).encode()) & 0x7FFFFFFF
 

@@ -13,7 +13,7 @@ from typing import Dict
 from repro.errors import ConfigurationError
 from repro.programs.ir import Instr, OpClass
 
-__all__ = ["Unit", "UNIT_OF", "base_latency", "unit_of"]
+__all__ = ["Unit", "UNIT_OF", "base_latency"]
 
 
 class Unit(enum.Enum):
@@ -25,6 +25,8 @@ class Unit(enum.Enum):
     FPU = "fpu"
     MEM = "mem"
     CTRL = "ctrl"
+
+    __hash__ = object.__hash__  # as OpClass: singletons, hashed in C
 
 
 UNIT_OF: Dict[OpClass, Unit] = {
@@ -65,11 +67,6 @@ _BASE_LATENCY: Dict[OpClass, int] = {
     OpClass.RET: 2,
     OpClass.SYSCALL: 40,  # trap entry/exit overhead
 }
-
-
-def unit_of(instr: Instr) -> Unit:
-    """The functional unit executing ``instr``."""
-    return UNIT_OF[instr.op]
 
 
 def base_latency(instr: Instr, l1_hit_latency: int) -> int:

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch.config import CoreConfig
-from repro.arch.isa import Unit, base_latency, unit_of
+from repro.arch.isa import UNIT_OF, Unit, base_latency
 from repro.errors import SimulationError
 from repro.programs.ir import Instr
 
@@ -79,30 +79,6 @@ def unit_pipes(core: CoreConfig) -> Dict[Unit, int]:
     }
 
 
-class _UnitTracker:
-    """Tracks per-pipe availability for the functional units.
-
-    Pipelined units accept one instruction per pipe per cycle; the divider
-    is unpipelined and is busy until its current operation completes.
-    """
-
-    def __init__(self, core: CoreConfig) -> None:
-        self._free: Dict[Unit, List[int]] = {
-            unit: [0] * pipes for unit, pipes in unit_pipes(core).items()
-        }
-
-    def earliest(self, unit: Unit, not_before: int) -> int:
-        return max(not_before, min(self._free[unit]))
-
-    def occupy(self, unit: Unit, cycle: int, latency: int) -> None:
-        pipes = self._free[unit]
-        idx = min(range(len(pipes)), key=lambda i: pipes[i])
-        if unit is Unit.DIV:
-            pipes[idx] = cycle + latency  # unpipelined
-        else:
-            pipes[idx] = cycle + 1
-
-
 def schedule_path(
     instrs: Sequence[Instr],
     core: CoreConfig,
@@ -121,18 +97,26 @@ def schedule_path(
         return PathSchedule((), np.array([], int), np.array([], int), np.array([], int), 0)
 
     l1_latency = core.mem.l1.hit_latency
-    fetch = np.zeros(n, dtype=int)
-    issue = np.zeros(n, dtype=int)
-    complete = np.zeros(n, dtype=int)
+    width = core.issue_width
+    is_ooo = core.is_ooo
+    rob_size = core.rob_size
+    fetch: List[int] = []
+    issue: List[int] = []
+    complete: List[int] = []
 
-    units = _UnitTracker(core)
+    # Cycle at which each pipe of each functional unit is next free.
+    # Pipelined units accept one instruction per pipe per cycle; the
+    # divider is unpipelined and is busy until its operation completes.
+    free: Dict[Unit, List[int]] = {
+        unit: [0] * pipes for unit, pipes in unit_pipes(core).items()
+    }
     issued_in_cycle: Dict[int, int] = {}
     reg_ready: Dict[str, int] = {}
 
-    jitter = rng if (rng is not None and core.is_ooo) else None
+    jitter = rng if (rng is not None and is_ooo) else None
     delayed: Dict[int, int] = {}
     if jitter is not None:
-        estimated_cycles = expected_cycles or max(1, n // core.issue_width)
+        estimated_cycles = expected_cycles or max(1, n // width)
         n_events = min(n, int(jitter.poisson(_OOO_JITTER_RATE * estimated_cycles)))
         max_delay = 1 + core.pipeline_depth // 10
         for index in jitter.choice(n, size=n_events, replace=False):
@@ -141,18 +125,21 @@ def schedule_path(
     prev_issue = 0
     for i, instr in enumerate(instrs):
         latency = base_latency(instr, l1_latency)
-        unit = unit_of(instr)
+        unit = UNIT_OF[instr.op]
+        pipes = free[unit]
 
         operand_ready = 0
         for src in instr.srcs:
-            operand_ready = max(operand_ready, reg_ready.get(src, 0))
+            ready = reg_ready.get(src, 0)
+            if ready > operand_ready:
+                operand_ready = ready
 
-        if core.is_ooo:
-            fetch[i] = i // core.issue_width
-            earliest = max(fetch[i] + 1, operand_ready)
-            if i >= core.rob_size:
+        if is_ooo:
+            fetched = i // width
+            earliest = max(fetched + 1, operand_ready)
+            if i >= rob_size:
                 # ROB full until the instruction rob_size back retires.
-                earliest = max(earliest, int(complete[i - core.rob_size]))
+                earliest = max(earliest, complete[i - rob_size])
             if i in delayed:
                 # Dynamic-arbitration delay; its magnitude grows with
                 # pipeline depth (deeper front end => larger replay/flush
@@ -163,21 +150,30 @@ def schedule_path(
         else:
             # In-order issue: cannot issue before the previous instruction.
             earliest = max(prev_issue, operand_ready)
-            fetch[i] = max(0, earliest - 1)
+            fetched = max(0, earliest - 1)
 
-        t = units.earliest(unit, earliest)
-        while issued_in_cycle.get(t, 0) >= core.issue_width:
+        soonest = min(pipes)
+        t = max(earliest, soonest)
+        while issued_in_cycle.get(t, 0) >= width:
             t += 1
         issued_in_cycle[t] = issued_in_cycle.get(t, 0) + 1
-        units.occupy(unit, t, latency)
+        # The first pipe to come free takes it (unpipelined: until done).
+        pipes[pipes.index(soonest)] = t + latency if unit is Unit.DIV else t + 1
 
-        issue[i] = t
-        complete[i] = t + latency
+        fetch.append(fetched)
+        issue.append(t)
+        complete.append(t + latency)
         if instr.dst is not None:
-            reg_ready[instr.dst] = int(complete[i])
+            reg_ready[instr.dst] = t + latency
         prev_issue = t
 
-    cycles = int(complete.max())
+    cycles = max(complete)
     if cycles <= 0:
         raise SimulationError("schedule produced a zero-length path")
-    return PathSchedule(tuple(instrs), fetch, issue, complete, cycles)
+    return PathSchedule(
+        tuple(instrs),
+        np.array(fetch, dtype=int),
+        np.array(issue, dtype=int),
+        np.array(complete, dtype=int),
+        cycles,
+    )

@@ -9,8 +9,9 @@ WATTCH's per-structure activity energies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -44,7 +45,12 @@ def _default_op_energy() -> Dict[OpClass, float]:
 
 @dataclass(frozen=True)
 class PowerParams:
-    """Per-event energies (arbitrary units) and per-cycle power levels."""
+    """Per-event energies (arbitrary units) and per-cycle power levels.
+
+    Immutable and hashable, so a parameter set can key the simulator's
+    variant memo (DESIGN.md D27): ``op_energy`` is a read-only copy of the
+    mapping it was given.
+    """
 
     static_per_cycle: float = 0.10
     frontend_per_instr: float = 0.05
@@ -53,15 +59,28 @@ class PowerParams:
     l1_access: float = 0.10
     l2_access: float = 0.45
     dram_access: float = 2.2
-    op_energy: Dict[OpClass, float] = field(default_factory=_default_op_energy)
+    # Compared but not hashed: equal parameter sets still hash equal, and
+    # a hash stays a handful of float hashes.
+    op_energy: Mapping[OpClass, float] = field(
+        default_factory=_default_op_energy, hash=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "op_energy", MappingProxyType(dict(self.op_energy)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle (or deep-copy); rebuild from a dict.
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["op_energy"] = dict(self.op_energy)
+        return (PowerParams, tuple(values.values()))
 
 
 class PowerModel:
     """Turns a :class:`PathSchedule` into a per-cycle power waveform."""
 
-    def __init__(self, core: CoreConfig, params: PowerParams = PowerParams()) -> None:
+    def __init__(self, core: CoreConfig, params: Optional[PowerParams] = None) -> None:
         self.core = core
-        self.params = params
+        self.params = params if params is not None else PowerParams()
 
     @property
     def stall_power(self) -> float:
@@ -99,12 +118,20 @@ class PowerModel:
         fetch = np.minimum(schedule.fetch, n_cycles - 1)
         np.add.at(power, fetch, per_instr_front)
 
-        for i, instr in enumerate(schedule.instrs):
-            start = schedule.issue[i]
-            end = schedule.complete[i]
-            total = params.op_energy[instr.op]
-            if instr.op.is_memory:
-                total += params.l1_access
-            span = max(1, end - start)
-            power[start:min(end, n_cycles)] += total / span
+        # Execution energy, spread evenly over [issue, complete) of each
+        # instruction. ``ufunc.at`` adds in index order, so every cycle
+        # receives its instructions' shares in program order -- the sums
+        # equal a per-instruction slice loop bit for bit.
+        op_energy = params.op_energy
+        l1_access = params.l1_access
+        totals = np.array([
+            op_energy[instr.op] + l1_access if instr.op.is_memory
+            else op_energy[instr.op]
+            for instr in schedule.instrs
+        ])
+        start = schedule.issue
+        spans = schedule.complete - start
+        covered = np.repeat(start - np.cumsum(spans) + spans, spans)
+        cycles = covered + np.arange(len(covered))
+        np.add.at(power, cycles, np.repeat(totals / np.maximum(spans, 1), spans))
         return power

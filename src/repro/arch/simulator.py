@@ -90,9 +90,12 @@ class Simulator:
     """Executes a program on a core model.
 
     One simulator serves one (program, core) pair; :meth:`run` may be
-    called many times with different seeds/inputs (schedule memoization is
-    shared across runs). Injections are configured per-simulator with
-    :meth:`set_loop_injection` / :meth:`add_burst`.
+    called many times with different seeds/inputs. Compiled path
+    schedules live in a process-wide memo (DESIGN.md D27) that every
+    simulator on the same core and power parameters shares, so neither a
+    second run nor a second simulator compiles them again. Injections are
+    configured per-simulator with :meth:`set_loop_injection` /
+    :meth:`add_burst`.
     """
 
     def __init__(

@@ -9,8 +9,9 @@ A manifest is one JSON artifact per experiment run with four sections:
 - ``results``: the experiment's result structure plus the full metric
   snapshot (stage counters, per-region K-S rejections, STS peak-count /
   trace-power / K-S p-value histograms) -- everything the run *produced*.
-- ``timings``: per-stage span rollups, total wall time, and the
-  enabled-mode observability overhead estimate.
+- ``timings``: per-stage span rollups, total wall time, the
+  enabled-mode observability overhead estimate, and the counters of
+  process-wide caches (:data:`PROCESS_STATE_COUNTERS`).
 - ``environment``: git SHA, interpreter/library versions, worker count,
   cache configuration, timestamp -- where/when it ran.
 
@@ -42,6 +43,7 @@ from repro.obs import trace as obs_trace
 __all__ = [
     "MANIFEST_VERSION",
     "DEFAULT_DIFF_IGNORE",
+    "PROCESS_STATE_COUNTERS",
     "build_manifest",
     "diff_manifests",
     "format_diff",
@@ -55,6 +57,15 @@ MANIFEST_VERSION = 1
 
 # Sections that legitimately differ between reruns of the same config.
 DEFAULT_DIFF_IGNORE: Tuple[str, ...] = ("timings", "environment")
+
+# Counters of process-wide caches (the simulator's variant memo, DESIGN.md
+# D27). They count what earlier work in the same process left behind, not
+# what this run's config and seeds determine, so they are reported with
+# the timings instead of the results.
+PROCESS_STATE_COUNTERS: Tuple[str, ...] = (
+    "arch.engine/variant_compiles",
+    "arch.engine/variant_memo_hits",
+)
 
 
 # -- JSON-able views of arbitrary result structures ---------------------------
@@ -162,7 +173,13 @@ def build_manifest(
     if extra_identity:
         identity.update(jsonify(extra_identity))
 
-    results: Dict[str, Any] = {"metrics": obs_metrics.snapshot()}
+    metrics = obs_metrics.snapshot()
+    process_state = {
+        name: metrics["counters"].pop(name)
+        for name in PROCESS_STATE_COUNTERS
+        if name in metrics["counters"]
+    }
+    results: Dict[str, Any] = {"metrics": metrics}
     if result is not None:
         results["result"] = jsonify(result)
         results["result_type"] = type(result).__name__
@@ -178,6 +195,7 @@ def build_manifest(
             "per_span_overhead_s": per_span,
             "estimated_overhead_s": per_span * len(spans),
         },
+        "process_state": process_state,
     }
 
     environment: Dict[str, Any] = {

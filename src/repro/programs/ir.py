@@ -60,6 +60,11 @@ class OpClass(enum.Enum):
     SYSCALL = "syscall"
     NOP = "nop"
 
+    # Members are singletons, so identity hashing agrees with equality;
+    # it runs in C, where Enum's default hashes the name in Python -- and
+    # the simulator's kernels look an OpClass up once per instruction.
+    __hash__ = object.__hash__
+
     @property
     def is_memory(self) -> bool:
         return self in (OpClass.LOAD, OpClass.STORE)
@@ -106,6 +111,11 @@ class Instr:
         dst: destination register name, or None.
         srcs: source register names (dependencies).
         mem: memory reference descriptor for LOAD/STORE.
+
+    ``key`` (set at construction) holds the same fields as plain strings,
+    ints and tuples, so hashing or comparing a tuple of keys runs no
+    Python-level ``__hash__``/``__eq__``; the simulator's variant memo
+    keys on it (DESIGN.md D27).
     """
 
     op: OpClass
@@ -119,6 +129,11 @@ class Instr:
         if not self.op.is_memory and self.mem is not None:
             raise ConfigurationError(f"{self.op.value} instruction cannot carry a MemRef")
         object.__setattr__(self, "srcs", tuple(self.srcs))
+        mem = self.mem
+        object.__setattr__(self, "key", (
+            self.op.value, self.dst, self.srcs,
+            None if mem is None else (mem.stream, mem.footprint, mem.stride, mem.pattern),
+        ))
 
     def __str__(self) -> str:
         parts = [self.op.value]

@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.arch import engine as engine_mod
 from repro.arch.config import CoreConfig
 from repro.arch.engine import CompositionEngine, TraceBuilder
+from repro.arch.power import PowerModel, PowerParams
+from repro.arch.simulator import Simulator
 from repro.cfg.graph import ControlFlowGraph
 from repro.cfg.loops import find_loops
 from repro.errors import SimulationError
+from repro.experiments.runner import Scale
+from repro.experiments.tables_common import evaluate_benchmark
 from repro.programs.builder import ProgramBuilder
 from repro.programs.ir import Instr, MemRef, OpClass
+from repro.programs.mibench import BENCHMARKS
 
 
 def adds(n):
@@ -302,3 +309,108 @@ class TestOOOVariance:
                 per_iter.append(tb.total_cycles / execution.iterations)
             lengths[kind] = np.std(per_iter) / np.mean(per_iter)
         assert lengths["ooo"] > 0
+
+
+class TestVariantMemo:
+    """The process-wide variant memo (DESIGN.md D27)."""
+
+    CLOCK = 1e8
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        engine_mod._VARIANT_MEMO.clear()
+        yield
+        engine_mod._VARIANT_MEMO.clear()
+
+    def simulate(self, core=None, params=None, seed=3):
+        core = core or CoreConfig.sim_ooo(clock_hz=self.CLOCK)
+        program = BENCHMARKS["bitcount"]()
+        return Simulator(program, core, PowerModel(core, params)).run(seed=seed)
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.power.samples.tobytes() == b.power.samples.tobytes()
+        assert a.timeline.intervals == b.timeline.intervals
+        assert (a.cycles, a.instr_count) == (b.cycles, b.instr_count)
+
+    def test_cleared_memo_gives_identical_result(self):
+        cold = self.simulate()
+        warm = self.simulate()
+        engine_mod._VARIANT_MEMO.clear()
+        recompiled = self.simulate()
+        self.assert_same(cold, warm)
+        self.assert_same(cold, recompiled)
+
+    def test_table2_row_same_cold_and_warm(self):
+        scale = Scale(train_runs=2, clean_runs=1, injected_runs=1, group_sizes=(8, 16))
+
+        def row():
+            core = CoreConfig.sim_ooo(clock_hz=scale.clock_hz)
+            return evaluate_benchmark("bitcount", scale, "power", core)
+
+        cold = row()
+        assert engine_mod._VARIANT_MEMO
+        assert row() == cold
+
+    @pytest.mark.parametrize("other", ["inorder_core", "power_params"])
+    def test_core_and_power_params_key_the_memo(self, other):
+        """A warm memo from the OOO core and default power parameters
+        changes nothing for another core or parameter set."""
+        if other == "inorder_core":
+            kwargs = {"core": CoreConfig.iot_inorder(clock_hz=self.CLOCK)}
+        else:
+            kwargs = {"params": PowerParams(static_per_cycle=0.25, l1_access=0.3)}
+        isolated = self.simulate(**kwargs)
+        engine_mod._VARIANT_MEMO.clear()
+        self.simulate()
+        self.assert_same(self.simulate(**kwargs), isolated)
+
+    def test_cached_waveforms_are_read_only(self):
+        self.simulate()
+        variants = next(iter(engine_mod._VARIANT_MEMO.values()))
+        with pytest.raises(ValueError):
+            variants[0].waveform[0] = 1.0
+
+    def test_memo_never_exceeds_its_bound(self, monkeypatch):
+        unbounded = self.simulate()
+        engine_mod._VARIANT_MEMO.clear()
+        monkeypatch.setattr(engine_mod, "_VARIANT_MEMO_SIZE", 3)
+        sizes = []
+        real = engine_mod.CompositionEngine._compile
+
+        def compile_and_measure(engine, segment):
+            sizes.append(len(engine_mod._VARIANT_MEMO))
+            return real(engine, segment)
+
+        monkeypatch.setattr(
+            engine_mod.CompositionEngine, "_compile", compile_and_measure
+        )
+        bounded = self.simulate()
+        assert len(engine_mod._VARIANT_MEMO) == 3
+        assert max(sizes) == 3
+        # Evicted segments recompile byte-identically.
+        self.assert_same(bounded, unbounded)
+
+    def test_power_model_must_match_the_core(self):
+        core = CoreConfig.sim_ooo(clock_hz=self.CLOCK)
+        other = CoreConfig.iot_inorder(clock_hz=self.CLOCK)
+        with pytest.raises(SimulationError):
+            Simulator(BENCHMARKS["bitcount"](), core, PowerModel(other))
+
+    def test_second_identical_run_compiles_nothing(self):
+        core = CoreConfig.sim_ooo(clock_hz=self.CLOCK)
+        simulator = Simulator(BENCHMARKS["bitcount"](), core)
+        obs.enable()
+        obs.reset()
+        try:
+            simulator.run(seed=5)
+            first = obs.snapshot()["counters"]
+            obs.reset()
+            simulator.run(seed=5)
+            second = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert first["arch.engine/variant_compiles"] > 0
+        assert "arch.engine/variant_compiles" not in second
+        assert second["arch.engine/variant_memo_hits"] > 0

@@ -1,5 +1,8 @@
 """Unit tests for the WATTCH-style power model (repro.arch.power)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -79,3 +82,35 @@ class TestPowerModel:
         params = PowerParams()
         assert params.op_energy[OpClass.IDIV] > params.op_energy[OpClass.IADD]
         assert params.op_energy[OpClass.SYSCALL] > params.op_energy[OpClass.CALL]
+
+
+class TestPowerParams:
+    def test_op_energy_is_read_only(self):
+        params = PowerParams()
+        with pytest.raises(TypeError):
+            params.op_energy[OpClass.IADD] = 9.9
+
+    def test_default_models_do_not_share_params(self):
+        core = CoreConfig()
+        a, b = PowerModel(core), PowerModel(core)
+        assert a.params is not b.params
+        assert a.params.op_energy[OpClass.IADD] == 0.08
+
+    def test_given_mapping_is_copied(self):
+        energies = dict(PowerParams().op_energy)
+        params = PowerParams(op_energy=energies)
+        energies[OpClass.IADD] = 9.9
+        assert params.op_energy[OpClass.IADD] == 0.08
+
+    def test_equal_params_compare_and_hash_equal(self):
+        assert PowerParams() == PowerParams()
+        assert hash(PowerParams()) == hash(PowerParams())
+        energies = dict(PowerParams().op_energy)
+        energies[OpClass.IADD] = 0.5
+        assert PowerParams(op_energy=energies) != PowerParams()
+        assert PowerParams(l1_access=0.2) != PowerParams()
+
+    def test_pickles_and_copies(self):
+        params = PowerParams(l1_access=0.2)
+        assert pickle.loads(pickle.dumps(params)) == params
+        assert copy.deepcopy(params) == params

@@ -122,18 +122,19 @@ class TestTraceBuilderProperties:
                      min_size=0, max_size=50),
             min_size=1, max_size=10,
         ),
-        cps=st.integers(min_value=1, max_value=7),
+        cps=st.integers(min_value=1, max_value=24),
     )
     @settings(max_examples=60, deadline=None)
     def test_chunking_invariant(self, chunks, cps):
-        """Samples must not depend on how cycles were chunked."""
+        """Samples must not depend on how cycles were chunked, down to the
+        last bit: a bin closed across two chunks sums like any other."""
         whole = np.concatenate([np.array(c) for c in chunks]) if chunks else np.empty(0)
         tb_chunks = TraceBuilder(cps)
         for chunk in chunks:
             tb_chunks.add_cycles(np.array(chunk))
         tb_whole = TraceBuilder(cps)
         tb_whole.add_cycles(whole)
-        np.testing.assert_allclose(tb_chunks.samples(), tb_whole.samples())
+        np.testing.assert_array_equal(tb_chunks.samples(), tb_whole.samples())
         assert tb_chunks.total_cycles == len(whole)
 
     @given(
