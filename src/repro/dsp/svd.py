@@ -12,25 +12,34 @@ exactly the spectral lines EDDIE's K-S test monitors, recovering
 detection accuracy at noise levels where the raw spectra bury the
 peaks.
 
-Per block of ``block_samples`` samples ``x[0..N)``:
+Per block of ``block_samples`` samples ``x[0..N)``, with
+``K = N - L + 1`` and ``m = L - 1``:
 
 1. view the block as the Hankel matrix ``H[i, j] = x[i + j]`` of shape
-   ``(L, N - L + 1)`` with window ``L = hankel_window``;
+   ``(L, K)`` with window ``L = hankel_window``;
 2. find its leading left singular directions without an SVD: the
-   eigenpairs of the ``L x L`` Gram matrix ``H H*`` are ``(s**2, U)``.
-   Keep the leading ``r`` directions -- a fixed ``rank``, or the
-   smallest ``r`` whose singular energy reaches ``energy_keep`` of the
-   total (adaptive: clean blocks keep almost everything, noisy blocks
-   shed the noise floor);
-3. project, ``W = U_r* H``, and average the anti-diagonals of
-   ``H_r = U_r W`` back into a length-``N`` sequence (each output sample
-   is the mean of every ``H_r[i, j]`` with ``i + j = k``). The
-   anti-diagonal sums of ``U_r W`` are ``sum_k conv(U_r[:, k], W[k])``,
-   one length-``N`` FFT product, so ``H_r`` is never formed.
+   eigenpairs of the ``L x L`` Gram matrix ``G = H H*`` are ``(s**2, U)``.
+   ``G`` is never multiplied out. Its first column is one correlation,
+   ``G[i, 0] = sum_t x[i + t] conj(x[t])``, and the rest follows the
+   rank-1 diagonal recursion ``G[i+1, j+1] = G[i, j] + x[i+K] conj(x[j+K])
+   - x[i] conj(x[j])``, a cumulative sum along each diagonal of the lower
+   triangle (the only part ``eigh`` reads). Keep the leading ``r``
+   directions -- a fixed ``rank``, or the smallest ``r`` whose singular
+   energy reaches ``energy_keep`` of the total (adaptive: clean blocks
+   keep almost everything, noisy blocks shed the noise floor);
+3. average the anti-diagonals of the projected matrix ``P H``, with the
+   projector ``P = U_r U_r*``, back into a length-``N`` sequence (each
+   output sample is the mean of every ``(P H)[i, j]`` with
+   ``i + j = k``). For ``m <= k < K`` every row of ``H`` meets
+   anti-diagonal ``k``, so its sum is the FIR filter
+   ``sum_d p[d] x[k + d]`` whose ``2L - 1`` taps ``p[d]`` are the sums of
+   ``P``'s diagonals ``i' - i = d``. The first and last ``m`` sums come
+   from the two ``L x m`` edge blocks ``P H[:, :m]`` and
+   ``P H[:, K-m:]``. Neither ``P H`` nor ``H H*`` is formed.
 
 The result is the rank-``r`` SVD projection, to rounding (about 1e-12
 relative; ``tests/test_dsp.py`` holds the SVD reference). Per block
-this costs ``O(L**2 N + L**3 + r N log N)``. A non-finite sample raises
+this costs ``O(L N + L**3)``. A non-finite sample raises
 :class:`~repro.errors.SignalError` naming the block's sample offset.
 
 Blocks are anchored at the start of the stream and processed
@@ -61,7 +70,7 @@ class SvdDenoiser(BlockStage):
     Attributes:
         block_samples: samples per independently denoised block. Larger
             blocks resolve closer spectral lines; a block costs
-            ``O(L**2 N + L**3 + r N log N)`` for ``N`` samples.
+            ``O(L N + L**3)`` for ``N`` samples.
         hankel_window: trajectory-matrix window ``L``; the subspace can
             hold at most ``L`` distinct complex exponentials. Blocks
             shorter than ``2 * hankel_window`` (the stream tail) use
@@ -131,16 +140,58 @@ class SvdDenoiser(BlockStage):
             # A 1..3-sample tail has no trajectory structure; pass it
             # through (same path in batch and streaming).
             return x.copy() if x is block else x
-        hankel = sliding_window_view(x, n - window + 1)
-        w, v = np.linalg.eigh(hankel @ hankel.conj().T)
+        w, v = np.linalg.eigh(_hankel_gram(x, window))
         r = self._select_rank(np.sqrt(np.clip(w[::-1], 0.0, None)))
         if r >= window:
             return x.copy() if x is block else x
         basis = v[:, ::-1][:, :r]
-        proj = basis.conj().T @ hankel
-        fft, ifft = (
-            (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-        )
-        sums = ifft((fft(basis.T, n) * fft(proj, n)).sum(axis=0), n)
+        proj = basis @ basis.conj().T
+        m, cols = window - 1, n - window + 1
+        hankel = sliding_window_view(x, cols)
+        sums = np.empty(n, dtype=x.dtype)
+        # Tap p[d] sums proj's diagonal i' - i = d. Listed d = m..-m (the
+        # order np.convolve flips back), they are the anti-diagonal sums
+        # of proj with its columns reversed.
+        taps = _skew(proj[:, ::-1]).sum(axis=0)
+        sums[m:cols] = np.convolve(x, taps, "valid")
+        sums[:m] = _skew(proj @ hankel[:, :m]).sum(axis=0)[:m]
+        sums[cols:] = _skew(proj @ hankel[:, cols - m:]).sum(axis=0)[m:]
         k = np.arange(n)
         return sums / np.minimum(np.minimum(k + 1, n - k), window)
+
+
+def _skew(a: np.ndarray) -> np.ndarray:
+    """``a`` with row ``i`` shifted right by ``i`` into a zero-filled
+    ``(R, R + C - 1)`` array: ``out[i, i + c] = a[i, c]``.
+
+    Column ``k`` of the result holds anti-diagonal ``k`` of ``a``, so
+    ``_skew(a).sum(axis=0)`` is ``a``'s anti-diagonal sums.
+    """
+    rows, cols = a.shape
+    padded = np.zeros((rows, rows + cols), dtype=a.dtype)
+    padded[:, :cols] = a
+    return padded.reshape(-1)[: rows * (rows + cols - 1)].reshape(rows, -1)
+
+
+def _hankel_gram(x: np.ndarray, window: int) -> np.ndarray:
+    """Lower triangle of ``H H*`` for the ``(window, N - window + 1)``
+    Hankel view ``H`` of ``x``, with zeros above the diagonal.
+
+    ``steps[j, d]`` is the ``j``-th term of diagonal ``d`` (entries
+    ``(d + j, j)``): the correlation ``G[d, 0]`` for ``j = 0``, then the
+    recursion's rank-1 increments. Their cumulative sum down each column
+    is the diagonal, and :func:`_skew` moves it into place.
+    """
+    m, cols = window - 1, len(x) - window + 1
+
+    def increments(edge):
+        # Terms with d + j >= window fall outside the matrix: zero
+        # padding keeps them finite, and _skew shifts them past the
+        # slice below.
+        padded = np.concatenate([edge, np.zeros(m, dtype=x.dtype)])
+        return sliding_window_view(padded, window) * edge.conj()[:, None]
+
+    steps = np.empty((window, window), dtype=x.dtype)
+    steps[0] = np.correlate(x, x[:cols], "valid")
+    steps[1:] = increments(x[cols:]) - increments(x[:m])
+    return _skew(np.cumsum(steps, axis=0))[:, :window].T

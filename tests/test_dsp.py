@@ -10,6 +10,7 @@ boundaries, and random snapshot cut points.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.dsp import (
     stage_to_dict,
     validate_frontend,
 )
+from repro.dsp.svd import _hankel_gram
 from repro.errors import ConfigurationError, SignalError
 from repro.types import Signal
 
@@ -108,6 +110,52 @@ def oracle_block(kind, n, complex_):
     else:
         x = np.zeros(n, dtype=complex)
     return x if complex_ else x.real.copy()
+
+
+@st.composite
+def svd_cases(draw, max_impulse):
+    """``(stage, block)``: one block of 4..4096 samples through a stage
+    whose window and rank rule are drawn too.
+
+    ``block_samples`` covers the whole block, so it is a full block when
+    ``n >= 2 * hankel_window`` and a stream tail (window ``n // 2``)
+    otherwise. Impulses of up to ``max_impulse`` times the unit noise
+    floor land in the first or last ``window - 1`` samples, where the
+    Gram recursion cancels them and the edge blocks read them back; the
+    whole block is then scaled by ``10**-6 .. 10**6``.
+    """
+    n = draw(st.integers(4, 4096))
+    hankel_window = draw(st.integers(2, 64))
+    mode = draw(st.one_of(
+        st.builds(dict, rank=st.integers(1, 80)),
+        # Not up to 1: energy_keep=1 cuts where the remaining energy is
+        # rounding, which the squared Gram spectrum and the SVD round
+        # differently, so the rank may differ by directions with no energy.
+        st.builds(dict, energy_keep=st.floats(0.05, 0.99)),
+    ))
+    stage = SvdDenoiser(
+        block_samples=max(32, 2 * hankel_window, n),
+        hankel_window=hankel_window,
+        **mode,
+    )
+    kind = draw(st.sampled_from(["structured", "noise", "zero", "impulse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "structured":
+        x = make_signal(int(rng.integers(2**31)), n)
+    elif kind == "zero":
+        x = np.zeros(n, dtype=complex)
+    else:
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "impulse":
+        edge = min(hankel_window, n // 2) - 1
+        at = draw(st.integers(0, edge - 1))
+        if draw(st.booleans()):
+            at = n - 1 - at
+        x[at] += draw(st.floats(1.0, max_impulse)) * np.exp(
+            1j * draw(st.floats(0.0, 2 * np.pi))
+        )
+    x = x * 10.0 ** draw(st.integers(-6, 6))
+    return stage, x if draw(st.booleans()) else x.real.copy()
 
 
 class TestValidation:
@@ -246,7 +294,26 @@ class TestSvdDenoiser:
 
 
 class TestSvdOracle:
-    """The Gram/eigh + FFT kernel against the explicit-SVD reference."""
+    """The structured Gram/eigh + FIR kernel against the explicit-SVD
+    reference: the same rank, and the same samples to ``rtol=1e-9``."""
+
+    @staticmethod
+    def assert_matches_oracle(stage, block):
+        expected, expected_rank = svd_oracle(stage, block)
+        ranks = []
+        select = SvdDenoiser._select_rank
+
+        def spy(self, s):
+            ranks.append(select(self, s))
+            return ranks[-1]
+
+        with mock.patch.object(SvdDenoiser, "_select_rank", spy):
+            out = stage.process(block)
+        assert ranks == [expected_rank]
+        assert out.dtype == expected.dtype
+        np.testing.assert_allclose(
+            out, expected, rtol=1e-9, atol=1e-12 * np.linalg.norm(block)
+        )
 
     @pytest.mark.parametrize("mode", [
         {"rank": 8},
@@ -258,25 +325,34 @@ class TestSvdOracle:
     @pytest.mark.parametrize("n", [2048, 100], ids=["full", "tail"])
     @pytest.mark.parametrize("kind", ["structured", "noise", "zero"])
     @pytest.mark.parametrize("complex_", [True, False], ids=["complex", "real"])
-    def test_matches_svd_oracle(self, monkeypatch, mode, n, kind, complex_):
+    def test_matches_svd_oracle(self, mode, n, kind, complex_):
         stage = SvdDenoiser(block_samples=2048, hankel_window=64, **mode)
-        block = oracle_block(kind, n, complex_)
-        expected, expected_rank = svd_oracle(stage, block)
+        self.assert_matches_oracle(stage, oracle_block(kind, n, complex_))
 
-        ranks = []
-        select = SvdDenoiser._select_rank
+    # A rank cut through the cluster of near-equal singular values an
+    # impulse makes is resolved only to eps * impulse**2 / gap by any
+    # Gram route, so impulses of 1e3 and more can break rtol=1e-9
+    # whatever the kernel. At 1e2 the worst of ~30,000 examples used a
+    # quarter of the tolerance.
+    @given(case=svd_cases(max_impulse=1e2))
+    @settings(max_examples=120, deadline=None)
+    def test_sweep_matches_svd_oracle(self, case):
+        self.assert_matches_oracle(*case)
 
-        def spy(self, s):
-            ranks.append(select(self, s))
-            return ranks[-1]
-
-        monkeypatch.setattr(SvdDenoiser, "_select_rank", spy)
-        out = stage.process(block)
-        assert ranks == [expected_rank]
-        assert out.dtype == expected.dtype
-        np.testing.assert_allclose(
-            out, expected, rtol=1e-9, atol=1e-12 * np.linalg.norm(block)
+    @given(case=svd_cases(max_impulse=1e6))
+    @settings(max_examples=120, deadline=None)
+    def test_structured_gram_matches_dense(self, case):
+        stage, block = case
+        window = min(stage.hankel_window, len(block) // 2)
+        hankel = np.lib.stride_tricks.sliding_window_view(
+            block, len(block) - window + 1
         )
+        dense = hankel @ hankel.conj().T
+        gram = _hankel_gram(block, window)
+        assert not np.triu(gram, 1).any()
+        error = np.abs(np.tril(gram - dense)).max()
+        assert error <= 1e-13 * np.abs(dense).max()
+        assert np.array_equal(stage.process(block), stage.process(block))
 
 
 class TestNonFiniteInput:
