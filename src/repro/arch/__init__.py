@@ -7,10 +7,10 @@ every 20 cycles. This package reproduces that stack:
 - :mod:`repro.arch.isa` -- instruction classes, latencies, functional units,
 - :mod:`repro.arch.config` -- core/cache configurations (in-order and
   out-of-order presets matching the paper's two setups),
-- :mod:`repro.arch.cache` -- a functional set-associative cache plus the
-  analytic miss-rate model used by the fast composition engine,
-- :mod:`repro.arch.branch` -- two-bit and gshare predictors plus the
-  steady-state mispredict-rate model,
+- :mod:`repro.arch.cache` -- the analytic steady-state miss-rate model
+  used by the fast composition engine,
+- :mod:`repro.arch.branch` -- the steady-state two-bit mispredict-rate
+  model,
 - :mod:`repro.arch.pipeline` -- cycle-accurate scheduling of one control
   path through in-order / out-of-order pipelines,
 - :mod:`repro.arch.power` -- WATTCH-style per-unit activity energies,

@@ -1,13 +1,11 @@
-"""Branch predictors: functional models plus the steady-state analytic rate.
+"""The steady-state branch mispredict rate of the composition engine.
 
 The loop engine needs, for each conditional branch with taken-probability
 ``p``, the long-run mispredict rate of the core's predictor. For a two-bit
 saturating counter under i.i.d. Bernoulli(p) outcomes this is the stationary
 mispredict probability of a 4-state Markov chain, computed exactly in
-:func:`two_bit_mispredict_rate`.
-
-Functional :class:`TwoBitPredictor` and :class:`GShare` implementations are
-provided as the reference the analytic rate is validated against.
+:func:`two_bit_mispredict_rate`. The functional two-bit counter it is
+validated against lives with the test oracles (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -18,76 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["TwoBitPredictor", "GShare", "two_bit_mispredict_rate"]
-
-
-class TwoBitPredictor:
-    """A single two-bit saturating counter.
-
-    States 0/1 predict not-taken, 2/3 predict taken; the counter increments
-    on taken outcomes and decrements on not-taken, saturating at 0 and 3.
-    """
-
-    def __init__(self, initial_state: int = 2) -> None:
-        if not 0 <= initial_state <= 3:
-            raise ConfigurationError(f"state must be 0..3, got {initial_state}")
-        self.state = initial_state
-        self.predictions = 0
-        self.mispredictions = 0
-
-    def predict(self) -> bool:
-        return self.state >= 2
-
-    def update(self, taken: bool) -> bool:
-        """Record the outcome; returns True if the prediction was correct."""
-        correct = self.predict() == taken
-        self.predictions += 1
-        if not correct:
-            self.mispredictions += 1
-        if taken:
-            self.state = min(3, self.state + 1)
-        else:
-            self.state = max(0, self.state - 1)
-        return correct
-
-    @property
-    def mispredict_rate(self) -> float:
-        return self.mispredictions / self.predictions if self.predictions else 0.0
-
-
-class GShare:
-    """A gshare predictor: global history XOR PC indexing a counter table."""
-
-    def __init__(self, table_bits: int = 10, history_bits: int = 8) -> None:
-        if table_bits < 1 or history_bits < 0:
-            raise ConfigurationError("invalid gshare geometry")
-        self.table_bits = table_bits
-        self.history_bits = history_bits
-        self._table = [TwoBitPredictor() for _ in range(1 << table_bits)]
-        self._history = 0
-        self.predictions = 0
-        self.mispredictions = 0
-
-    def _index(self, pc: int) -> int:
-        mask = (1 << self.table_bits) - 1
-        return (pc ^ self._history) & mask
-
-    def predict(self, pc: int) -> bool:
-        return self._table[self._index(pc)].predict()
-
-    def update(self, pc: int, taken: bool) -> bool:
-        counter = self._table[self._index(pc)]
-        correct = counter.update(taken)
-        self.predictions += 1
-        if not correct:
-            self.mispredictions += 1
-        history_mask = (1 << self.history_bits) - 1 if self.history_bits else 0
-        self._history = ((self._history << 1) | int(taken)) & history_mask
-        return correct
-
-    @property
-    def mispredict_rate(self) -> float:
-        return self.mispredictions / self.predictions if self.predictions else 0.0
+__all__ = ["two_bit_mispredict_rate"]
 
 
 @lru_cache(maxsize=4096)

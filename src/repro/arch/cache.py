@@ -1,85 +1,21 @@
-"""Cache models: a functional set-associative LRU cache and the analytic
-steady-state miss model used by the fast composition engine.
+"""The analytic steady-state cache miss model of the composition engine.
 
-The functional model (:class:`Cache`, :class:`CacheHierarchy`) is the
-reference implementation -- exact LRU over explicit addresses -- used by
-unit tests and small detailed simulations. The analytic model
-(:func:`stream_miss_profile`) predicts the *steady-state* miss rates of a
+:func:`stream_miss_profile` predicts the *steady-state* miss rates of a
 :class:`~repro.programs.ir.MemRef` stream so the loop engine can sample
-per-iteration miss counts without simulating every address (DESIGN.md D1).
+per-iteration miss counts without simulating every address (DESIGN.md
+D1). The functional LRU cache it is validated against lives with the
+test oracles (``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.arch.config import CacheConfig, MemoryConfig
 from repro.programs.ir import MemRef
 
-__all__ = ["Cache", "CacheHierarchy", "AccessResult", "MissProfile", "stream_miss_profile"]
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one hierarchy access."""
-
-    level: str  # 'l1', 'l2', or 'dram'
-    latency: int
-
-
-class Cache:
-    """A set-associative cache with true-LRU replacement."""
-
-    def __init__(self, config: CacheConfig) -> None:
-        self.config = config
-        self._sets: List[Dict[int, int]] = [dict() for _ in range(config.num_sets)]
-        self._tick = 0
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, addr: int) -> bool:
-        """Access a byte address; returns True on hit. Fills on miss."""
-        line = addr // self.config.line_size
-        set_idx = line % self.config.num_sets
-        tag = line // self.config.num_sets
-        ways = self._sets[set_idx]
-        self._tick += 1
-        if tag in ways:
-            ways[tag] = self._tick
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(ways) >= self.config.assoc:
-            victim = min(ways, key=ways.get)  # least recently used
-            del ways[victim]
-        ways[tag] = self._tick
-        return False
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
-class CacheHierarchy:
-    """L1 + L2 + DRAM, returning the latency of each access."""
-
-    def __init__(self, mem: MemoryConfig) -> None:
-        self.mem = mem
-        self.l1 = Cache(mem.l1)
-        self.l2 = Cache(mem.l2)
-
-    def access(self, addr: int) -> AccessResult:
-        if self.l1.access(addr):
-            return AccessResult("l1", self.mem.l1.hit_latency)
-        if self.l2.access(addr):
-            return AccessResult("l2", self.mem.l2.hit_latency)
-        return AccessResult("dram", self.mem.dram_latency)
+__all__ = ["MissProfile", "stream_miss_profile"]
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,20 @@ Design points:
   after each put until the cache fits.
 - **Corruption tolerance**: an entry that fails to load is deleted and
   treated as a miss (the artifact is recomputed and re-cached).
+- **Code identity**: entry paths are salted with a digest of the package
+  sources (:func:`code_identity`), so after a code change a persistent
+  cache misses instead of serving artifacts the old code produced; the
+  stale entries age out through :meth:`ArtifactCache.clear` and LRU
+  eviction.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import os
-import tempfile
 import types
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -46,7 +51,13 @@ from typing import Any, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.obs import OBS, record_count
-from repro.serialize import load_model, load_trace, save_model, save_trace
+from repro.serialize import (
+    atomic_write,
+    load_model,
+    load_trace,
+    save_model,
+    save_trace,
+)
 from repro.types import RegionInterval, RegionTimeline, Signal
 
 __all__ = [
@@ -336,6 +347,24 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
+@functools.lru_cache(maxsize=None)
+def code_identity() -> str:
+    """SHA-256 of the ``repro`` package's ``.py`` sources, once per process.
+
+    Fingerprints name an artifact's inputs, not the code that computed
+    it; :class:`ArtifactCache` salts its keys with this digest, so a
+    persistent cache directory never serves artifacts that different
+    code produced.
+    """
+    root = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 class ArtifactCache:
     """Disk cache of models and traces, keyed by input fingerprints."""
 
@@ -352,7 +381,10 @@ class ArtifactCache:
     # -- generic machinery ----------------------------------------------------
 
     def _path(self, kind: str, key: str) -> Path:
-        return self.dir / kind / f"{key}.npz"
+        # Salting every key with the code identity makes an entry written
+        # by other code a miss, not a stale hit.
+        salted = hashlib.sha256(f"{code_identity()}:{key}".encode()).hexdigest()
+        return self.dir / kind / f"{salted}.npz"
 
     def _get(self, kind: str, key: str, loader) -> Optional[Any]:
         path = self._path(kind, key)
@@ -380,17 +412,7 @@ class ArtifactCache:
     def _put(self, kind: str, key: str, saver) -> None:
         path = self._path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".npz"
-        )
-        os.close(fd)
-        tmp = Path(tmp_name)
-        try:
-            saver(tmp)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        atomic_write(path, saver)
         self.stats.record("puts")
         self._evict_to_fit()
 

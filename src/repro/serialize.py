@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import tempfile
 import zipfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
@@ -32,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.stream.engine import StreamSnapshot
 
 __all__ = [
+    "atomic_write",
     "config_fingerprint",
     "save_model",
     "load_model",
@@ -45,6 +48,28 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 _SNAPSHOT_VERSION = 1
+
+
+def atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
+    """Write ``path`` whole or not at all.
+
+    ``writer`` fills a temp file created next to ``path`` (same
+    directory, ``.tmp-`` prefix, ``path``'s suffix), which then replaces
+    ``path`` in one :func:`os.replace`; the temp file is removed if
+    anything fails, so readers never see a torn file.
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    os.close(fd)
+    tmp = Path(tmp_name)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 def config_fingerprint(config: EddieConfig) -> str:

@@ -31,9 +31,7 @@ source of truth:
 from __future__ import annotations
 
 import json
-import os
 import re
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -44,7 +42,12 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.core.model import EddieModel
 from repro.errors import RegistryError
 from repro.obs import OBS, record_count
-from repro.serialize import config_fingerprint, load_model, save_model
+from repro.serialize import (
+    atomic_write,
+    config_fingerprint,
+    load_model,
+    save_model,
+)
 
 __all__ = ["ModelRegistry", "RegistryEntry", "ParsedSpec", "parse_spec"]
 
@@ -264,8 +267,8 @@ class ModelRegistry:
             "regions": len(model.profiles),
             "created_at": time.time(),
         }
-        self._atomic_write(path, lambda tmp: save_model(model, tmp))
-        self._atomic_write(
+        atomic_write(path, lambda tmp: save_model(model, tmp))
+        atomic_write(
             path.with_suffix(".json"),
             lambda tmp: tmp.write_text(
                 json.dumps(meta, indent=2, sort_keys=True)
@@ -347,8 +350,8 @@ class ModelRegistry:
             "created_at": time.time(),
         }
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(path, lambda tmp: save_model(model, tmp))
-        self._atomic_write(
+        atomic_write(path, lambda tmp: save_model(model, tmp))
+        atomic_write(
             path.with_suffix(".json"),
             lambda tmp: tmp.write_text(
                 json.dumps(meta, indent=2, sort_keys=True)
@@ -365,20 +368,6 @@ class ModelRegistry:
             cal=label,
             base_fingerprint=base_entry.fingerprint,
         )
-
-    @staticmethod
-    def _atomic_write(path: Path, writer) -> None:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=path.suffix
-        )
-        os.close(fd)
-        tmp = Path(tmp_name)
-        try:
-            writer(tmp)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
 
     # -- listing / resolution -------------------------------------------------
 

@@ -58,7 +58,6 @@ import contextlib
 import hmac
 import os
 import secrets
-import tempfile
 import threading
 import time
 from collections import deque
@@ -75,7 +74,7 @@ from repro.errors import (
     ServeError,
 )
 from repro.obs import OBS, counter, histogram, snapshot_module
-from repro.serialize import load_snapshot, snapshot_to_bytes
+from repro.serialize import atomic_write, load_snapshot, snapshot_to_bytes
 from repro.serve import protocol
 from repro.serve.protocol import (
     ERR_AT_CAPACITY,
@@ -982,16 +981,7 @@ class EddieServer:
             snap = monitor.snapshot()
             snap.meta["serve"] = serve_meta
             blob = snapshot_to_bytes(snap)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".npz"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp_name, path)
-            finally:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp_name)
+            atomic_write(path, lambda tmp: tmp.write_bytes(blob))
 
         try:
             await asyncio.get_running_loop().run_in_executor(

@@ -16,21 +16,41 @@
   (:mod:`repro.arch.pipeline`, :mod:`repro.arch.power`) run on Python
   ints and one ``np.add.at``; ``tests/test_sim_kernels.py`` checks that
   both give the same schedules and the same waveform bytes.
+- :class:`ReferenceInterpreter`, the slow simulator the fast
+  composition engine (:mod:`repro.arch.engine`) is validated against,
+  with the functional :class:`CacheHierarchy` (exact LRU over explicit
+  addresses) and :class:`TwoBitPredictor` it drives. The engine samples
+  the analytic :func:`~repro.arch.cache.stream_miss_profile` and
+  :func:`~repro.arch.branch.two_bit_mispredict_rate` instead;
+  ``tests/test_reference_validation.py``, ``tests/test_arch_cache.py``
+  and ``tests/test_branch.py`` check both against these.
 """
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.arch.config import CoreConfig
+from repro.arch import pipeline
+from repro.arch.config import CacheConfig, CoreConfig, MemoryConfig
 from repro.arch.isa import UNIT_OF, Unit, base_latency
 from repro.arch.pipeline import _OOO_JITTER_RATE, PathSchedule, unit_pipes
 from repro.arch.power import PowerModel
 from repro.core.model import RegionProfile
 from repro.core.monitor import AnomalyReport, Monitor, MonitorResult
 from repro.core.stats import two_sample_reject
-from repro.errors import SimulationError
-from repro.programs.ir import Instr
+from repro.errors import ConfigurationError, SimulationError
+from repro.programs.ir import (
+    Branch,
+    Halt,
+    Instr,
+    Jump,
+    LoopBack,
+    MemRef,
+    OpClass,
+    Program,
+)
+from repro.types import RegionInterval, RegionTimeline, Signal
 
 
 class ScalarMonitor(Monitor):
@@ -234,3 +254,275 @@ def waveform(model: PowerModel, schedule: PathSchedule) -> np.ndarray:
         span = max(1, end - start)
         power[start:min(end, n_cycles)] += total / span
     return power
+
+
+@dataclass(frozen=True)
+class AccessResult:
+    """Outcome of one hierarchy access."""
+
+    level: str  # 'l1', 'l2', or 'dram'
+    latency: int
+
+
+class Cache:
+    """A set-associative cache with true-LRU replacement."""
+
+    def __init__(self, config: CacheConfig) -> None:
+        self.config = config
+        self._sets: List[Dict[int, int]] = [dict() for _ in range(config.num_sets)]
+        self._tick = 0
+        self.hits = 0
+        self.misses = 0
+
+    def access(self, addr: int) -> bool:
+        """Access a byte address; returns True on hit. Fills on miss."""
+        line = addr // self.config.line_size
+        set_idx = line % self.config.num_sets
+        tag = line // self.config.num_sets
+        ways = self._sets[set_idx]
+        self._tick += 1
+        if tag in ways:
+            ways[tag] = self._tick
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(ways) >= self.config.assoc:
+            victim = min(ways, key=ways.get)  # least recently used
+            del ways[victim]
+        ways[tag] = self._tick
+        return False
+
+    @property
+    def miss_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.misses / total if total else 0.0
+
+    def reset_stats(self) -> None:
+        self.hits = 0
+        self.misses = 0
+
+
+class CacheHierarchy:
+    """L1 + L2 + DRAM, returning the latency of each access."""
+
+    def __init__(self, mem: MemoryConfig) -> None:
+        self.mem = mem
+        self.l1 = Cache(mem.l1)
+        self.l2 = Cache(mem.l2)
+
+    def access(self, addr: int) -> AccessResult:
+        if self.l1.access(addr):
+            return AccessResult("l1", self.mem.l1.hit_latency)
+        if self.l2.access(addr):
+            return AccessResult("l2", self.mem.l2.hit_latency)
+        return AccessResult("dram", self.mem.dram_latency)
+
+
+class TwoBitPredictor:
+    """A single two-bit saturating counter.
+
+    States 0/1 predict not-taken, 2/3 predict taken; the counter increments
+    on taken outcomes and decrements on not-taken, saturating at 0 and 3.
+    """
+
+    def __init__(self, initial_state: int = 2) -> None:
+        if not 0 <= initial_state <= 3:
+            raise ConfigurationError(f"state must be 0..3, got {initial_state}")
+        self.state = initial_state
+        self.predictions = 0
+        self.mispredictions = 0
+
+    def predict(self) -> bool:
+        return self.state >= 2
+
+    def update(self, taken: bool) -> bool:
+        """Record the outcome; returns True if the prediction was correct."""
+        correct = self.predict() == taken
+        self.predictions += 1
+        if not correct:
+            self.mispredictions += 1
+        if taken:
+            self.state = min(3, self.state + 1)
+        else:
+            self.state = max(0, self.state - 1)
+        return correct
+
+    @property
+    def mispredict_rate(self) -> float:
+        return self.mispredictions / self.predictions if self.predictions else 0.0
+
+
+@dataclass
+class ReferenceResult:
+    """Output of one reference-interpreted run."""
+
+    power: Signal
+    cycles: int
+    instr_count: int
+    timeline: RegionTimeline
+    l1_miss_rate: float
+    mispredict_rate: float
+
+
+class _StreamWalker:
+    """Generates concrete byte addresses for a MemRef stream.
+
+    On the first touch of a stream its lines are walked once through the
+    hierarchy ("warm-up"): real programs write their data before the hot
+    loops read it, so steady-state behaviour -- which is what the analytic
+    model in :mod:`repro.arch.cache` predicts -- starts with the data
+    resident in whatever levels it fits in.
+    """
+
+    def __init__(self, rng: np.random.Generator, hierarchy: CacheHierarchy) -> None:
+        self._positions: Dict[str, int] = {}
+        self._bases: Dict[str, int] = {}
+        self._next_base = 0
+        self._rng = rng
+        self._hierarchy = hierarchy
+
+    def address(self, ref: MemRef) -> int:
+        base = self._bases.get(ref.stream)
+        if base is None:
+            # Give each stream its own non-overlapping address range and
+            # warm the hierarchy with one pass over it.
+            base = self._next_base
+            self._bases[ref.stream] = base
+            self._next_base += 2 * ref.footprint + (1 << 20)
+            line = self._hierarchy.mem.l1.line_size
+            for addr in range(base, base + ref.footprint, line):
+                self._hierarchy.access(addr)
+        if ref.pattern == "rand":
+            return base + int(self._rng.integers(0, ref.footprint))
+        pos = self._positions.get(ref.stream, 0)
+        self._positions[ref.stream] = (pos + ref.stride) % ref.footprint
+        return base + pos
+
+
+class ReferenceInterpreter:
+    """Direct block-by-block execution of a program on a core model.
+
+    Every dynamic block traversal is scheduled afresh, every memory
+    access resolves through the functional :class:`CacheHierarchy` with
+    real addresses, and every conditional branch goes through a
+    functional :class:`TwoBitPredictor`. It is O(dynamic instructions)
+    in Python, so a run stops with a :class:`SimulationError` once it
+    passes ``budget`` dynamic instructions.
+    """
+
+    def __init__(
+        self, program: Program, core: CoreConfig, budget: int = 5_000_000
+    ) -> None:
+        self.program = program
+        self.core = core
+        self.budget = budget
+        self.power_model = PowerModel(core)
+
+    def run(
+        self,
+        seed: Optional[int] = None,
+        inputs: Optional[Mapping[str, float]] = None,
+    ) -> ReferenceResult:
+        rng = np.random.default_rng(seed)
+        resolved = dict(inputs) if inputs is not None else self.program.sample_input(rng)
+
+        hierarchy = CacheHierarchy(self.core.mem)
+        predictors: Dict[str, TwoBitPredictor] = {}
+        streams = _StreamWalker(rng, hierarchy)
+        loop_counters: Dict[str, int] = {}
+
+        chunks: List[np.ndarray] = []
+        cycle = 0
+        instr_count = 0
+        mem_accesses = 0
+        l1_misses = 0
+        branch_count = 0
+        mispredicts = 0
+
+        block_name = self.program.entry
+        while True:
+            if instr_count > self.budget:
+                raise SimulationError(
+                    "reference interpreter budget exceeded "
+                    f"({self.budget} dynamic instructions); use the "
+                    "fast engine for programs this large"
+                )
+            block = self.program.block(block_name)
+            term = block.terminator
+            instrs = list(block.instrs)
+            if not isinstance(term, Halt):
+                instrs.append(Instr(OpClass.BRANCH))
+
+            if instrs:
+                schedule = pipeline.schedule_path(instrs, self.core)
+                power = np.array(self.power_model.waveform(schedule))
+                extra_cycles = 0
+                extra_energy = 0.0
+                for instr in block.instrs:
+                    if instr.mem is None:
+                        continue
+                    mem_accesses += 1
+                    access = hierarchy.access(streams.address(instr.mem))
+                    if access.level != "l1":
+                        l1_misses += 1
+                        exposure = 0.45 if self.core.is_ooo else 1.0
+                        extra_cycles += int(
+                            round((access.latency - self.core.mem.l1.hit_latency)
+                                  * exposure)
+                        )
+                        extra_energy += self.power_model.miss_energy(
+                            to_dram=access.level == "dram"
+                        )
+                if extra_cycles > 0:
+                    tail = np.full(extra_cycles, self.power_model.stall_power)
+                    tail[0] += extra_energy
+                    power = np.concatenate([power, tail])
+
+                instr_count += len(instrs)
+                chunks.append(power)
+                cycle += len(power)
+
+            # Resolve the terminator (with the functional predictor for
+            # conditional branches).
+            if isinstance(term, Halt):
+                break
+            if isinstance(term, Jump):
+                block_name = term.target
+            elif isinstance(term, LoopBack):
+                trips = self.program.resolve_trips(term.trips, resolved)
+                count = loop_counters.get(block_name, 0) + 1
+                if count < trips:
+                    loop_counters[block_name] = count
+                    block_name = term.header
+                else:
+                    loop_counters[block_name] = 0
+                    block_name = term.exit
+            elif isinstance(term, Branch):
+                p_taken = self.program.resolve_prob(term.taken_prob, resolved)
+                taken = bool(rng.random() < p_taken)
+                predictor = predictors.setdefault(block_name, TwoBitPredictor())
+                branch_count += 1
+                if not predictor.update(taken):
+                    mispredicts += 1
+                    penalty = self.core.mispredict_penalty
+                    chunks.append(np.full(penalty, self.power_model.stall_power))
+                    cycle += penalty
+                block_name = term.taken if taken else term.not_taken
+            else:
+                raise SimulationError(f"unhandled terminator {term!r}")
+
+        timeline = RegionTimeline()
+        timeline.append(RegionInterval("run", 0.0, cycle / self.core.clock_hz))
+        power_cycles = np.concatenate(chunks) if chunks else np.empty(0)
+        cps = self.core.cycles_per_sample
+        n_full = len(power_cycles) // cps
+        samples = power_cycles[: n_full * cps].reshape(n_full, cps).mean(axis=1)
+
+        return ReferenceResult(
+            power=Signal(samples, self.core.sample_rate),
+            cycles=cycle,
+            instr_count=instr_count,
+            timeline=timeline,
+            l1_miss_rate=l1_misses / mem_accesses if mem_accesses else 0.0,
+            mispredict_rate=mispredicts / branch_count if branch_count else 0.0,
+        )

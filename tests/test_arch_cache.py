@@ -1,9 +1,11 @@
-"""Unit tests for repro.arch.cache (functional model and analytic model)."""
+"""Unit tests for repro.arch.cache (the analytic model) and the functional
+LRU cache oracle it is validated against."""
 
 import numpy as np
 import pytest
 
-from repro.arch.cache import Cache, CacheHierarchy, stream_miss_profile
+from oracle import Cache, CacheHierarchy
+from repro.arch.cache import stream_miss_profile
 from repro.arch.config import CacheConfig, MemoryConfig
 from repro.programs.ir import MemRef
 

