@@ -8,13 +8,12 @@ with zero windows lost and zero windows scored twice. Around that:
 graceful drain, typed I/O deadlines, and resume-token authentication.
 """
 
-import dataclasses
 import socket
 import threading
 
 import pytest
 from conftest import shared_tiny_detector as detector_for
-from conftest import tiny_scale
+from conftest import assert_matches_local, local_reference, tiny_scale
 
 from repro.errors import ProtocolError, ServeError, ServeTimeoutError
 from repro.serve import (
@@ -33,7 +32,6 @@ from repro.serve.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.stream import StreamingMonitor
 
 TINY = tiny_scale()
 
@@ -66,26 +64,6 @@ def resilient_client(host, port, **overrides):
     )
     base.update(overrides)
     return EddieClient(host, port, **base)
-
-
-def local_reference(model, trace, chunk_samples):
-    """What a local streaming run produces for the same chunking."""
-    monitor = StreamingMonitor(model, t0=trace.iq.t0)
-    reports = []
-    for chunk in trace.iq.iter_chunks(chunk_samples):
-        for result in monitor.feed(chunk):
-            reports.extend(result.reports)
-    return reports, monitor.finish()
-
-
-def assert_matches_local(reports, summary, client, local_reports,
-                         local_summary):
-    """Exactly-once, end to end: nothing lost, nothing double-scored."""
-    assert reports == local_reports
-    assert summary == dataclasses.replace(
-        local_summary, session_id=summary.session_id
-    )
-    assert client.windows_seen == local_summary.windows
 
 
 class TestCheckpointAcks:
