@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import f as f_dist
 
 from repro.errors import ConfigurationError
 
@@ -104,6 +103,11 @@ def n_way_anova(
     ss_residual = max(0.0, ss_total - sum(factor_ss.values()))
     ms_residual = ss_residual / df_residual
 
+    # fdtrc(d1, d2, x) is scipy.stats.f.sf(x, d1, d2) bit for bit;
+    # scipy.special is imported here so importing this module does not
+    # load it.
+    from scipy.special import fdtrc
+
     effects: Dict[str, FactorEffect] = {}
     for name in factors:
         df = factor_df[name]
@@ -112,7 +116,7 @@ def n_way_anova(
             continue
         ms = factor_ss[name] / df
         f_stat = ms / ms_residual
-        pvalue = float(f_dist.sf(f_stat, df, df_residual))
+        pvalue = float(fdtrc(df, df_residual, f_stat))
         effects[name] = FactorEffect(name, factor_ss[name], df, f_stat, pvalue)
 
     return AnovaResult(

@@ -5,7 +5,8 @@ Gaussian components) distribution to the strongest-peak frequencies of one
 Susan loop nest and shows the fit differs enough from the empirical
 distribution that a parametric test would produce unavoidable false
 positives and false negatives -- the motivation for EDDIE's nonparametric
-K-S test.
+K-S test. scipy.stats is imported by the functions that use it, so
+importing :mod:`repro.core.stats` does not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.errors import ConfigurationError
 
@@ -35,6 +35,8 @@ class GaussianMixture1D:
         return len(self.weights)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
+        from scipy.stats import norm
+
         x = np.asarray(x, dtype=float)
         total = np.zeros_like(x)
         for w, mu, sd in zip(self.weights, self.means, self.stds):
@@ -42,6 +44,8 @@ class GaussianMixture1D:
         return total
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
+        from scipy.stats import norm
+
         x = np.asarray(x, dtype=float)
         total = np.zeros_like(x)
         for w, mu, sd in zip(self.weights, self.means, self.stds):
@@ -75,6 +79,8 @@ def fit_gmm(
     seed: int = 0,
 ) -> GaussianMixture1D:
     """Fit a 1-D Gaussian mixture by expectation-maximization."""
+    from scipy.stats import norm
+
     x = np.asarray(data, dtype=float)
     x = x[~np.isnan(x)]
     if len(x) < 2 * n_components:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.errors import ConfigurationError
 
@@ -58,8 +57,12 @@ def mann_whitney_u(x: np.ndarray, y: np.ndarray) -> UTestResult:
         # All values identical: no evidence of difference.
         return UTestResult(statistic=float(u_x), pvalue=1.0, m=m, n=n)
 
+    # ndtr(-z) is scipy.stats.norm.sf(z) bit for bit; scipy.special is
+    # imported here so importing this module does not load it.
+    from scipy.special import ndtr
+
     z = (u_x - mean_u - 0.5 * np.sign(u_x - mean_u)) / np.sqrt(var_u)
-    pvalue = float(2.0 * norm.sf(abs(z)))
+    pvalue = float(2.0 * ndtr(-abs(z)))
     return UTestResult(statistic=float(u_x), pvalue=min(1.0, pvalue), m=m, n=n)
 
 

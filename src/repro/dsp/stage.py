@@ -34,7 +34,6 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.errors import ConfigurationError, SignalError
 from repro.types import Signal
@@ -51,6 +50,8 @@ __all__ = [
     "stage_to_dict",
     "stage_from_dict",
     "validate_frontend",
+    "fir_lowpass",
+    "fir_filter",
 ]
 
 
@@ -115,6 +116,45 @@ class FrontendStage:
     def streaming(self) -> StreamingStage:
         """A fresh stateful stream applying this stage chunk by chunk."""
         raise NotImplementedError
+
+
+def fir_lowpass(taps: int, cutoff: float) -> np.ndarray:
+    """Hamming-windowed sinc low-pass with unit DC gain.
+
+    ``cutoff`` is the band edge as a fraction of Nyquist. The operations
+    repeat ``scipy.signal.firwin(taps, cutoff)`` one for one -- a sinc
+    term, a symmetric Hamming window built as scipy's two-term general
+    cosine (coefficients ``0.54`` and ``1.0 - 0.54``, which is not
+    ``0.46`` in floating point), then division by the tap sum -- so the
+    taps are bit-identical to firwin's (``tests/test_dsp.py`` sweeps
+    that against scipy).
+    """
+    m = np.arange(taps, dtype=np.float64) - 0.5 * (taps - 1)
+    h = cutoff * np.sinc(cutoff * m)
+    h *= 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, taps))
+    return h / np.sum(h)
+
+
+def fir_filter(
+    taps: np.ndarray, x: np.ndarray, zi: Optional[np.ndarray] = None
+):
+    """Apply an FIR filter; with ``zi``, carry its state across calls.
+
+    Bit-identical to ``scipy.signal.lfilter(taps, 1.0, x, zi=zi)``,
+    whose all-zero (``len(a) == 1``) branch it repeats: one full
+    ``np.convolve`` in the common dtype, the carried state ``zi`` added
+    to its head, and the trailing ``len(taps) - 1`` outputs returned as
+    the next state. Returns ``y``, or ``(y, zf)`` when ``zi`` is given.
+    """
+    dtype = np.result_type(taps, x, *(() if zi is None else (zi,)))
+    full = np.convolve(
+        np.asarray(taps, dtype=dtype), np.asarray(x, dtype=dtype)
+    )
+    n = len(x)
+    if zi is None:
+        return full[:n]
+    full[: len(zi)] += zi
+    return full[:n], full[n:]
 
 
 def _check_chunk(samples: np.ndarray) -> np.ndarray:
@@ -416,14 +456,15 @@ class AgcStage(BlockStage):
 class FirGateStage(FrontendStage):
     """Linear-phase FIR low-pass gate, group-delay compensated.
 
-    The stage form of the receiver's decimation FIR gate (same firwin
-    design, same delay compensation), usable without decimating: it
-    band-limits the stream to the inner ``cutoff`` fraction of Nyquist
-    so out-of-band interferers never reach the STFT. Length-preserving:
-    batch pads ``(taps-1)/2`` zeros through the filter and drops the
-    same number of leading outputs; the streaming form carries the
-    filter state across chunks and drains the pad at flush, so both
-    emit exactly one output sample per input sample.
+    The stage form of the receiver's decimation FIR gate (same
+    :func:`fir_lowpass` design, same delay compensation), usable
+    without decimating: it band-limits the stream to the inner
+    ``cutoff`` fraction of Nyquist so out-of-band interferers never
+    reach the STFT. Length-preserving: batch pads ``(taps-1)/2`` zeros
+    through the filter and drops the same number of leading outputs;
+    the streaming form carries the filter state across chunks and
+    drains the pad at flush, so both emit exactly one output sample per
+    input sample.
     """
 
     cutoff: float
@@ -448,7 +489,7 @@ class FirGateStage(FrontendStage):
         return self
 
     def _taps(self) -> np.ndarray:
-        return sp_signal.firwin(self.taps, self.cutoff)
+        return fir_lowpass(self.taps, self.cutoff)
 
     def process(self, iq: np.ndarray) -> np.ndarray:
         iq = _check_chunk(iq)
@@ -468,9 +509,11 @@ class FirGateStage(FrontendStage):
 class _FirGateStreamer(StreamingStage):
     """Streaming FIR on a fixed block grid.
 
-    ``lfilter`` with a carried ``zi`` is mathematically an exact
-    chunk-wise decomposition of the batch filter, but scipy's rounding
-    differs in the last bit depending on where the call boundaries fall.
+    :func:`fir_filter` with a carried ``zi`` is mathematically an exact
+    chunk-wise decomposition of the batch filter, but each call's head
+    outputs add the carried state to a fresh convolution, so the
+    rounding differs in the last bit depending on where the call
+    boundaries fall.
     Pinning the calls to a fixed ``block_samples`` grid anchored at the
     stream start makes the call sequence -- and therefore every output
     bit -- independent of how the caller chunked the stream; the batch
@@ -491,14 +534,12 @@ class _FirGateStreamer(StreamingStage):
         self._buffer: Optional[np.ndarray] = None
 
     def _run(self, samples: np.ndarray) -> np.ndarray:
-        """One lfilter call with carried state plus delay-skip logic."""
+        """One filter call with carried state plus delay-skip logic."""
         if self._zi is None:
             self._in_dtype = samples.dtype
             zi_dtype = np.result_type(samples.dtype, np.float64)
             self._zi = np.zeros(len(self._taps) - 1, dtype=zi_dtype)
-        out, self._zi = sp_signal.lfilter(
-            self._taps, 1.0, samples, zi=self._zi
-        )
+        out, self._zi = fir_filter(self._taps, samples, self._zi)
         if self._to_skip:
             skip = min(self._to_skip, len(out))
             self._to_skip -= skip

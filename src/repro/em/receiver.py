@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import signal as sp_signal
 
+from repro.dsp.stage import fir_filter, fir_lowpass
 from repro.errors import SignalError
 from repro.obs import OBS, record_count
 from repro.types import Signal
@@ -147,12 +147,12 @@ class Receiver:
             # the first 32 outputs so the IQ stream stays aligned with the
             # ground-truth timeline after decimation.
             cutoff = 0.8 / self.decimation  # fraction of input Nyquist
-            taps = sp_signal.firwin(65, cutoff)
+            taps = fir_lowpass(65, cutoff)
             delay = (len(taps) - 1) // 2
             padded = np.concatenate(
                 [samples, np.zeros(delay, dtype=samples.dtype)]
             )
-            samples = sp_signal.lfilter(taps, 1.0, padded)[delay:]
+            samples = fir_filter(taps, padded)[delay:]
             samples = samples[:: self.decimation]
             rate = rate / self.decimation
 

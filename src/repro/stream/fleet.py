@@ -72,8 +72,9 @@ class FleetScheduler:
             ``session.monitor.result()`` works (O(stream) per session --
             test/debug use only).
         on_result: optional callback invoked as ``on_result(session_id,
-            result)`` for every chunk result produced during dispatch;
-            this is the O(1)-memory way to consume fleet output.
+            result)`` for every chunk result produced during dispatch,
+            and on close for the windows of a front-end chain's drained
+            tail; this is the O(1)-memory way to consume fleet output.
         evict_idle: when the fleet is at capacity, close the stalest
             session (least recently fed, by dispatch order -- not wall
             clock, so behavior is deterministic) to make room instead of
@@ -223,9 +224,14 @@ class FleetScheduler:
         return session
 
     def close_session(self, session_id: str) -> StreamSummary:
-        """Close a session, free its slot, and return its summary."""
+        """Close a session, free its slot, and return its summary.
+
+        The windows a front-end chain's buffered tail completes on close
+        reach the history and the result sink like any fed chunk's.
+        """
         session = self.session(session_id)
         session.done = True
+        self._deliver(session, session.monitor._drain_frontend())
         session.summary = session.monitor.finish()
         del self._sessions[session_id]
         self._closed[session_id] = session.summary
@@ -284,10 +290,16 @@ class FleetScheduler:
         session.chunks_fed += 1
         self._feed_clock += 1
         session.last_fed = self._feed_clock
-        if self._keep_history:
-            session.results.extend(results)
         if OBS.enabled:
             counter("stream.fleet", "chunks_dispatched").inc()
+        self._deliver(session, results)
+
+    def _deliver(
+        self, session: FleetSession, results: List[MonitorResult]
+    ) -> None:
+        """Hand a session's new results to the history and the sink."""
+        if self._keep_history:
+            session.results.extend(results)
         if self._on_result is not None:
             for result in results:
                 self._on_result(session.session_id, result)

@@ -27,6 +27,7 @@ from repro.dsp import (
     stage_to_dict,
     validate_frontend,
 )
+from repro.dsp.stage import fir_filter, fir_lowpass
 from repro.dsp.svd import _hankel_gram
 from repro.errors import ConfigurationError, SignalError
 from repro.types import Signal
@@ -353,6 +354,49 @@ class TestSvdOracle:
         error = np.abs(np.tril(gram - dense)).max()
         assert error <= 1e-13 * np.abs(dense).max()
         assert np.array_equal(stage.process(block), stage.process(block))
+
+
+class TestFirOracle:
+    """The numpy FIR helpers against scipy.signal as the oracle: taps
+    byte-equal to ``firwin``, outputs and carried state byte-equal to
+    ``lfilter``, in the same dtype."""
+
+    @given(
+        taps=st.integers(1, 100).map(lambda k: 2 * k + 1),
+        cutoff=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        n=st.integers(1, 9000),
+        complex_=st.booleans(),
+        with_zi=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_firwin_and_lfilter(
+        self, taps, cutoff, n, complex_, with_zi, seed
+    ):
+        from scipy import signal
+
+        h = fir_lowpass(taps, cutoff)
+        expected_h = signal.firwin(taps, cutoff)
+        assert h.dtype == expected_h.dtype
+        assert h.tobytes() == expected_h.tobytes()
+
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        zi = rng.standard_normal(taps - 1) if with_zi else None
+        if complex_:
+            x = x + 1j * rng.standard_normal(n)
+            if with_zi:
+                zi = zi + 1j * rng.standard_normal(taps - 1)
+        if with_zi:
+            out, zf = fir_filter(h, x, zi)
+            expected, expected_zf = signal.lfilter(h, 1.0, x, zi=zi)
+            assert zf.dtype == expected_zf.dtype
+            assert zf.tobytes() == expected_zf.tobytes()
+        else:
+            out = fir_filter(h, x)
+            expected = signal.lfilter(h, 1.0, x)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestNonFiniteInput:

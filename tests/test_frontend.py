@@ -27,7 +27,7 @@ from conftest import (
 )
 
 from oracle import assert_results_equal
-from repro.core.monitor import Monitor
+from repro.core.monitor import Monitor, MonitorResult
 from repro.errors import ConfigurationError
 from repro.serialize import config_fingerprint, load_model, save_model
 from repro.serve import (
@@ -37,6 +37,7 @@ from repro.serve import (
     ServerConfig,
     serve_in_thread,
 )
+from repro.stream import FleetScheduler
 
 TINY = tiny_scale()
 
@@ -76,6 +77,29 @@ class TestBatchStreamingParity:
         assert detector.model.profiles != plain.model.profiles
         assert config_fingerprint(detector.model.config) != (
             config_fingerprint(plain.model.config)
+        )
+
+
+class TestFleetCloseDeliversTail:
+    def test_push_consumers_see_the_drained_tail(self):
+        # Closing a session flushes the chain's buffered tail through
+        # scoring; those windows must reach on_result and the session
+        # history like any fed chunk's, not only the summary's count.
+        detector = frontend_detector()
+        iq = detector.source.capture(seed=TINY.monitor_seed(0)).iq
+        seen = []
+        fleet = FleetScheduler(
+            keep_history=True,
+            on_result=lambda session_id, result: seen.append(result),
+        )
+        session = fleet.add_session("s", detector.model, t0=iq.t0)
+        for chunk in iq.iter_chunks(4096):
+            fleet.feed("s", chunk)
+        summary = fleet.close_session("s")
+        assert sum(len(r.times) for r in seen) == summary.windows
+        assert sum(len(r.times) for r in session.results) == summary.windows
+        assert_results_equal(
+            MonitorResult.concat(seen), Monitor(detector.model).run_signal(iq)
         )
 
 

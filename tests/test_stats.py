@@ -138,8 +138,8 @@ class TestMannWhitney:
         ours = mann_whitney_u(x, y)
         theirs = scipy.stats.mannwhitneyu(x, y, alternative="two-sided",
                                           method="asymptotic")
-        assert ours.statistic == pytest.approx(theirs.statistic, abs=1e-9)
-        assert ours.pvalue == pytest.approx(theirs.pvalue, rel=1e-3)
+        assert ours.statistic == theirs.statistic
+        assert ours.pvalue == theirs.pvalue
 
     def test_matches_scipy_with_ties(self):
         rng = np.random.default_rng(5)
@@ -148,7 +148,7 @@ class TestMannWhitney:
         ours = mann_whitney_u(x, y)
         theirs = scipy.stats.mannwhitneyu(x, y, alternative="two-sided",
                                           method="asymptotic")
-        assert ours.pvalue == pytest.approx(theirs.pvalue, rel=0.02)
+        assert ours.pvalue == theirs.pvalue
 
     def test_identical_constant_samples(self):
         x = np.ones(20)
@@ -175,7 +175,12 @@ class TestAnova:
         theirs = scipy.stats.f_oneway(*groups)
         effect = ours.effects["g"]
         assert effect.f_stat == pytest.approx(theirs.statistic, rel=1e-9)
-        assert effect.pvalue == pytest.approx(theirs.pvalue, rel=1e-9)
+        # The F statistics differ in the last bits (different sums of
+        # squares), so the p-value is held exactly to scipy.stats' F tail
+        # at this module's own statistic.
+        assert effect.pvalue == scipy.stats.f.sf(
+            effect.f_stat, effect.df, ours.df_residual
+        )
 
     def test_two_way_balanced(self):
         rng = np.random.default_rng(1)
