@@ -50,11 +50,6 @@ class Loop:
     def is_top_level(self) -> bool:
         return self.parent is None
 
-    def nest_blocks(self) -> FrozenSet[str]:
-        """All blocks of the loop nest rooted here (same as ``blocks``)."""
-        # Natural-loop block sets already include nested loops' blocks.
-        return self.blocks
-
     def contains(self, other: "Loop") -> bool:
         """Whether ``other`` is strictly nested inside this loop."""
         return other is not self and other.blocks < self.blocks

@@ -108,9 +108,6 @@ class RegionMachine:
         """All region names (loop regions first, then inter-loop regions)."""
         return list(self.loop_regions) + list(self.inter_regions)
 
-    def is_loop_region(self, name: str) -> bool:
-        return name in self.loop_regions
-
     def region_of_block(self, block: str) -> Optional[str]:
         """The loop region containing ``block``, or None for non-loop blocks."""
         return self._block_to_loop_region.get(block)

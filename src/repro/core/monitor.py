@@ -79,80 +79,42 @@ class _ChunkPlan:
     """Read-only fast-path plan for one chunk of STSs (see
     :func:`plan_chunks_pooled`)."""
 
-    __slots__ = ("k", "static_stop", "jobs", "peaks")
+    __slots__ = ("k", "static_stop", "jobs", "peaks", "_verdicts")
 
     def __init__(self, k, static_stop, jobs, peaks):
         self.k = k
         self.static_stop = static_stop
         self.jobs = jobs
         self.peaks = peaks
+        self._verdicts = None
 
+    def verdicts(self):
+        """The scored jobs as one per-window table, built on first use.
 
-def plan_suffix(plan: _ChunkPlan, start: int) -> Optional[_ChunkPlan]:
-    """Re-slice an already-scored plan to its windows at/after ``start``.
-
-    When a scalar replay re-enters the fast path without ever leaving
-    the plan's straight line (:meth:`Monitor.score_chunk` tracks that
-    invariant for its score hints), the original plan's verdicts are still the
-    truth for the remaining windows: the replay pushed exactly the rows
-    the plan's sliding windows assumed. The remainder can therefore be
-    committed directly by slicing the scored jobs -- no K-S recomputed,
-    no history re-read. Returns None when nothing was planned at or
-    after ``start`` (windows past ``static_stop`` were never scored) or
-    when the plan was never scored; callers then re-plan from scratch.
-    """
-    if start <= 0 or start >= plan.static_stop or start >= plan.k:
-        return None
-    jobs: List[_KsJob] = []
-    for job in plan.jobs:
-        if job.rejected is None:
-            return None
-        pos = int(np.searchsorted(job.windows, start))
-        if pos == len(job.windows):
-            continue
-        sliced = _KsJob(
-            dim=job.dim,
-            ref=job.ref,
-            count=job.count,
-            rows=job.rows[pos:],
-            windows=job.windows[pos:] - start,
-        )
-        sliced.d = job.d[pos:]
-        sliced.rejected = job.rejected[pos:]
-        jobs.append(sliced)
-    return _ChunkPlan(
-        k=plan.k - start,
-        static_stop=plan.static_stop - start,
-        jobs=jobs,
-        peaks=plan.peaks[start:],
-    )
-
-
-def _plan_hints(plan: _ChunkPlan, offset: int, start: int) -> Optional[dict]:
-    """Per-window score hints harvested from a scored chunk plan.
-
-    Maps each plan window at or after ``start`` (plan-relative; the
-    commit already consumed everything before it) to its per-dimension
-    ``(monitored_count, d, rejected)`` triple, keyed by the absolute
-    chunk index (``offset`` + plan index). Returns None when the plan's
-    jobs were never scored, in which case replay scores from scratch.
-    """
-    hints: dict = {}
-    for job in plan.jobs:
-        d = job.d
-        rej = job.rejected
-        if d is None or rej is None:
-            return None
-        dim = job.dim
-        count = job.count
-        wins = job.windows
-        for pos in range(int(np.searchsorted(wins, start)), len(wins)):
-            w = offset + int(wins[pos])
-            entry = hints.get(w)
-            if entry is None:
-                entry = hints[w] = {}
-            entry[dim] = (count, float(d[pos]), bool(rej[pos]))
-    return hints
+        Returns ``(cols, count, d, rejected)``: ``cols`` maps each tested
+        dim to its ``(column, reference size)``, and row ``w`` of the
+        ``(k, len(cols))`` arrays holds window ``w``'s monitored count
+        (0 where the dim was not scored), K-S D and verdict. The commit
+        and every replayed :meth:`Monitor.step` read the plan's verdicts
+        from here alone.
+        """
+        if self._verdicts is None:
+            cols: Dict[int, Tuple[int, int]] = {}
+            for job in self.jobs:
+                if job.rejected is None:
+                    raise MonitoringError("a plan's verdicts need scored jobs")
+                cols.setdefault(job.dim, (len(cols), job.m))
+            shape = (self.k, len(cols))
+            count = np.zeros(shape, dtype=np.int64)
+            d = np.zeros(shape)
+            rejected = np.zeros(shape, dtype=bool)
+            for job in self.jobs:
+                j = cols[job.dim][0]
+                count[job.windows, j] = job.count
+                d[job.windows, j] = job.d
+                rejected[job.windows, j] = job.rejected
+            self._verdicts = (cols, count, d, rejected)
+        return self._verdicts
 
 
 def score_ks_jobs(jobs: Sequence[_KsJob], alpha: float) -> None:
@@ -762,7 +724,7 @@ class Monitor:
         peak_row: np.ndarray,
         time: float,
         quality: int = 0,
-        score_hint: "Optional[Dict[int, Tuple[int, float, bool]]]" = None,
+        score_hint: "Optional[Tuple[_ChunkPlan, int]]" = None,
     ):
         """Process one STS; returns (report_or_None, current_test_rejected).
 
@@ -771,13 +733,13 @@ class Monitor:
         (streak suspended) and gap/dead windows additionally invalidate
         the history and schedule a resynchronization.
 
-        ``score_hint`` optionally carries this window's already-scored
-        current-region K-S results from a chunk plan, as ``dim ->
-        (monitored_count, d, rejected)``. The hint is trusted only when
-        every scored dimension matches the live monitored-group size
-        (see :meth:`_hinted_dims`); any mismatch falls back to scoring
-        from scratch, so a stale hint can cost time but never change a
-        decision. Candidate probes are always computed live.
+        ``score_hint`` optionally names this window's row of a scored
+        chunk plan's verdict table, as ``(plan, window)``. The row is
+        trusted only when every scored dimension's recorded monitored
+        count matches the live one (see :meth:`_hinted_dims`); any
+        mismatch falls back to scoring from scratch, so a stale hint can
+        cost time but never change a decision. Candidate probes are
+        always computed live.
         """
         self.last_unscorable = False
         if self._cfg.quality_gating and (quality & QF_UNSCORABLE):
@@ -843,7 +805,7 @@ class Monitor:
             for dim in profile.test_dims
         }
         rejected_dims = (
-            self._hinted_dims(profile, mons, score_hint)
+            self._hinted_dims(profile, mons, *score_hint)
             if score_hint is not None
             else None
         )
@@ -965,20 +927,21 @@ class Monitor:
         the fast path). The loop alternates between committing a plan's
         accept-only prefix (:meth:`commit_chunk`) and stepping scalar
         through each divergence (:meth:`step`) until a window accepts
-        cleanly, after which the remaining suffix is planned again
-        instead of replaying scalar to the end of the chunk. Batch runs,
-        streams, and fleet sessions all go through here.
+        cleanly, after which the rest of the chunk goes back to the fast
+        path instead of replaying scalar to its end. Batch runs, streams,
+        and fleet sessions all go through here.
 
-        The plan's per-window K-S scores outlive its accept-only prefix:
-        scalar replay pushes every scored window into the same history
-        positions the plan assumed, so until the replay leaves the plan's
-        straight line (an unscorable window skips a push, a gap or resync
-        rewrites the history, a region transition swaps the reference and
-        clamps the fill level -- a same-name self-transition included,
-        detectable as a rejected step whose streak was reset), each
-        replayed window's current-region decisions are served from the
-        plan (see :meth:`_hinted_dims`), and re-entry slices the old plan
-        (:func:`plan_suffix`) instead of planning and scoring again.
+        A plan's verdict table (:meth:`_ChunkPlan.verdicts`) outlives its
+        accept-only prefix: scalar replay pushes every scored window into
+        the same history positions the plan assumed, so until the replay
+        leaves the plan's straight line (an unscorable window skips a
+        push, a gap or resync rewrites the history, a region transition
+        swaps the reference and clamps the fill level -- a same-name
+        self-transition included, detectable as a rejected step whose
+        streak was reset), each replayed window's current-region
+        decisions are read from the table (see :meth:`_hinted_dims`), and
+        re-entry before the plan's ``static_stop`` commits the same plan
+        from the re-entry window instead of planning and scoring again.
         Candidate probes always run live.
 
         With ``early_exit`` the chunk stops just after the first
@@ -995,58 +958,50 @@ class Monitor:
         group_sizes = np.zeros(n, dtype=int)
         stop_at: Optional[int] = None
         i = 0
-        hints: Optional[dict] = None
-        hints_region: Optional[str] = None
-        live_plan = None  # last committed plan, meaningful while hints live
-        live_offset = 0
+        base = 0  # chunk index of the plan's window 0
+        on_line = False  # the plan's verdicts still hold at window i
         while i < n:
-            if plan is None and i and n - i >= 2 and self._fast_path_ready():
-                # Re-entry with live hints means the replay never left
-                # the committed plan's straight line, so the remaining
-                # windows' verdicts are already known.
-                if hints is not None and live_plan is not None:
-                    plan = plan_suffix(live_plan, i - live_offset)
-                if plan is None:
+            if i == 0 or (n - i >= 2 and self._fast_path_ready()):
+                if i and not (on_line and i - base < plan.static_stop):
                     plan = plan_chunks_pooled([(
                         self,
                         peaks[i:],
                         quality[i:] if quality is not None else None,
                     )])[0]
+                    base = i
                     if plan is not None and plan.jobs:
                         score_ks_jobs(plan.jobs, cfg.alpha)
-            if plan is not None:
-                first_fast = self.commit_chunk(plan)
-                if first_fast < plan.k:
-                    hints = _plan_hints(plan, i, first_fast)
-                    hints_region = self.current_region
-                    live_plan, live_offset = plan, i
-                plan = None
-                if first_fast:
-                    # The fast stretch is accept-only: region unchanged,
-                    # no rejections, no reports, nothing unscorable.
+                on_line = plan is not None
+                if on_line:
+                    stop = base + self.commit_chunk(plan, i - base)
                     region = self.current_region
-                    tracked.extend([region] * first_fast)
-                    group_sizes[i:i + first_fast] = self.model.profile(
-                        region
-                    ).group_size
-                    i += first_fast
-                    continue
+                    if stop > i:
+                        # The fast stretch is accept-only: region
+                        # unchanged, no rejections, no reports, nothing
+                        # unscorable.
+                        tracked.extend([region] * (stop - i))
+                        group_sizes[i:stop] = self.model.profile(
+                            region
+                        ).group_size
+                        i = stop
+                        if i - base == plan.static_stop:
+                            continue
             while i < n:
                 q = int(quality[i]) if quality is not None else 0
                 report, rejected = self.step(
                     peaks[i],
                     float(times[i]),
                     quality=q,
-                    score_hint=hints.get(i) if hints is not None else None,
+                    score_hint=(plan, i - base) if on_line else None,
                 )
-                if hints is not None and (
+                if on_line and (
                     self.last_unscorable
-                    or self.current_region != hints_region
+                    or self.current_region != region
                     or (rejected and self._streak == 0)
                     or self._gap_pending
                     or self._resync_remaining is not None
                 ):
-                    hints = None
+                    on_line = False
                 tracked.append(self.current_region)
                 rejection_flags[i] = rejected
                 unscorable_flags[i] = self.last_unscorable
@@ -1095,45 +1050,44 @@ class Monitor:
             status=status,
         )
 
-    def commit_chunk(self, plan: _ChunkPlan) -> int:
-        """Apply a scored plan's accept-only prefix; return its length.
+    def commit_chunk(self, plan: _ChunkPlan, start: int = 0) -> int:
+        """Apply a scored plan's accept-only run from window ``start``;
+        return the plan window where it ends.
 
-        The prefix runs up to (excluding) the first window any scored job
-        rejected, capped by the plan's ``static_stop``. Committing
-        replays exactly what that many accepting :meth:`step` calls would
-        have done -- push every row into the rolling history, reset the
-        anomaly/transition counters -- in one history write. Windows from the returned index on must go
-        through the scalar :meth:`step` (nothing about them has been
-        committed; planning never mutates).
+        The run ends at (excludes) the first window at or after ``start``
+        that any tested dimension rejected in the plan's verdict table,
+        capped by the plan's ``static_stop``. Committing replays exactly
+        what that many accepting :meth:`step` calls would have done --
+        push every row into the rolling history, reset the
+        anomaly/transition counters -- in one history write. Windows from
+        the returned index on must go through the scalar :meth:`step`
+        (nothing about them has been committed; planning never mutates).
         """
-        first_bad = plan.static_stop
-        for job in plan.jobs:
-            if job.rejected is None:
-                raise MonitoringError("commit_chunk needs a scored plan")
-            hits = job.windows[job.rejected]
-            if len(hits) and int(hits[0]) < first_bad:
-                first_bad = int(hits[0])
+        cols, count, d, rejected = plan.verdicts()
+        stop = plan.static_stop
+        bad = np.flatnonzero(rejected[start:stop].any(axis=1))
+        if len(bad):
+            stop = start + int(bad[0])
         if OBS.enabled:
-            for job in plan.jobs:
-                mask = job.windows < first_bad
-                if mask.any():
-                    scale = (
-                        job.m * job.count / (job.m + job.count)
-                    ) ** 0.5
+            for j, m in cols.values():
+                counts = count[start:stop, j]
+                for c in np.unique(counts[counts > 0]).tolist():
+                    scale = (m * c / (m + c)) ** 0.5
                     self._ks_scaled_stats.extend(
-                        (job.d[mask] * scale).tolist()
+                        (d[start:stop, j][counts == c] * scale).tolist()
                     )
-        if first_bad == 0:
-            return 0
-        rows = plan.peaks[:first_bad]
+        if stop <= start:
+            return start
+        rows = plan.peaks[start:stop]
+        pushed = stop - start
         size = self._history.shape[0]
-        take = rows[-size:] if first_bad > size else rows
+        take = rows[-size:] if pushed > size else rows
         offsets = (
-            self._hist_pos + (first_bad - len(take)) + np.arange(len(take))
+            self._hist_pos + (pushed - len(take)) + np.arange(len(take))
         ) % size
         self._history[offsets] = take
-        self._hist_pos = (self._hist_pos + first_bad) % size
-        self._filled = min(self._filled + first_bad, size)
+        self._hist_pos = (self._hist_pos + pushed) % size
+        self._filled = min(self._filled + pushed, size)
         self._sorted_tails.clear()
         # Every committed window accepted the current region: the last
         # step of the prefix reset all streak state, exactly as below.
@@ -1141,7 +1095,7 @@ class Monitor:
         self._change_counts.clear()
         self._streak = 0
         self.last_unscorable = False
-        return first_bad
+        return stop
 
     # -- checkpointing -------------------------------------------------------
 
@@ -1379,43 +1333,46 @@ class Monitor:
         self,
         profile: RegionProfile,
         mons: Dict[int, Optional[np.ndarray]],
-        hint: "Dict[int, Tuple[int, float, bool]]",
+        plan: _ChunkPlan,
+        window: int,
     ) -> Optional[Dict[int, bool]]:
-        """Current-region rejections replayed from a chunk plan's scores.
+        """Current-region rejections read from a plan's verdict table.
 
-        A chunk plan's K-S jobs already hold this window's exact-integer
-        D and rejection verdict per dimension (identical arithmetic to
-        :meth:`_score_dims`; see ``tests/test_fleet_kernel.py``), as long
-        as the history the plan assumed is the history the scalar replay
-        actually built -- :meth:`score_chunk` tracks that invariant and
-        only passes hints while it holds. This method adds a local
-        defense: if any scorable dimension is missing from the hint or
-        its recorded monitored-group size disagrees with the live one,
-        it returns None and the caller rescores everything, so hints are
-        an optimization with no decision surface of their own. The OBS
-        scaled-statistic buffer is fed exactly as `_score_dims` would.
+        The table row of ``window`` already holds this window's
+        exact-integer D and rejection verdict per dimension (identical
+        arithmetic to :meth:`_score_dims`; see
+        ``tests/test_fleet_kernel.py``), as long as the history the plan
+        assumed is the history the scalar replay actually built --
+        :meth:`score_chunk` tracks that invariant and only passes hints
+        while it holds. This method adds a local defense: if any
+        scorable dimension is missing from the row or its recorded
+        monitored count disagrees with the live one, it returns None and
+        the caller rescores everything, so hints are an optimization
+        with no decision surface of their own. The OBS scaled-statistic
+        buffer is fed exactly as `_score_dims` would.
         """
-        rejected: Dict[int, bool] = {}
+        cols, count, d, rejected = plan.verdicts()
+        decided: Dict[int, bool] = {}
         scored: List[Tuple[int, int, float]] = []
         for dim, mon in mons.items():
             if mon is None:
-                rejected[dim] = False
+                decided[dim] = False
                 continue
             ref = profile.reference_dim(dim)
             if len(ref) == 0:
-                rejected[dim] = False
+                decided[dim] = False
                 continue
-            entry = hint.get(dim)
-            if entry is None or entry[0] != len(mon):
+            col = cols.get(dim)
+            if col is None or count[window, col[0]] != len(mon):
                 return None
-            rejected[dim] = bool(entry[2])
-            scored.append((len(ref), entry[0], entry[1]))
+            decided[dim] = bool(rejected[window, col[0]])
+            scored.append((len(ref), len(mon), float(d[window, col[0]])))
         if OBS.enabled:
             for m, k, d_stat in scored:
                 self._ks_scaled_stats.append(
                     float(d_stat) * (m * k / (m + k)) ** 0.5
                 )
-        return rejected
+        return decided
 
     def _rejects(self, profile: RegionProfile, dim: int, mon: np.ndarray) -> bool:
         ref = profile.reference_dim(dim)

@@ -118,10 +118,6 @@ class Trainer:
             ]
         self._runs.append(LabelledRun(peaks, labels))
 
-    @property
-    def run_count(self) -> int:
-        return len(self._runs)
-
     def build(self, seed: int = 0) -> EddieModel:
         """Assemble the model from all ingested runs."""
         if not self._runs:

@@ -52,10 +52,6 @@ class EmTrace:
         """Whether [start, end) overlaps any injected span."""
         return any(s < end and start < e for s, e in self.injected_spans)
 
-    def contains_fault(self, start: float, end: float) -> bool:
-        """Whether [start, end) overlaps any acquisition-fault span."""
-        return any(f.overlaps(start, end) for f in self.fault_spans)
-
     def iter_chunks(self, chunk_samples: int):
         """Yield the captured IQ as consecutive :class:`Signal` chunks.
 

@@ -308,8 +308,3 @@ def sweep_group_sizes(
             variant = detector.with_group_size(n)
             results[n] = monitor_traces(variant, traces)
     return results
-
-
-def latency_of_group_size(detector: TrainedDetector, n: int) -> float:
-    """Nominal detection latency of group size n, in seconds (n hops)."""
-    return n * detector.model.hop_duration

@@ -647,8 +647,6 @@ class EddieServer:
                 and not self.config.evict_idle
             ):
                 self.stats.sessions_shed += 1
-                if OBS.enabled:
-                    counter("repro.serve", "sessions_shed").inc()
                 await self._send(
                     writer, wlock,
                     error_frame(
@@ -702,8 +700,6 @@ class EddieServer:
             }
         self._states[session_id] = state
         self.stats.sessions_opened += 1
-        if OBS.enabled:
-            counter("repro.serve", "sessions_opened").inc()
         await self._send(writer, wlock, json_frame(FrameType.OPEN, ack))
         return state
 
@@ -859,8 +855,6 @@ class EddieServer:
             self._trim_report_log(state)
             self._states[session_id] = state
             self.stats.sessions_resumed += 1
-            if OBS.enabled:
-                counter("repro.serve", "sessions_resumed").inc()
         resume_ack = {
                 "session": session_id,
                 "seq": durable,
@@ -998,8 +992,6 @@ class EddieServer:
         state.since_checkpoint = 0
         state.durable_seq = state.last_seq
         self.stats.checkpoints += 1
-        if OBS.enabled:
-            counter("repro.serve", "checkpoints").inc()
         return True
 
     async def _ensure_checkpoint(self, state: _SessionState) -> bool:
@@ -1047,8 +1039,6 @@ class EddieServer:
             return False
         state.suspended = True
         self.stats.sessions_suspended += 1
-        if OBS.enabled:
-            counter("repro.serve", "sessions_suspended").inc()
         return True
 
     # -- session worker -------------------------------------------------------
@@ -1119,9 +1109,6 @@ class EddieServer:
                 self.stats.reports += len(reports)
                 state.reports_sent += len(reports)
                 if OBS.enabled:
-                    counter("repro.serve", "chunks").inc()
-                    counter("repro.serve", "windows").inc(windows)
-                    counter("repro.serve", "reports").inc(len(reports))
                     lat_hist.record(elapsed_ms)
                 payload = {
                     "seq": seq,
@@ -1213,8 +1200,6 @@ class EddieServer:
         except Exception:
             return None  # already closed (eviction, suspend, or reap)
         self.stats.sessions_closed += 1
-        if OBS.enabled:
-            counter("repro.serve", "sessions_closed").inc()
         return summary
 
     async def _reap_session(self, state: _SessionState) -> None:
@@ -1252,8 +1237,6 @@ class EddieServer:
         """FleetScheduler evicted ``session_id`` to admit a newcomer."""
         self.stats.sessions_evicted += 1
         self.stats.sessions_closed += 1
-        if OBS.enabled:
-            counter("repro.serve", "sessions_evicted").inc()
         # An evicted session is gone for good; a stale spill must not
         # let it rise from the dead with rolled-back state.
         self._drop_spill(session_id)

@@ -276,12 +276,6 @@ class ShardRouter:
             raise ServeError("router is not started")
         return self._server.sockets[0].getsockname()[:2]
 
-    def worker_spec(self, worker_id: int) -> WorkerSpec:
-        for spec in self.workers:
-            if spec.worker_id == worker_id:
-                return spec
-        raise ServeError(f"unknown worker {worker_id}")
-
     # -- liveness --
 
     def invalidate_worker(self, worker_id: int) -> None:

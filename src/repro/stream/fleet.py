@@ -227,22 +227,20 @@ class FleetScheduler:
         """Close a session, free its slot, and return its summary.
 
         The windows a front-end chain's buffered tail completes on close
-        reach the history and the result sink like any fed chunk's.
+        reach the history and the result sink like any fed chunk's. Only
+        a sourced session's summary is kept for :attr:`summaries`: a
+        push-mode session's caller holds the returned one, and a
+        long-lived fleet must not grow with every session it closes.
         """
         session = self.session(session_id)
         session.done = True
         self._deliver(session, session.monitor._drain_frontend())
         session.summary = session.monitor.finish()
         del self._sessions[session_id]
-        self._closed[session_id] = session.summary
+        if session.source is not None:
+            self._closed[session_id] = session.summary
         if OBS.enabled:
             counter("stream.fleet", "sessions_closed").inc()
-            counter(
-                "stream.fleet", f"session.{session_id}.windows"
-            ).inc(session.summary.windows)
-            counter(
-                "stream.fleet", f"session.{session_id}.reports"
-            ).inc(len(session.summary.reports))
         return session.summary
 
     def evict_stalest(self) -> StreamSummary:
@@ -264,7 +262,7 @@ class FleetScheduler:
 
     @property
     def summaries(self) -> Dict[str, StreamSummary]:
-        """Summaries of every session closed so far."""
+        """Summaries of every sourced session closed so far."""
         return dict(self._closed)
 
     # -- chunk dispatch ------------------------------------------------------
@@ -413,8 +411,8 @@ class FleetScheduler:
     def run(self) -> Dict[str, StreamSummary]:
         """Round-robin every sourced session to exhaustion.
 
-        Returns the summaries of all sessions closed so far (including
-        any closed before this call). Push-mode sessions (no source) are
+        Returns the summaries of all sourced sessions closed so far
+        (including any closed before this call). Push-mode sessions (no source) are
         left open.
         """
         while self.step_round():

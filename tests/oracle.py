@@ -61,7 +61,7 @@ class ScalarMonitor(Monitor):
     - each tested dimension is scored by its own
       :func:`two_sample_reject` call, not the pooled K-S kernels;
     - :meth:`run_peaks` calls :meth:`step` once per window; nothing is
-      planned, committed, or hinted.
+      planned or committed, and no step reads a plan's verdict table.
     """
 
     def _recent(self, n: int, dim: int) -> Optional[np.ndarray]:

@@ -2,14 +2,16 @@
 
 ``Monitor.run_signal`` plans the whole signal as one chunk, commits the
 accept-only prefixes in bulk, and replays divergences through ``step``
-with score hints -- the same loop streams and fleet sessions run. That
+reading the plan's verdict table -- the same loop streams and fleet
+sessions run. That
 every observable equals the oracle's (:class:`oracle.ScalarMonitor`) on
 whole captures is the equivalence suite's job
 (``tests/test_equivalence.py``). This module adds the same check on a
 multi-peak loop's simulated power trace (clean, injected, and at forced
 group sizes), and pins the mechanisms: that
 clean peak-less regions (gsm, susan) get counting-only plans instead of
-steps, that a candidate probe ends a counting prefix, and that the
+steps, that a candidate probe ends a counting prefix, that a verdict
+table row is trusted only at the live monitored count, and that the
 memoized sorted history tails track every history write.
 """
 
@@ -23,6 +25,7 @@ from repro.core.monitor import (
     Monitor,
     MonitorResult,
     _ChunkPlan,
+    _KsJob,
     plan_chunks_pooled,
     score_ks_jobs,
 )
@@ -170,14 +173,55 @@ def _tiny_model():
     )
 
 
+class TestVerdictTable:
+    def test_count_mismatch_is_rescored_live(self):
+        # Three monitors in one state step the same window: one scores
+        # live, one gets a table row whose verdicts were all flipped to
+        # "rejected", one gets the same flipped row with a wrong count.
+        # The first hint is trusted (the decision changes), the second
+        # fails the count check and decides exactly as the live step.
+        model = _tiny_model()
+        reference = model.profile("loop:A").reference
+        rows = reference[np.random.default_rng(5).integers(0, 80, 16)]
+        live, trusting, guarded = (Monitor(model) for _ in range(3))
+        for monitor in (live, trusting, guarded):
+            for row in rows[:10]:
+                monitor.step(row, 0.0)
+        chunk = rows[10:]
+        plans = []
+        for _ in range(2):
+            plan = plan_chunks_pooled([(live, chunk, None)])[0]
+            score_ks_jobs(plan.jobs, model.config.alpha)
+            plans.append(plan)
+        for plan in plans:
+            plan.verdicts()[3][0] = True
+        cols, count, _, _ = plans[1].verdicts()
+        count[0, cols[0][0]] += 1
+
+        expected = live.step(chunk[0], 0.0)
+        assert expected == (None, False)
+        assert trusting.step(
+            chunk[0], 0.0, score_hint=(plans[0], 0)
+        ) == (None, True)
+        assert guarded.step(
+            chunk[0], 0.0, score_hint=(plans[1], 0)
+        ) == expected
+        meta, arrays = guarded.export_state()
+        assert meta == live.export_state()[0]
+        np.testing.assert_array_equal(
+            arrays["history"], live.export_state()[1]["history"]
+        )
+
+
 class TestSortedTailMemo:
     def test_recent_tracks_history_across_writes(self):
         # _recent() serves sorted copies of the history tail memoized
         # per group size. Interleave every history write -- step pushes,
-        # bulk commits, snapshot restores -- with queries at every n
-        # and dim: each answer must equal sorting the last n rows pushed
-        # (tracked here, independently of the ring), so a memo that
-        # outlives a write fails here.
+        # bulk commits, commits from inside a scored plan, snapshot
+        # restores -- with queries at every n and dim: each answer must
+        # equal sorting the last n rows pushed (tracked here,
+        # independently of the ring), so a memo that outlives a write,
+        # or a commit that pushes a row too many or too few, fails here.
         model = _tiny_model()
         monitor = Monitor(model)
         donor = Monitor(model)
@@ -203,8 +247,8 @@ class TestSortedTailMemo:
                     else:
                         np.testing.assert_array_equal(got, expected)
 
-        for round_ in range(30):
-            action = round_ % 3
+        for round_ in range(40):
+            action = round_ % 4
             if action == 0:
                 for row in random_rows(int(rng.integers(1, 4))):
                     monitor.step(row, 0.0)
@@ -217,6 +261,31 @@ class TestSortedTailMemo:
                 ))
                 assert committed == len(rows)
                 pushed.extend(rows)
+                check()
+            elif action == 2:
+                # A scored plan with random verdicts on a random subset
+                # of windows, committed from a random window: exactly
+                # the rows up to the first rejection at or after it, or
+                # up to static_stop, are pushed.
+                k = int(rng.integers(1, 13))
+                rows = random_rows(k)
+                job = _KsJob(
+                    dim=int(rng.integers(0, 2)),
+                    ref=model.profile("loop:A").reference_dim(0),
+                    count=3, rows=np.zeros((k, 3)),
+                    windows=np.flatnonzero(rng.random(k) < 0.7),
+                )
+                job.d = rng.random(len(job.windows))
+                job.rejected = rng.random(len(job.windows)) < 0.3
+                static_stop = int(rng.integers(1, k + 1))
+                start = int(rng.integers(0, static_stop))
+                hits = job.windows[job.rejected & (job.windows >= start)]
+                expected = min([static_stop, *hits.tolist()])
+                committed = monitor.commit_chunk(
+                    _ChunkPlan(k, static_stop, [job], rows), start
+                )
+                assert committed == expected
+                pushed.extend(rows[start:expected])
                 check()
             else:
                 for row in random_rows(int(rng.integers(1, 12))):

@@ -242,6 +242,33 @@ class TestFleet:
         with pytest.raises(MonitoringError):
             fleet.feed("push-1", signal.samples[:100])
 
+    def test_push_mode_sessions_leave_nothing_behind(self):
+        # A long-lived push-mode fleet (a server's) opens, closes and
+        # evicts sessions without end: no summary and no metric named
+        # after a session may outlive it.
+        from repro import obs
+
+        detector = detector_for("bitcount")
+        fleet = FleetScheduler(max_sessions=8, evict_idle=True)
+        obs.enable()
+        obs.reset()
+        try:
+            for s in range(300):
+                fleet.add_session(f"push-{s:03d}", detector.model)
+                if s % 2:
+                    fleet.close_session(f"push-{s:03d}")
+            for session_id in fleet.session_ids:
+                fleet.close_session(session_id)
+            names = [
+                name for kind in obs.snapshot().values() for name in kind
+            ]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert fleet.summaries == {}
+        assert "stream.fleet/sessions_closed" in names
+        assert not [name for name in names if "push-" in name]
+
     def test_early_exit_frees_slots_during_round_robin(self):
         detector = detector_for("bitcount")
         detector.source.simulator.set_loop_injection(
