@@ -19,6 +19,14 @@ the region belief is stale, so the monitor clears its history and
 re-enters region search with a bounded retry budget; if it cannot
 reacquire any region within ``resync_timeout`` scorable windows it
 escalates a ``desync`` report and resumes best-effort monitoring.
+
+Every path -- batch, stream, fleet, served -- runs a chunk of STSs the
+same way (DESIGN.md D24, D30, D31): :func:`plan_chunks_pooled` scores
+the current region's K-S tests for the whole chunk into a per-window
+verdict table, :meth:`Monitor.commit_chunk` walks that table -- with
+candidate probes scored from the chunk's rows in bulk -- through the
+one copy of Algorithm 1's counter machine, :meth:`Monitor._decide`,
+and only the windows no table decides go through :meth:`Monitor.step`.
 """
 
 from __future__ import annotations
@@ -51,80 +59,86 @@ __all__ = ["AnomalyReport", "MonitorResult", "Monitor"]
 
 
 class _KsJob:
-    """One vectorized K-S work item of a chunk fast-path plan.
+    """One vectorized K-S work item of a chunk plan.
 
-    ``rows`` holds the sorted monitored sets (one per window, all of
-    count ``count``) to test against ``ref``; ``windows`` the chunk-local
-    window index of each row. ``rejected``/``d`` are filled by
-    :func:`score_ks_jobs`. Jobs from many sessions of one fleet group can
-    be pooled into a single call -- the kernel keys them by
-    ``(id(ref), count)`` so the shared reference is analyzed once.
+    ``rows`` holds sorted monitored sets, all of count ``count``, to test
+    against ``ref``. ``d`` and ``rejected`` are one column of the owning
+    plan's verdict table, and ``windows`` indexes the rows' cells in it;
+    :func:`score_ks_jobs` writes each row's D and verdict there. Jobs
+    from many sessions of one fleet group can be pooled into a single
+    call -- the kernel keys them by ``(id(ref), count)`` so the shared
+    reference is analyzed once.
     """
 
-    __slots__ = ("dim", "ref", "m", "count", "rows", "windows",
-                 "rejected", "d")
+    __slots__ = ("ref", "m", "count", "rows", "windows", "d", "rejected")
 
-    def __init__(self, dim, ref, count, rows, windows):
-        self.dim = dim
+    def __init__(self, ref, count, rows, windows, d, rejected):
         self.ref = ref
         self.m = len(ref)
         self.count = count
         self.rows = rows
         self.windows = windows
-        self.rejected = None
-        self.d = None
+        self.d = d
+        self.rejected = rejected
 
 
 class _ChunkPlan:
-    """Read-only fast-path plan for one chunk of STSs (see
-    :func:`plan_chunks_pooled`)."""
+    """Read-only plan for one chunk of STSs, with its verdict table (see
+    :func:`plan_chunks_pooled`).
 
-    __slots__ = ("k", "static_stop", "jobs", "peaks", "_verdicts")
+    The table holds ``count``, ``d`` and ``rejected``, three ``(columns,
+    k)`` arrays: cell ``[col, w]`` is window ``w``'s monitored count, K-S
+    D and verdict for one monitored set, and a cell was scored iff its
+    count reaches ``min_mon_values``. The first columns are the current
+    region's tested dims; ``cols`` maps each dim to its ``(column,
+    reference size)``. Dim 0 always has a column when the region expects
+    peaks (its count decides the missing-peaks branch), even without a
+    reference. ``probes`` maps each tested dim to its candidate probes,
+    ``(name, probe group size, bounded column, suffix column)`` in
+    candidate order; the two columns coincide when the sizes do.
 
-    def __init__(self, k, static_stop, jobs, peaks):
+    The planner writes the tested columns' counts and
+    :func:`score_ks_jobs` their D and verdicts. The probe columns stay
+    empty until :meth:`Monitor.commit_chunk` meets rejections, and are
+    then scored from ``stream`` (the history tail at entry plus the
+    chunk's rows, one column per tested dim) and its running non-NaN
+    counts ``csum``. ``filled`` is the history fill at entry.
+    """
+
+    __slots__ = ("k", "static_stop", "peaks", "filled", "jobs", "cols",
+                 "probes", "count", "d", "rejected", "stream", "csum")
+
+    def __init__(self, k, static_stop, peaks, filled, jobs=(), cols=None,
+                 probes=None, table=None, stream=None, csum=None):
         self.k = k
         self.static_stop = static_stop
-        self.jobs = jobs
         self.peaks = peaks
-        self._verdicts = None
+        self.filled = filled
+        self.jobs = list(jobs)
+        self.cols = cols or {}
+        self.probes = probes or {}
+        self.count, self.d, self.rejected = table or (
+            (np.zeros((0, k), dtype=bool),) * 3
+        )
+        self.stream = stream
+        self.csum = csum
 
-    def verdicts(self):
-        """The scored jobs as one per-window table, built on first use.
 
-        Returns ``(cols, count, d, rejected)``: ``cols`` maps each tested
-        dim to its ``(column, reference size)``, and row ``w`` of the
-        ``(k, len(cols))`` arrays holds window ``w``'s monitored count
-        (0 where the dim was not scored), K-S D and verdict. The commit
-        and every replayed :meth:`Monitor.step` read the plan's verdicts
-        from here alone.
-        """
-        if self._verdicts is None:
-            cols: Dict[int, Tuple[int, int]] = {}
-            for job in self.jobs:
-                if job.rejected is None:
-                    raise MonitoringError("a plan's verdicts need scored jobs")
-                cols.setdefault(job.dim, (len(cols), job.m))
-            shape = (self.k, len(cols))
-            count = np.zeros(shape, dtype=np.int64)
-            d = np.zeros(shape)
-            rejected = np.zeros(shape, dtype=bool)
-            for job in self.jobs:
-                j = cols[job.dim][0]
-                count[job.windows, j] = job.count
-                d[job.windows, j] = job.d
-                rejected[job.windows, j] = job.rejected
-            self._verdicts = (cols, count, d, rejected)
-        return self._verdicts
+#: Rejected windows whose candidate probes a walk scores in its first
+#: batch; each later batch doubles, so a walk that stops at an early
+#: region transition does not pay for the windows behind it.
+_PROBE_BATCH = 16
 
 
 def score_ks_jobs(jobs: Sequence[_KsJob], alpha: float) -> None:
     """Score every job's rows through the shared-reference K-S kernel.
 
     Jobs are pooled by ``(reference identity, monitored count)``: all
-    rows sharing both -- across windows, dimensions, and (in the fleet
-    kernel) sessions -- go through one :func:`ks_d_int_rows` call, and
-    the rejection threshold is the same cached
-    :func:`ks_critical_value` the scalar path compares against. Row
+    rows sharing both -- across windows, dimensions, candidate probes
+    and (in the fleet kernel) sessions -- go through one
+    :func:`ks_d_int_rows` call, and the rejection threshold is the same
+    cached :func:`ks_critical_value` the scalar path compares against.
+    Each job's D and verdicts land in its plan's verdict table. Row
     results are independent of the pooling, so decisions are
     bit-identical to per-window scoring.
     """
@@ -144,8 +158,8 @@ def score_ks_jobs(jobs: Sequence[_KsJob], alpha: float) -> None:
         offset = 0
         for job in group:
             b = len(job.rows)
-            job.d = d[offset:offset + b]
-            job.rejected = rejected[offset:offset + b]
+            job.d[job.windows] = d[offset:offset + b]
+            job.rejected[job.windows] = rejected[offset:offset + b]
             offset += b
 
 
@@ -179,37 +193,63 @@ def _stacked_streams(
     return values, csum
 
 
+def _sorted_windows(
+    stream: np.ndarray,
+    csum: np.ndarray,
+    span: int,
+    windows: np.ndarray,
+    size: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The monitored sets of ``size`` rows ending at each chunk window.
+
+    ``stream``/``csum`` are ``(..., rows, columns)`` as
+    :func:`_stacked_streams` returns them for ``span``. Returns the sets
+    sorted along the last axis, ``(..., columns, len(windows), size)``,
+    and their real-value counts, ``(..., columns, len(windows))``. The
+    ascending sort pushes each set's NaNs past its count of real values,
+    so the leading count entries are exactly :meth:`Monitor._recent`'s
+    sorted monitored set.
+    """
+    rows = windows[:, None] + (span - size) + np.arange(size)
+    # Gathering from the column-first view lays each set out
+    # contiguously, which is what the sort wants.
+    values = np.moveaxis(stream, -1, -2)[..., rows]
+    counts = csum[..., windows + span, :] - csum[..., windows + span - size, :]
+    return np.sort(values, axis=-1), np.moveaxis(counts, -1, -2)
+
+
 def plan_chunks_pooled(
     entries: Sequence[tuple],
 ) -> List[Optional[_ChunkPlan]]:
-    """Plan the vectorized fast path for one or many sessions' chunks.
+    """Plan the vectorized path for one or many sessions' chunks.
 
     ``entries`` is a sequence of ``(monitor, peaks, quality)`` triples,
     one per session, each covering one chunk of STS rows. This is the
     only planner: a single stream, or a whole batch signal, is a group of
     one.
 
-    The fast path is *optimistic*: it assumes every window accepts the
-    current region and computes all windows' K-S monitored sets in bulk
-    (sliding windows over the history tail plus the chunk's own rows);
-    :meth:`Monitor.commit_chunk` then applies the accept-only prefix at
-    once. Planning is strictly read-only, so when a window rejects -- or
-    hits a branch the vectorized path does not model -- the chunk from
-    that window on replays through the unmodified scalar
-    :meth:`Monitor.step`, which is why the fast and scalar paths are
-    bit-identical by construction.
+    A plan assumes the current region holds for the whole chunk and
+    computes every window's current-region K-S monitored sets in bulk
+    (sliding windows over the history tail plus the chunk's own rows)
+    into the plan's verdict table; :meth:`Monitor.commit_chunk` then
+    walks that table through accepts, rejections, votes and reports,
+    and stops at the first region transition, after which the rest of
+    the chunk is planned again. Planning is strictly read-only.
 
-    Sessions sharing a region profile object (hence model, group size,
-    test dimensions, references) and a chunk window count are bucketed
-    together, and each bucket's monitored-set construction (history
-    tails, validity counts, sliding windows, row sort) runs as single
-    numpy operations over a ``(sessions, windows, group)`` stack. Each
-    session keeps its own scoring range: windows before
-    ``first_eligible`` (history still filling) are never K-S tested, and
-    ``static_stop`` marks the first window that must go scalar regardless
-    of K-S outcomes (a quality-flagged window, or an eligible window
-    missing its dim-0 peaks, which the scalar path treats as a
-    rejection).
+    Sessions sharing a region profile object (hence group size, test
+    dimensions and references) and a chunk window count are bucketed
+    together. Models share profile objects only as copies of one
+    another (``with_quality_gating``, a calibrated derivation), which
+    keep the successor graph and every profile's group size and test
+    dims, so a bucket also shares its table layout; each session reads
+    candidate references from its own model. Each bucket's monitored-set
+    construction (history tails, validity counts, sliding windows, row
+    sort) and verdict tables are single numpy operations and allocations
+    over a ``(sessions, windows, group)`` stack. Each session keeps its
+    own scoring range: windows before ``first_eligible`` (history still
+    filling) are never K-S tested, and ``static_stop`` marks the first
+    window the table cannot decide, a quality-flagged one: from there
+    the chunk goes through the scalar :meth:`Monitor.step`.
 
     A session in an untestable (peak-less) region gets a *counting* plan
     with no K-S jobs: :meth:`Monitor.step` accepts there until, past the
@@ -220,8 +260,8 @@ def plan_chunks_pooled(
     first such window.
 
     A slot is ``None`` when the session's entry state already diverges
-    from the accept-only straight line: a non-K-S statistic, a pending
-    gap resync, an active resync search, or a flagged first window. The
+    from the plan's straight line: a non-K-S statistic, a pending gap
+    resync, an active resync search, or a flagged first window. The
     caller scores the plans (:func:`score_ks_jobs` pools rows fleet-wide
     by shared reference) and commits each session's plan individually.
     """
@@ -258,12 +298,9 @@ def plan_chunks_pooled(
         plan_bucket = (
             _plan_tested_bucket if profile.testable() else _plan_peakless_bucket
         )
-        jobs_by_session = plan_bucket(mon0, entries, members, k, stops, filled)
-        for j, (i, _) in enumerate(members):
-            plans[i] = _ChunkPlan(
-                k=k, static_stop=int(stops[j]), jobs=jobs_by_session[j],
-                peaks=entries[i][1],
-            )
+        bucket_plans = plan_bucket(mon0, entries, members, k, stops, filled)
+        for (i, _), plan in zip(members, bucket_plans):
+            plans[i] = plan
     return plans
 
 
@@ -274,80 +311,76 @@ def _plan_tested_bucket(
     k: int,
     stops: np.ndarray,
     filled: np.ndarray,
-) -> List[List[_KsJob]]:
-    """K-S jobs for one bucket of sessions in a testable region.
-
-    Lowers ``stops`` in place where a live window's dim-0 set is too
-    small (the scalar missing-peaks branch); returns each session's jobs.
-    ``mon`` is any member's monitor: they share the region profile.
-    """
+) -> List[_ChunkPlan]:
+    """Plans, K-S jobs and verdict tables for one bucket of sessions in a
+    testable region. ``mon`` is any member's monitor: they share the
+    region profile and its candidates' layout."""
     profile = mon.model.profile(mon.current_region)
-    cfg = mon._cfg
+    mmv = mon._cfg.min_mon_values
     n = profile.group_size
-    s_count = len(members)
-    test_dims = [
-        dim for dim in profile.test_dims
-        if len(profile.reference_dim(dim)) > 0
-    ]
-    all_dims = sorted(set(test_dims) | ({0} if profile.num_peaks > 0 else set()))
-    arr, csum = _stacked_streams(entries, members, all_dims, n, k)
-    # Real (non-NaN) values in each window's monitored set, per dim.
-    counts = csum[:, n:] - csum[:, :-n]
-    dim_col = {dim: j for j, dim in enumerate(all_dims)}
+    dims, cols, probes, width = mon._table_layout()
+    # The bucket's verdict tables, (sessions, columns, k): each
+    # session's columns are contiguous, and probe columns stay zero
+    # until a walk scores them.
+    shape = (len(members), width, k)
+    count = np.zeros(shape, dtype=np.int64)
+    d = np.zeros(shape)
+    rejected = np.zeros(shape, dtype=bool)
 
+    stream, csum = _stacked_streams(entries, members, dims, n, k)
     window_all = np.arange(k, dtype=np.int64)
+    rows, counts = _sorted_windows(stream, csum, n, window_all, n)
     # A window is K-S eligible once the history (plus the chunk's own
     # pushes up to it) holds n rows -- the _recent() gate.
     first = np.maximum(0, n - filled - 1)
     live = (window_all >= first[:, None]) & (window_all < stops[:, None])
-    if profile.num_peaks > 0:
-        # Live windows whose dim-0 monitored set is too small take the
-        # missing-peaks anomaly branch in step(): scalar territory.
-        short = live & (counts[:, :, dim_col[0]] < cfg.min_mon_values)
-        any_short = short.any(axis=1)
-        if any_short.any():
-            stops[any_short] = short.argmax(axis=1)[any_short]
-            live &= window_all < stops[:, None]
+    cnt = count[:, : len(dims)]
+    cnt[...] = np.where(live[:, None], counts, 0)
+    eligible = cnt >= mmv
+    scored = eligible.any(axis=2).tolist()
+    # Steady state: every window eligible at one constant count -> one
+    # job per session and dim, its rows a plain view of the pooled sort.
+    steady = (
+        eligible.all(axis=2) & (cnt == cnt[:, :, :1]).all(axis=2)
+    ).tolist()
+    refs = [
+        (j, profile.reference_dim(dim)) for dim, (j, m) in cols.items() if m
+    ]
 
-    jobs_by_session: List[List[_KsJob]] = [[] for _ in members]
-    # Window w's monitored set is stream rows w .. w+n-1, gathered by
-    # index: sliding_window_view's setup costs more than the copy at
-    # fleet chunk sizes, and the sort copies anyway.
-    window_rows = window_all[:, None] + np.arange(n)
-    for dim in test_dims:
-        ref = profile.reference_dim(dim)
-        # Ascending sort pushes the NaNs of each window past its count
-        # of real values; the leading count columns are exactly
-        # _recent()'s sorted monitored set.
-        rows = np.sort(arr[:, window_rows, dim_col[dim]], axis=2)
-        cnt = counts[:, :, dim_col[dim]]
-        eligible = live & (cnt >= cfg.min_mon_values)
-        # Steady-state short-circuit: every window eligible at one
-        # constant count -> one job per session, its rows a plain
-        # view of the pooled sort.
-        simple = eligible.all(axis=1) & (cnt == cnt[:, :1]).all(axis=1)
-        for j in range(s_count):
-            if simple[j]:
-                c = int(cnt[j, 0])
-                jobs_by_session[j].append(_KsJob(
-                    dim=dim, ref=ref, count=c,
-                    rows=rows[j][:, :c], windows=window_all,
+    plans = []
+    for s, (i, _) in enumerate(members):
+        jobs = []
+        for j, ref in refs:
+            if steady[s][j]:
+                c = int(cnt[s, j, 0])
+                jobs.append(_KsJob(
+                    ref, c, rows[s, j, :, :c], window_all, d[s, j],
+                    rejected[s, j],
                 ))
-                continue
-            ok = eligible[j]
-            if not ok.any():
-                continue
-            ok_counts = cnt[j][ok]
-            rows_ok = rows[j][ok]
-            window_idx = np.flatnonzero(ok)
-            for c in np.unique(ok_counts):
-                sel = ok_counts == c
-                jobs_by_session[j].append(_KsJob(
-                    dim=dim, ref=ref, count=int(c),
-                    rows=rows_ok[sel][:, : int(c)],
-                    windows=window_idx[sel],
-                ))
-    return jobs_by_session
+            elif scored[s][j]:
+                windows = np.flatnonzero(eligible[s, j])
+                jobs.extend(
+                    _KsJob(ref, c, sets, cells, d[s, j], rejected[s, j])
+                    for c, sets, cells in _by_count(
+                        rows[s, j, windows], cnt[s, j, windows], windows
+                    )
+                )
+        plans.append(_ChunkPlan(
+            k, int(stops[s]), entries[i][1], int(filled[s]), jobs, cols,
+            probes, (count[s], d[s], rejected[s]), stream[s], csum[s],
+        ))
+    return plans
+
+
+def _by_count(rows, counts, windows) -> List[tuple]:
+    """Split sorted monitored sets by their count of real values:
+    ``(count, sets cut to that count, their windows)`` per distinct
+    count, the shape a :class:`_KsJob` takes."""
+    parts = []
+    for c in sorted(set(counts.tolist())):
+        sel = counts == c
+        parts.append((c, rows[sel, :c], windows[sel]))
+    return parts
 
 
 def _plan_peakless_bucket(
@@ -357,14 +390,14 @@ def _plan_peakless_bucket(
     k: int,
     stops: np.ndarray,
     filled: np.ndarray,
-) -> List[List[_KsJob]]:
+) -> List[_ChunkPlan]:
     """Counting plans for one bucket of sessions in a peak-less region.
 
-    Lowers ``stops`` in place to the first window whose untestable
+    Each plan's ``static_stop`` is the first window whose untestable
     branch of :meth:`Monitor.step` can do anything but accept: one where
     the region's dim-0 set, or a testable candidate's test-dim set, is
     past the history-fill gate and holds ``min_mon_values`` real values.
-    Returns each session's (empty) job list.
+    The plans have no jobs and an empty table.
     """
     # Window sizes (the _recent() n) to the dims counted over them.
     profile = mon.model.profile(mon.current_region)
@@ -390,7 +423,10 @@ def _plan_peakless_bucket(
         )
     hit = fire.any(axis=1)
     stops[hit] = np.minimum(stops[hit], fire.argmax(axis=1)[hit])
-    return [[] for _ in members]
+    return [
+        _ChunkPlan(k, int(stops[s]), entries[i][1], int(filled[s]))
+        for s, (i, _) in enumerate(members)
+    ]
 
 
 @dataclass(frozen=True)
@@ -548,9 +584,14 @@ class Monitor:
     execution path: :func:`plan_chunks_pooled` plans a chunk (a whole
     batch signal is one chunk) -- K-S jobs in a testable region, a
     counting-only plan in a peak-less one -- and :meth:`score_chunk`
-    commits its accept-only prefix and replays divergences through
-    :meth:`step`. The scalar one-step-per-window reference lives in the
-    test suite as the oracle these paths are checked against.
+    walks the plan's verdict table (:meth:`commit_chunk`) through
+    accepts, rejections, votes and reports up to the first region
+    transition. :meth:`step` takes only what no table decides:
+    unscorable windows, gaps and resyncs, peak-less regions past their
+    counting prefix, and non-K-S statistics. Both feed one counter
+    machine, :meth:`_decide`. The scalar one-step-per-window reference
+    lives in the test suite as the oracle these paths are checked
+    against.
     """
 
     def __init__(self, model: EddieModel) -> None:
@@ -566,6 +607,8 @@ class Monitor:
         # Group size n -> (sorted tail, non-NaN count per dim); see
         # _recent(). Every history write clears it.
         self._sorted_tails: Dict[int, Tuple[np.ndarray, List[int]]] = {}
+        # Region -> verdict-table layout of its plans; see _table_layout().
+        self._layouts: Dict[str, tuple] = {}
         for profile in model.profiles.values():
             profile.precompute_references()
         self.current_region: str = model.initial_regions[0]
@@ -652,7 +695,7 @@ class Monitor:
                 f"{len(quality)} quality flags for {len(times)} timestamps"
             )
         # The whole signal is one chunk: plan it, score the plan, and run
-        # the same commit/replay loop as the streaming and fleet paths.
+        # the same walk/step loop as the streaming and fleet paths.
         # Columns past the configured width are never pushed.
         peaks = peaks[:, : self._width]
         plan = plan_chunks_pooled([(self, peaks, quality)])[0]
@@ -719,27 +762,13 @@ class Monitor:
 
     # -- one step of Algorithm 1 ------------------------------------------------
 
-    def step(
-        self,
-        peak_row: np.ndarray,
-        time: float,
-        quality: int = 0,
-        score_hint: "Optional[Tuple[_ChunkPlan, int]]" = None,
-    ):
+    def step(self, peak_row: np.ndarray, time: float, quality: int = 0):
         """Process one STS; returns (report_or_None, current_test_rejected).
 
         ``quality`` is the window's acquisition-quality bitmask; with
         quality gating enabled, flagged windows are skipped as unscorable
         (streak suspended) and gap/dead windows additionally invalidate
         the history and schedule a resynchronization.
-
-        ``score_hint`` optionally names this window's row of a scored
-        chunk plan's verdict table, as ``(plan, window)``. The row is
-        trusted only when every scored dimension's recorded monitored
-        count matches the live one (see :meth:`_hinted_dims`); any
-        mismatch falls back to scoring from scratch, so a stale hint can
-        cost time but never change a decision. Candidate probes are
-        always computed live.
         """
         self.last_unscorable = False
         if self._cfg.quality_gating and (quality & QF_UNSCORABLE):
@@ -772,6 +801,7 @@ class Monitor:
 
         profile = self.model.profile(self.current_region)
         candidates = self.model.candidate_regions(self.current_region)
+        n = profile.group_size
 
         if not profile.testable():
             # Peak-less region (e.g. GSM's hot loop): there is no reference
@@ -779,132 +809,120 @@ class Monitor:
             # to recognize a legal move to a successor; failing that,
             # persistent peaks that no successor explains are anomalous --
             # otherwise any injection arriving while the monitor sits in a
-            # peak-less region would be invisible.
+            # peak-less region would be invisible. (No candidate votes
+            # here: the change counts are empty in a peak-less region.)
             if self._maybe_switch_from_untestable(candidates):
                 return None, False
-            mon = self._recent(profile.group_size, 0)
-            if mon is None:
-                self._anomaly_count = 0
-                self._streak = 0
-                return None, False
-            self._anomaly_count += 1
-            self._streak += 1
-            if self._anomaly_count > self._cfg.report_threshold:
-                report = AnomalyReport(
-                    time=time, region=self.current_region, streak=self._streak
-                )
-                self._anomaly_count = 0
-                return report, True
-            return None, True
+            peaks_seen = self._recent(n, 0) is not None
+            report, rejected, _ = self._decide(
+                time, False, [[]] if peaks_seen else []
+            )
+            return report, rejected
 
-        any_reject = False
-        rejecting_dims = 0
-        explained_dims: Dict[str, int] = {}
-        mons = {
-            dim: self._recent(profile.group_size, dim)
+        mons = {dim: self._recent(n, dim) for dim in profile.test_dims}
+        rejected_dims = self._score_dims(profile, mons)
+        explanations = [
+            [
+                name for name in candidates
+                if self._candidate_accepts(self.model.profile(name), dim, n)
+            ]
             for dim in profile.test_dims
-        }
-        rejected_dims = (
-            self._hinted_dims(profile, mons, *score_hint)
-            if score_hint is not None
-            else None
+            if rejected_dims[dim]
+        ]
+        missing = (
+            profile.num_peaks > 0 and mons[0] is None and self._filled >= n
         )
-        if rejected_dims is None:
-            rejected_dims = self._score_dims(profile, mons)
-        for dim in profile.test_dims:
-            mon = mons[dim]
-            if mon is None:
-                if dim == 0 and profile.num_peaks > 0 and self._filled >= profile.group_size:
-                    # The history is full but the expected peaks are simply
-                    # absent. Injections whose cache misses smear the loop's
-                    # period erase its peaks entirely -- silence here would
-                    # let exactly the paper's "off-chip activity" injections
-                    # (Section 5.7) go unseen. A region legitimately without
-                    # peaks can still explain it (candidate with no peaks).
-                    any_reject = True
-                    peakless = [
-                        c for c in candidates
-                        if not self.model.profile(c).testable()
-                    ]
-                    if peakless:
-                        for cand_name in peakless:
-                            self._change_counts[cand_name] = (
-                                self._change_counts.get(cand_name, 0) + 1
-                            )
-                    else:
-                        self._anomaly_count += 1
-                continue
-            if not rejected_dims[dim]:
-                continue
-            any_reject = True
-            rejecting_dims += 1
-            explained = False
-            for cand_name in candidates:
-                cand = self.model.profile(cand_name)
-                if not cand.testable() or dim not in cand.test_dims:
-                    continue
-                # Probe the candidate with a group bounded by the current
-                # region's n: right after a transition the history still
-                # contains old-region STSs, and a full-size candidate group
-                # would keep rejecting long enough to fake an anomaly.
-                probe = min(cand.group_size, profile.group_size)
-                if self._candidate_accepts(cand, dim, probe):
-                    explained_dims[cand_name] = (
-                        explained_dims.get(cand_name, 0) + 1
-                    )
-                    explained = True
-            if not explained:
+        report, rejected, target = self._decide(time, missing, explanations)
+        if target is not None:
+            self._transition_to(target)
+        return report, rejected
+
+    def _decide(
+        self,
+        time: float,
+        missing_peaks: bool,
+        explanations: Sequence[Sequence[str]],
+    ) -> Tuple[Optional[AnomalyReport], bool, Optional[str]]:
+        """Algorithm 1's counter machine for one STS; the only copy.
+
+        ``explanations`` has one entry per rejecting tested dim, in test
+        dim order: the candidates, in candidate order, whose probes
+        explain it. ``missing_peaks`` is the branch where the history is
+        full but the region's expected dim-0 peaks are absent. Returns
+        ``(report, rejected, target)``; ``target`` is the region to
+        transition to, which the caller applies once this STS is in the
+        history. :meth:`step` feeds live verdicts,
+        :meth:`commit_chunk` a plan's table rows.
+        """
+        cfg = self._cfg
+        counts = self._change_counts
+        if missing_peaks:
+            # Injections whose cache misses smear the loop's period erase
+            # its peaks entirely -- silence here would let exactly the
+            # paper's "off-chip activity" injections (Section 5.7) go
+            # unseen. A region legitimately without peaks can still
+            # explain it (candidate with no peaks).
+            peakless = [
+                name
+                for name in self.model.candidate_regions(self.current_region)
+                if not self.model.profile(name).testable()
+            ]
+            for name in peakless:
+                counts[name] = counts.get(name, 0) + 1
+            if not peakless:
                 self._anomaly_count += 1
+        elif not explanations:
+            # Acceptance resets both counters (tolerating isolated
+            # deviant STSs).
+            self._anomaly_count = 0
+            counts.clear()
+            self._streak = 0
+            return None, False, None
 
         # A candidate earns one change "vote" per step in which it explains
         # at least change_fraction of the rejecting dimensions. Requiring
         # several such steps (below) keeps one stochastic rejection from
         # flipping the tracked region.
-        if rejecting_dims:
-            need = max(1, int(np.ceil(self._cfg.change_fraction * rejecting_dims)))
-            for cand_name, explained_count in explained_dims.items():
-                if explained_count >= need:
-                    self._change_counts[cand_name] = (
-                        self._change_counts.get(cand_name, 0) + 1
-                    )
-
-        if not any_reject:
-            self._anomaly_count = 0
-            self._change_counts.clear()
-            self._streak = 0
-            return None, False
+        explained: Dict[str, int] = {}
+        for names in explanations:
+            if not names:
+                self._anomaly_count += 1
+            for name in names:
+                explained[name] = explained.get(name, 0) + 1
+        if explanations:
+            need = max(
+                1, int(np.ceil(cfg.change_fraction * len(explanations)))
+            )
+            for name, votes in explained.items():
+                if votes >= need:
+                    counts[name] = counts.get(name, 0) + 1
 
         self._streak += 1
-
         # Region transition once a candidate has explained the rejections
         # for several consecutive-rejection steps.
-        if self._change_counts:
-            best = max(self._change_counts, key=self._change_counts.get)
-            if self._change_counts[best] >= self._cfg.change_steps:
-                self._transition_to(best)
-                return None, True
-
-        # Anomaly?
-        if self._anomaly_count > self._cfg.report_threshold:
+        if counts:
+            best = max(counts, key=counts.get)
+            if counts[best] >= cfg.change_steps:
+                return None, True, best
+        if self._anomaly_count > cfg.report_threshold:
             report = AnomalyReport(
                 time=time, region=self.current_region, streak=self._streak
             )
             self._anomaly_count = 0
-            return report, True
+            return report, True, None
+        return None, True, None
 
-        return None, True
-
-    # -- chunk fast path (vectorized optimistic scoring) ---------------------
+    # -- chunk path (vectorized verdict tables) ------------------------------
 
     def _fast_path_ready(self) -> bool:
         """Cheap entry gate for :func:`plan_chunks_pooled`.
 
-        True when the monitor's *state* admits the optimistic fast path
-        right now (K-S statistic, no pending gap resync, no active resync
-        search). Peak-less regions qualify: they get counting-only plans.
-        :meth:`score_chunk` consults it before re-planning the remainder
-        of a chunk mid-replay, so long resync stretches do not pay
-        planning costs per window.
+        True when the monitor's *state* admits a chunk plan right now
+        (K-S statistic, no pending gap resync, no active resync search).
+        Peak-less regions qualify: they get counting-only plans.
+        :meth:`score_chunk` consults it before planning the rest of a
+        chunk after a step, so long resync stretches do not pay planning
+        costs per window.
         """
         return (
             self._cfg.statistic == "ks"
@@ -922,27 +940,14 @@ class Monitor:
     ) -> MonitorResult:
         """Run one chunk of STSs through Algorithm 1; return its result.
 
-        ``plan`` is the chunk's scored fast-path plan from
-        :func:`plan_chunks_pooled` (or ``None`` when the entry state bars
-        the fast path). The loop alternates between committing a plan's
-        accept-only prefix (:meth:`commit_chunk`) and stepping scalar
-        through each divergence (:meth:`step`) until a window accepts
-        cleanly, after which the rest of the chunk goes back to the fast
-        path instead of replaying scalar to its end. Batch runs, streams,
-        and fleet sessions all go through here.
-
-        A plan's verdict table (:meth:`_ChunkPlan.verdicts`) outlives its
-        accept-only prefix: scalar replay pushes every scored window into
-        the same history positions the plan assumed, so until the replay
-        leaves the plan's straight line (an unscorable window skips a
-        push, a gap or resync rewrites the history, a region transition
-        swaps the reference and clamps the fill level -- a same-name
-        self-transition included, detectable as a rejected step whose
-        streak was reset), each replayed window's current-region
-        decisions are read from the table (see :meth:`_hinted_dims`), and
-        re-entry before the plan's ``static_stop`` commits the same plan
-        from the re-entry window instead of planning and scoring again.
-        Candidate probes always run live.
+        ``plan`` is the chunk's scored plan from :func:`plan_chunks_pooled`
+        (or ``None`` when the entry state bars it). The loop walks a
+        plan's verdict table (:meth:`commit_chunk`) as far as it decides
+        the chunk. After a region transition the rest of the chunk is
+        planned again. At the plan's ``static_stop`` -- and wherever no
+        plan can be made -- it steps scalar (:meth:`step`) until a window
+        accepts cleanly, then plans the rest. Batch runs, streams, and
+        fleet sessions all go through here.
 
         With ``early_exit`` the chunk stops just after the first
         ``anomaly`` report and the result is truncated there. The
@@ -958,50 +963,48 @@ class Monitor:
         group_sizes = np.zeros(n, dtype=int)
         stop_at: Optional[int] = None
         i = 0
-        base = 0  # chunk index of the plan's window 0
-        on_line = False  # the plan's verdicts still hold at window i
         while i < n:
-            if i == 0 or (n - i >= 2 and self._fast_path_ready()):
-                if i and not (on_line and i - base < plan.static_stop):
+            if i:
+                plan = None
+                if n - i >= 2 and self._fast_path_ready():
                     plan = plan_chunks_pooled([(
                         self,
                         peaks[i:],
                         quality[i:] if quality is not None else None,
                     )])[0]
-                    base = i
                     if plan is not None and plan.jobs:
                         score_ks_jobs(plan.jobs, cfg.alpha)
-                on_line = plan is not None
-                if on_line:
-                    stop = base + self.commit_chunk(plan, i - base)
-                    region = self.current_region
-                    if stop > i:
-                        # The fast stretch is accept-only: region
-                        # unchanged, no rejections, no reports, nothing
-                        # unscorable.
-                        tracked.extend([region] * (stop - i))
-                        group_sizes[i:stop] = self.model.profile(
-                            region
-                        ).group_size
-                        i = stop
-                        if i - base == plan.static_stop:
-                            continue
+            if plan is not None:
+                region = self.current_region
+                stop, rejected, found = self.commit_chunk(
+                    plan, times[i:], early_exit=early_exit
+                )
+                end = i + stop
+                tracked.extend([region] * stop)
+                group_sizes[i:end] = self.model.profile(region).group_size
+                if stop:
+                    # A transition changes the region at the walk's last
+                    # window.
+                    tracked[-1] = self.current_region
+                    group_sizes[end - 1] = self.model.profile(
+                        self.current_region
+                    ).group_size
+                if rejected:
+                    rejection_flags[[i + w for w in rejected]] = True
+                for w, report in found:
+                    reports.append(report)
+                    report_indices.append(i + w)
+                i = end
+                if early_exit and found:
+                    stop_at = i
+                    break
+                if stop < plan.static_stop:
+                    continue
             while i < n:
                 q = int(quality[i]) if quality is not None else 0
                 report, rejected = self.step(
-                    peaks[i],
-                    float(times[i]),
-                    quality=q,
-                    score_hint=(plan, i - base) if on_line else None,
+                    peaks[i], float(times[i]), quality=q
                 )
-                if on_line and (
-                    self.last_unscorable
-                    or self.current_region != region
-                    or (rejected and self._streak == 0)
-                    or self._gap_pending
-                    or self._resync_remaining is not None
-                ):
-                    on_line = False
                 tracked.append(self.current_region)
                 rejection_flags[i] = rejected
                 unscorable_flags[i] = self.last_unscorable
@@ -1017,8 +1020,6 @@ class Monitor:
                 accepted = not rejected and not self.last_unscorable
                 i += 1
                 if accepted:
-                    # An accepting step reset the streak counters --
-                    # exactly the state a plan assumes on entry.
                     break
             if stop_at is not None:
                 break
@@ -1050,52 +1051,204 @@ class Monitor:
             status=status,
         )
 
-    def commit_chunk(self, plan: _ChunkPlan, start: int = 0) -> int:
-        """Apply a scored plan's accept-only run from window ``start``;
-        return the plan window where it ends.
+    def commit_chunk(
+        self,
+        plan: _ChunkPlan,
+        times: np.ndarray,
+        start: int = 0,
+        early_exit: bool = False,
+    ) -> Tuple[int, List[int], List[Tuple[int, AnomalyReport]]]:
+        """Walk a scored plan's verdict table from window ``start``.
 
-        The run ends at (excludes) the first window at or after ``start``
-        that any tested dimension rejected in the plan's verdict table,
-        capped by the plan's ``static_stop``. Committing replays exactly
-        what that many accepting :meth:`step` calls would have done --
-        push every row into the rolling history, reset the
-        anomaly/transition counters -- in one history write. Windows from
-        the returned index on must go through the scalar :meth:`step`
-        (nothing about them has been committed; planning never mutates).
+        Each window decides through :meth:`_decide`, as :meth:`step`
+        would: one that no tested dim rejects accepts; one that rejects,
+        or misses its dim-0 peaks, takes the candidate verdicts from the
+        table's probe columns (:meth:`_score_probes`), scored for the
+        next :data:`_PROBE_BATCH` such windows when the walk reaches
+        them, then for twice as many, and so on. ``times`` holds the
+        plan windows' times, for reports. The walk stops at the plan's
+        ``static_stop``; at a region transition, with that window pushed
+        and the transition applied; and, with ``early_exit``, after the
+        first report. The walked rows go into the history in one write,
+        and the current-region tests feed the observability buffer
+        exactly as the steps would have.
+
+        Returns ``(stop, rejected, reports)``: the plan window where the
+        walk ended (exclusive), the windows whose current-region test
+        rejected, and ``(window, report)`` pairs.
         """
-        cols, count, d, rejected = plan.verdicts()
+        mmv = self._cfg.min_mon_values
         stop = plan.static_stop
-        bad = np.flatnonzero(rejected[start:stop].any(axis=1))
-        if len(bad):
-            stop = start + int(bad[0])
+        cols = plan.cols
+        rejecting = plan.rejected[: len(cols), start:stop].any(axis=0)
+        missing = np.zeros_like(rejecting)
+        if 0 in cols:
+            # The missing-peaks branch: past the fill gate, dim 0 holds
+            # fewer than min_mon_values real values.
+            n = self.model.profile(self.current_region).group_size
+            first = max(start, n - plan.filled - 1)
+            missing[first - start:] = (
+                plan.count[cols[0][0], first:stop] < mmv
+            )
+        windows = start + np.flatnonzero(rejecting | missing)
+        decided: List[int] = []
+        found: List[Tuple[int, AnomalyReport]] = []
+        target = None
+        last = start - 1  # the last window decided so far
+        batch = _PROBE_BATCH
+        while len(decided) < len(windows) and last + 1 < stop:
+            todo = windows[len(decided):len(decided) + batch]
+            batch *= 2
+            self._score_probes(plan, todo)
+            table = self._explanation_table(plan, todo)
+            misses = missing[todo - start].tolist()
+            for e, w in enumerate(todo.tolist()):
+                if w > last + 1:
+                    self._decide(0.0, False, ())  # the accepts before w
+                explanations = [
+                    [name for name, acc in cands if acc[e]]
+                    for rej, cands in table if rej[e]
+                ]
+                report, _, target = self._decide(
+                    float(times[w]), misses[e], explanations
+                )
+                decided.append(w)
+                last = w
+                if report is not None:
+                    found.append((w, report))
+                if target is not None or (report is not None and early_exit):
+                    stop = w + 1
+                    break
+        if last + 1 < stop:
+            self._decide(0.0, False, ())  # the accepts up to stop
+        self._push_rows(plan.peaks[start:stop])
+        if target is not None:
+            self._transition_to(target)
+        self.last_unscorable = False
         if OBS.enabled:
             for j, m in cols.values():
-                counts = count[start:stop, j]
-                for c in np.unique(counts[counts > 0]).tolist():
+                counts = plan.count[j, start:stop]
+                scored = counts >= mmv
+                if not m or not scored.any():
+                    continue
+                for c in np.unique(counts[scored]).tolist():
                     scale = (m * c / (m + c)) ** 0.5
                     self._ks_scaled_stats.extend(
-                        (d[start:stop, j][counts == c] * scale).tolist()
+                        (plan.d[j, start:stop][counts == c] * scale).tolist()
                     )
-        if stop <= start:
-            return start
-        rows = plan.peaks[start:stop]
-        pushed = stop - start
-        size = self._history.shape[0]
-        take = rows[-size:] if pushed > size else rows
-        offsets = (
-            self._hist_pos + (pushed - len(take)) + np.arange(len(take))
-        ) % size
-        self._history[offsets] = take
-        self._hist_pos = (self._hist_pos + pushed) % size
-        self._filled = min(self._filled + pushed, size)
-        self._sorted_tails.clear()
-        # Every committed window accepted the current region: the last
-        # step of the prefix reset all streak state, exactly as below.
-        self._anomaly_count = 0
-        self._change_counts.clear()
-        self._streak = 0
-        self.last_unscorable = False
-        return stop
+        return stop, decided, found
+
+    def _table_layout(self) -> tuple:
+        """The verdict-table layout of a plan in the current region,
+        memoized per region: ``(dims, cols, probes, width)``, as
+        :class:`_ChunkPlan` describes them, ``dims`` in column order.
+
+        The probes are :meth:`_candidate_accepts`'s: the bounded group
+        and the fresh suffix of ``min_mon_values`` STSs (at least 2 by
+        config), per testable candidate that tests the dim.
+        """
+        layout = self._layouts.get(self.current_region)
+        if layout is not None:
+            return layout
+        profile = self.model.profile(self.current_region)
+        mmv = self._cfg.min_mon_values
+        dims = [
+            dim for dim in profile.test_dims
+            if len(profile.reference_dim(dim)) > 0
+        ]
+        if profile.num_peaks > 0 and 0 not in dims:
+            dims.insert(0, 0)
+        cols = {
+            dim: (j, len(profile.reference_dim(dim)))
+            for j, dim in enumerate(dims)
+        }
+        probes: Dict[int, List[tuple]] = {}
+        width = len(dims)
+        for dim in dims:
+            if not cols[dim][1]:
+                continue
+            for name in self.model.candidate_regions(self.current_region):
+                cand = self.model.profile(name)
+                if not cand.testable() or dim not in cand.test_dims:
+                    continue
+                size = min(cand.group_size, profile.group_size)
+                bounded, suffix = width, width + (size != mmv)
+                width = suffix + 1
+                probes.setdefault(dim, []).append(
+                    (name, size, bounded, suffix)
+                )
+        layout = (dims, cols, probes, width)
+        self._layouts[self.current_region] = layout
+        return layout
+
+    def _explanation_table(
+        self, plan: _ChunkPlan, windows: np.ndarray
+    ) -> List[tuple]:
+        """Per tested dim of ``plan``: its verdicts at ``windows`` and, per
+        candidate, whether the candidate's probes accept there -- the
+        bounded probe or the fresh suffix (:meth:`_candidate_accepts`).
+        Lists, so the walk reads them without numpy calls."""
+        accepts = (plan.count[:, windows] >= self._cfg.min_mon_values) & (
+            ~plan.rejected[:, windows]
+        )
+        table = []
+        for dim, (j, m) in plan.cols.items():
+            if not m:
+                continue
+            cands = [
+                (name, (accepts[bounded] | accepts[suffix]).tolist())
+                for name, _, bounded, suffix in plan.probes.get(dim, ())
+            ]
+            table.append((plan.rejected[j, windows].tolist(), cands))
+        return table
+
+    def _score_probes(self, plan: _ChunkPlan, windows: np.ndarray) -> None:
+        """Score the candidate probes of ``plan``'s rejecting (window, dim)
+        cells among ``windows`` into its probe columns, in one
+        :func:`score_ks_jobs` call.
+
+        The sets are :meth:`_recent`'s: the last ``size`` rows of the
+        plan's stream at each window, with at least ``min_mon_values``
+        real values. Its fill gate always passes here: a rejecting window
+        holds ``n`` rows, and both probe sizes are at most ``n`` (the
+        fresh suffix's ``min_mon_values`` because the rejected set held
+        that many values). A candidate dim without a reference accepts
+        any such set, as :meth:`_rejects` does.
+        """
+        mmv = self._cfg.min_mon_values
+        n = self.model.profile(self.current_region).group_size
+        rejecting = plan.rejected[: len(plan.cols), windows]
+        sets: Dict[int, tuple] = {}  # probe size -> sorted sets, counts
+        jobs: List[_KsJob] = []
+        for dim, probes in plan.probes.items():
+            j = plan.cols[dim][0]
+            if not rejecting[j].any():
+                continue
+            parts: Dict[int, tuple] = {}  # probe size -> this dim's sets
+            for name, size, bounded, suffix in probes:
+                ref = self.model.profile(name).reference_dim(dim)
+                # The two columns are one when the sizes are.
+                for col, g in {bounded: size, suffix: mmv}.items():
+                    if g not in sets:
+                        sets[g] = _sorted_windows(
+                            plan.stream, plan.csum, n, windows, g
+                        )
+                    if g not in parts:
+                        rows, counts = sets[g]
+                        ok = rejecting[j] & (counts[j] >= mmv)
+                        parts[g] = (
+                            windows[ok], counts[j, ok],
+                            _by_count(rows[j, ok], counts[j, ok], windows[ok]),
+                        )
+                    cells, counts, by_count = parts[g]
+                    plan.count[col, cells] = counts
+                    if len(ref):
+                        jobs.extend(
+                            _KsJob(ref, c, rows, w, plan.d[col],
+                                   plan.rejected[col])
+                            for c, rows, w in by_count
+                        )
+        score_ks_jobs(jobs, self._cfg.alpha)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -1129,10 +1282,14 @@ class Monitor:
         The receiving monitor must be built from the same model/config
         (callers verify via the config fingerprint); here we only check
         the structural invariants that would otherwise corrupt state
-        silently. Snapshots from before the history became the only
-        window state also carry ``push_count``, ``tracked_dims`` and
-        per-dim ``dim{d}.values``/``dim{d}.ages`` sorted buffers; they
-        are ignored, since the history holds the same observations.
+        silently, and raise :class:`MonitoringError` on any of them before
+        changing anything: the chunk walk trusts ``hist_pos`` and
+        ``filled``, and a counter or region no run can reach would make
+        it decide from a state :meth:`step` never sees. Snapshots from
+        before the history became the only window state also carry
+        ``push_count``, ``tracked_dims`` and per-dim
+        ``dim{d}.values``/``dim{d}.ages`` sorted buffers; they are
+        ignored, since the history holds the same observations.
         """
         history = np.asarray(arrays["history"], dtype=float)
         if history.shape != self._history.shape:
@@ -1140,18 +1297,48 @@ class Monitor:
                 f"monitor snapshot history shape {history.shape} does not "
                 f"match this model's {self._history.shape}"
             )
-        self._history[...] = history
-        self._hist_pos = int(meta["hist_pos"])
-        self._filled = int(meta["filled"])
-        self.current_region = str(meta["current_region"])
-        self._anomaly_count = int(meta["anomaly_count"])
-        self._change_counts = {
+        size = len(history)
+        hist_pos = int(meta["hist_pos"])
+        filled = int(meta["filled"])
+        region = str(meta["current_region"])
+        anomaly_count = int(meta["anomaly_count"])
+        change_counts = {
             str(k): int(v) for k, v in dict(meta["change_counts"]).items()
         }
-        self._streak = int(meta["streak"])
-        self._gap_pending = bool(meta["gap_pending"])
+        streak = int(meta["streak"])
         resync = meta["resync_remaining"]
-        self._resync_remaining = None if resync is None else int(resync)
+        resync = None if resync is None else int(resync)
+        timeout = self._cfg.resync_timeout
+        unknown = sorted(
+            {region, *change_counts} - set(self.model.profiles)
+        )
+        for bad, what in (
+            (
+                not 0 <= hist_pos < size,
+                f"hist_pos {hist_pos} not in [0, {size})",
+            ),
+            (not 0 <= filled <= size, f"filled {filled} not in [0, {size}]"),
+            (
+                min(anomaly_count, streak, *change_counts.values()) < 0,
+                "a negative counter",
+            ),
+            (
+                resync is not None and not 1 <= resync <= timeout,
+                f"resync_remaining {resync} not in [1, {timeout}]",
+            ),
+            (bool(unknown), f"regions {unknown} not in the model"),
+        ):
+            if bad:
+                raise MonitoringError(f"monitor snapshot has {what}")
+        self._history[...] = history
+        self._hist_pos = hist_pos
+        self._filled = filled
+        self.current_region = region
+        self._anomaly_count = anomaly_count
+        self._change_counts = change_counts
+        self._streak = streak
+        self._gap_pending = bool(meta["gap_pending"])
+        self._resync_remaining = resync
         self.last_unscorable = bool(meta["last_unscorable"])
         self._sorted_tails.clear()
         self._ks_scaled_stats = []
@@ -1229,14 +1416,25 @@ class Monitor:
     # -- internals ------------------------------------------------------------
 
     def _push(self, peak_row: np.ndarray) -> None:
-        row = np.full(self._width, np.nan)
+        row = np.full((1, self._width), np.nan)
         usable = min(len(peak_row), self._width)
-        row[:usable] = peak_row[:usable]
-        # Circular write: np.roll here used to copy the whole history
-        # matrix on every push.
-        self._history[self._hist_pos] = row
-        self._hist_pos = (self._hist_pos + 1) % self._history.shape[0]
-        self._filled = min(self._filled + 1, self._history.shape[0])
+        row[0, :usable] = peak_row[:usable]
+        self._push_rows(row)
+
+    def _push_rows(self, rows: np.ndarray) -> None:
+        """Append ``rows`` (each ``_width`` wide) to the history ring in
+        one circular write."""
+        pushed = len(rows)
+        if not pushed:
+            return
+        size = self._history.shape[0]
+        take = rows[-size:] if pushed > size else rows
+        offsets = (
+            self._hist_pos + (pushed - len(take)) + np.arange(len(take))
+        ) % size
+        self._history[offsets] = take
+        self._hist_pos = (self._hist_pos + pushed) % size
+        self._filled = min(self._filled + pushed, size)
         self._sorted_tails.clear()
 
     def _history_tail(self, n: int) -> np.ndarray:
@@ -1329,51 +1527,6 @@ class Monitor:
                     )
         return rejected
 
-    def _hinted_dims(
-        self,
-        profile: RegionProfile,
-        mons: Dict[int, Optional[np.ndarray]],
-        plan: _ChunkPlan,
-        window: int,
-    ) -> Optional[Dict[int, bool]]:
-        """Current-region rejections read from a plan's verdict table.
-
-        The table row of ``window`` already holds this window's
-        exact-integer D and rejection verdict per dimension (identical
-        arithmetic to :meth:`_score_dims`; see
-        ``tests/test_fleet_kernel.py``), as long as the history the plan
-        assumed is the history the scalar replay actually built --
-        :meth:`score_chunk` tracks that invariant and only passes hints
-        while it holds. This method adds a local defense: if any
-        scorable dimension is missing from the row or its recorded
-        monitored count disagrees with the live one, it returns None and
-        the caller rescores everything, so hints are an optimization
-        with no decision surface of their own. The OBS scaled-statistic
-        buffer is fed exactly as `_score_dims` would.
-        """
-        cols, count, d, rejected = plan.verdicts()
-        decided: Dict[int, bool] = {}
-        scored: List[Tuple[int, int, float]] = []
-        for dim, mon in mons.items():
-            if mon is None:
-                decided[dim] = False
-                continue
-            ref = profile.reference_dim(dim)
-            if len(ref) == 0:
-                decided[dim] = False
-                continue
-            col = cols.get(dim)
-            if col is None or count[window, col[0]] != len(mon):
-                return None
-            decided[dim] = bool(rejected[window, col[0]])
-            scored.append((len(ref), len(mon), float(d[window, col[0]])))
-        if OBS.enabled:
-            for m, k, d_stat in scored:
-                self._ks_scaled_stats.append(
-                    float(d_stat) * (m * k / (m + k)) ** 0.5
-                )
-        return decided
-
     def _rejects(self, profile: RegionProfile, dim: int, mon: np.ndarray) -> bool:
         ref = profile.reference_dim(dim)
         if len(ref) == 0:
@@ -1387,14 +1540,22 @@ class Monitor:
             ref, mon, self._cfg.alpha, self._cfg.statistic, ref_runs
         )
 
-    def _candidate_accepts(self, cand: RegionProfile, dim: int, probe: int) -> bool:
-        """Whether a successor region's reference explains recent STSs.
+    def _candidate_accepts(self, cand: RegionProfile, dim: int, n: int) -> bool:
+        """Whether a successor region's reference explains recent STSs of
+        one dim that the current region (group size ``n``) rejected.
 
-        Accepts if either the bounded probe group or its fresh suffix (the
-        most recent few STSs) passes -- the suffix covers the moment just
-        after a transition when older history is still mixed.
+        Only testable candidates that test the dim can explain it. The
+        probe group is bounded by ``n``: right after a transition the
+        history still contains old-region STSs, and a full-size
+        candidate group would keep rejecting long enough to fake an
+        anomaly. The candidate accepts if either that group or its fresh
+        suffix (the most recent few STSs) passes -- the suffix covers the
+        moment just after a transition when older history is still
+        mixed. :meth:`_score_probes` scores the same two sets in bulk.
         """
-        mon = self._recent(probe, dim)
+        if not cand.testable() or dim not in cand.test_dims:
+            return False
+        mon = self._recent(min(cand.group_size, n), dim)
         if mon is not None and not self._rejects(cand, dim, mon):
             return True
         suffix = self._recent(max(2, self._cfg.min_mon_values), dim)

@@ -26,7 +26,7 @@ whole group:
    are per-row computations, so pooling is bit-identical to per-session
    calls (see their docstrings);
 4. **plan** -- one :func:`plan_chunks_pooled` call builds every
-   session's optimistic K-S jobs against its own history, stacking
+   session's K-S jobs and verdict table against its own history, stacking
    sessions that share a region profile and window count (steady,
    history-filling, and quality-flagged alike) into single numpy passes;
 5. **score** -- all sessions' jobs are scored in one
@@ -34,8 +34,9 @@ whole group:
    by (reference, count), so sessions sharing a model collapse into
    single :func:`ks_d_int_rows` calls across the whole fleet;
 6. **finish** -- each session runs :meth:`Monitor.score_chunk`: it
-   commits its accept-prefix, replays any remainder through the scalar
-   state machine, and assembles its chunk result (per-session).
+   walks its plan's verdict table (candidate probes scored on demand),
+   steps only what no table decides, and assembles its chunk result
+   (per-session).
 
 Canonical state lives only in each session's ``StreamingMonitor``; the
 kernel holds no per-session state between rounds. Snapshot, restore,

@@ -3,11 +3,13 @@
 - :class:`ScalarMonitor`, the scalar reference monitor. Production
   monitoring has one execution path (DESIGN.md D24): a chunk -- a whole
   batch signal, a stream chunk, or one fleet session's round -- is
-  planned by :func:`repro.core.monitor.plan_chunks_pooled`, its
-  accept-only prefix committed in bulk, and only divergences replayed
-  through :meth:`Monitor.step`. :class:`ScalarMonitor` is Algorithm 1
-  without any of that: one :meth:`step` per window, chronological
-  history reads, and one two-sample test per tested dimension. Every
+  planned by :func:`repro.core.monitor.plan_chunks_pooled`, its verdict
+  table walked in bulk, and only what no table decides stepped through
+  :meth:`Monitor.step`. :class:`ScalarMonitor` is Algorithm 1 without
+  any of that: one :meth:`step` per window, chronological history
+  reads, and one two-sample test per tested dimension and candidate
+  probe. Both share :meth:`Monitor._decide`, the counter machine the
+  goldens pin. Every
   bit-identity suite compares the fast path against it (directly, or
   through isolated streams that the oracle suite pins).
 - :func:`schedule_path` and :func:`waveform`, the simulator's compile

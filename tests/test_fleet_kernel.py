@@ -10,8 +10,8 @@ streams across every MiBench program, and pins the mechanisms under it:
 
 - snapshot/restore and idle eviction in the middle of a live group,
 - the pooled chunk planner with steady, history-filling, and
-  quality-flagged sessions in one call, committed and replayed against
-  the scalar oracle,
+  quality-flagged sessions in one call, walked and stepped against the
+  scalar oracle,
 - hypothesis fuzz of the vectorized exact-integer K-S row kernel and
   the vectorized peak extractor against their scalar counterparts
   (tie-heavy integer grids, since K-S run-end handling is where
@@ -214,8 +214,8 @@ def sts_rows(model, signal):
 class TestPooledPlanner:
     def test_pooled_plans_match_scalar_plans(self):
         """Steady, history-filling, and quality-flagged sessions share
-        one pooled planning call; each session's committed prefix plus
-        replay equals the scalar oracle stepping the same windows.
+        one pooled planning call; each session's walk plus steps equals
+        the scalar oracle stepping the same windows.
 
         sha stays in its first region (group size 16) for the first ~120
         windows of these captures, so every session below plans against

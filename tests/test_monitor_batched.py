@@ -1,22 +1,22 @@
-"""Monitor fast-path mechanisms, checked against the scalar oracle.
+"""Monitor chunk-path mechanisms, checked against the scalar oracle.
 
-``Monitor.run_signal`` plans the whole signal as one chunk, commits the
-accept-only prefixes in bulk, and replays divergences through ``step``
-reading the plan's verdict table -- the same loop streams and fleet
-sessions run. That
-every observable equals the oracle's (:class:`oracle.ScalarMonitor`) on
-whole captures is the equivalence suite's job
-(``tests/test_equivalence.py``). This module adds the same check on a
-multi-peak loop's simulated power trace (clean, injected, and at forced
-group sizes), and pins the mechanisms: that
-clean peak-less regions (gsm, susan) get counting-only plans instead of
-steps, that a candidate probe ends a counting prefix, that a verdict
-table row is trusted only at the live monitored count, and that the
-memoized sorted history tails track every history write.
+``Monitor.run_signal`` plans the whole signal as one chunk and walks the
+plan's verdict table through accepts, rejections, votes and reports --
+the same loop streams and fleet sessions run. That every observable
+equals the oracle's (:class:`oracle.ScalarMonitor`) on whole captures is
+the equivalence suite's job (``tests/test_equivalence.py``). This module
+adds the same check on a multi-peak loop's simulated power trace (clean,
+injected, and at forced group sizes) and a hypothesis sweep of the walk
+over tiny random models, and pins the mechanisms: that clean peak-less
+regions (gsm, susan) get counting-only plans instead of steps, that a
+candidate probe ends a counting prefix, and that the memoized sorted
+history tails track every history write.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import shared_tiny_detector, tiny_scale
 from oracle import ScalarMonitor, assert_results_equal
@@ -25,7 +25,6 @@ from repro.core.monitor import (
     Monitor,
     MonitorResult,
     _ChunkPlan,
-    _KsJob,
     plan_chunks_pooled,
     score_ks_jobs,
 )
@@ -71,7 +70,7 @@ class TestEquivalence:
 
 def _run_in_chunks(model, peaks, times, rng):
     """``Monitor.run_peaks`` over random chunk boundaries, the way the
-    streaming engine drives one session: plan, score, commit/replay."""
+    streaming engine drives one session: plan, score, walk/step."""
     monitor = Monitor(model)
     results = []
     start = 0
@@ -173,63 +172,24 @@ def _tiny_model():
     )
 
 
-class TestVerdictTable:
-    def test_count_mismatch_is_rescored_live(self):
-        # Three monitors in one state step the same window: one scores
-        # live, one gets a table row whose verdicts were all flipped to
-        # "rejected", one gets the same flipped row with a wrong count.
-        # The first hint is trusted (the decision changes), the second
-        # fails the count check and decides exactly as the live step.
-        model = _tiny_model()
-        reference = model.profile("loop:A").reference
-        rows = reference[np.random.default_rng(5).integers(0, 80, 16)]
-        live, trusting, guarded = (Monitor(model) for _ in range(3))
-        for monitor in (live, trusting, guarded):
-            for row in rows[:10]:
-                monitor.step(row, 0.0)
-        chunk = rows[10:]
-        plans = []
-        for _ in range(2):
-            plan = plan_chunks_pooled([(live, chunk, None)])[0]
-            score_ks_jobs(plan.jobs, model.config.alpha)
-            plans.append(plan)
-        for plan in plans:
-            plan.verdicts()[3][0] = True
-        cols, count, _, _ = plans[1].verdicts()
-        count[0, cols[0][0]] += 1
-
-        expected = live.step(chunk[0], 0.0)
-        assert expected == (None, False)
-        assert trusting.step(
-            chunk[0], 0.0, score_hint=(plans[0], 0)
-        ) == (None, True)
-        assert guarded.step(
-            chunk[0], 0.0, score_hint=(plans[1], 0)
-        ) == expected
-        meta, arrays = guarded.export_state()
-        assert meta == live.export_state()[0]
-        np.testing.assert_array_equal(
-            arrays["history"], live.export_state()[1]["history"]
-        )
-
-
 class TestSortedTailMemo:
     def test_recent_tracks_history_across_writes(self):
         # _recent() serves sorted copies of the history tail memoized
         # per group size. Interleave every history write -- step pushes,
-        # bulk commits, commits from inside a scored plan, snapshot
-        # restores -- with queries at every n and dim: each answer must
-        # equal sorting the last n rows pushed (tracked here,
+        # bulk commits, walks of a scored plan from a random window,
+        # snapshot restores -- with queries at every n and dim: each
+        # answer must equal sorting the last n rows pushed (tracked here,
         # independently of the ring), so a memo that outlives a write,
-        # or a commit that pushes a row too many or too few, fails here.
+        # or a walk that pushes a row too many or too few, fails here.
         model = _tiny_model()
         monitor = Monitor(model)
         donor = Monitor(model)
         pushed, donor_pushed = [], []
         rng = np.random.default_rng(11)
+        walked_rejections = 0
 
-        def random_rows(k):
-            rows = 10.0 + rng.normal(size=(k, 4))
+        def random_rows(k, centre=10.0):
+            rows = centre + rng.normal(size=(k, 4))
             rows[rng.random(size=rows.shape) < 0.3] = np.nan
             return rows
 
@@ -256,36 +216,36 @@ class TestSortedTailMemo:
                     check()
             elif action == 1:
                 rows = random_rows(int(rng.integers(1, 13)))
-                committed = monitor.commit_chunk(_ChunkPlan(
-                    k=len(rows), static_stop=len(rows), jobs=[], peaks=rows,
-                ))
-                assert committed == len(rows)
+                committed = monitor.commit_chunk(
+                    _ChunkPlan(len(rows), len(rows), rows, monitor._filled),
+                    np.zeros(len(rows)),
+                )
+                assert committed == (len(rows), [], [])
                 pushed.extend(rows)
                 check()
             elif action == 2:
-                # A scored plan with random verdicts on a random subset
-                # of windows, committed from a random window: exactly
-                # the rows up to the first rejection at or after it, or
-                # up to static_stop, are pushed.
-                k = int(rng.integers(1, 13))
-                rows = random_rows(k)
-                job = _KsJob(
-                    dim=int(rng.integers(0, 2)),
-                    ref=model.profile("loop:A").reference_dim(0),
-                    count=3, rows=np.zeros((k, 3)),
-                    windows=np.flatnonzero(rng.random(k) < 0.7),
+                # A scored plan over rows that drift from loop:A's
+                # centre towards loop:B's, walked from a random window:
+                # rejections are walked through, and exactly the rows up
+                # to the walk's stop -- the plan's end, or the window of
+                # a region transition -- are pushed.
+                k = int(rng.integers(2, 25))
+                rows = np.concatenate([
+                    random_rows(k // 2),
+                    random_rows(k - k // 2, float(rng.choice([10.0, 20.0]))),
+                ])
+                plan = plan_chunks_pooled([(monitor, rows, None)])[0]
+                score_ks_jobs(plan.jobs, model.config.alpha)
+                region = monitor.current_region
+                start = int(rng.integers(0, k))
+                stop, rejected, _ = monitor.commit_chunk(
+                    plan, np.zeros(k), start
                 )
-                job.d = rng.random(len(job.windows))
-                job.rejected = rng.random(len(job.windows)) < 0.3
-                static_stop = int(rng.integers(1, k + 1))
-                start = int(rng.integers(0, static_stop))
-                hits = job.windows[job.rejected & (job.windows >= start)]
-                expected = min([static_stop, *hits.tolist()])
-                committed = monitor.commit_chunk(
-                    _ChunkPlan(k, static_stop, [job], rows), start
-                )
-                assert committed == expected
-                pushed.extend(rows[start:expected])
+                assert start < stop <= k
+                assert stop == k or monitor.current_region != region
+                assert all(start <= w < stop for w in rejected)
+                walked_rejections += len(rejected)
+                pushed.extend(rows[start:stop])
                 check()
             else:
                 for row in random_rows(int(rng.integers(1, 12))):
@@ -294,3 +254,171 @@ class TestSortedTailMemo:
                 monitor.restore_state(*donor.export_state())
                 pushed = list(donor_pushed)
                 check()
+        assert walked_rejections
+
+
+# -- the walk against the oracle, over tiny random models -------------------
+
+#: Peak columns of the sweep's models (also the history width).
+_SWEEP_WIDTH = 3
+
+
+@st.composite
+def sweep_cases(draw):
+    """A tiny random model and a NaN-heavy peak stream through it.
+
+    Two to four regions, each with 0 (peak-less) to 3 peak dims, its own
+    group size and a reference drawn around one of three centres per
+    dim, so candidates can explain some rejecting dims and not others;
+    a region may copy an earlier one's reference, so two candidates can
+    explain the same dims and tie on votes. Successor lists are random
+    subsets of all regions, self-edges included. The stream visits
+    regions in random order, with foreign rows that no region explains
+    and up to 60% of values missing.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = EddieConfig(
+        window_samples=64,
+        max_peaks=_SWEEP_WIDTH,
+        group_sizes=(4,),
+        min_mon_values=draw(st.integers(2, 4)),
+        change_steps=draw(st.integers(1, 4)),
+        change_fraction=draw(st.floats(0.3, 1.0)),
+        report_threshold=draw(st.integers(0, 5)),
+    )
+    names = [f"loop:{c}" for c in "ABCD"[: draw(st.integers(2, 4))]]
+    profiles = {}
+    for i, name in enumerate(names):
+        if i and draw(st.booleans()):
+            twin = profiles[names[draw(st.integers(0, i - 1))]]
+            profiles[name] = RegionProfile(
+                name, twin.reference, twin.num_peaks, twin.group_size
+            )
+            continue
+        num_peaks = draw(st.integers(0, _SWEEP_WIDTH))
+        reference = np.full((40, _SWEEP_WIDTH), np.nan)
+        centres = [
+            draw(st.sampled_from([10.0, 14.0, 30.0]))
+            for _ in range(num_peaks)
+        ]
+        reference[:, :num_peaks] = centres + rng.normal(size=(40, num_peaks))
+        profiles[name] = RegionProfile(
+            name, reference, num_peaks, draw(st.integers(2, 8))
+        )
+    successors = {
+        name: [other for other in names if draw(st.booleans())]
+        for name in names
+    }
+    model = EddieModel("sweep", cfg, profiles, successors, [names[0]], 64e3)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.integers(1, 30))
+        if draw(st.integers(0, 4)) == 0:
+            segment = 50.0 + rng.normal(size=(length, _SWEEP_WIDTH))
+        else:
+            reference = profiles[draw(st.sampled_from(names))].reference
+            segment = reference[rng.integers(0, len(reference), length)]
+        rows.append(segment.copy())
+    peaks = np.concatenate(rows)
+    peaks[rng.random(size=peaks.shape) < draw(st.floats(0.0, 0.6))] = np.nan
+    early_exit = draw(st.booleans())
+    return model, peaks, early_exit, draw(st.integers(0, 2**32 - 1))
+
+
+def _oracle_run(model, peaks, times, early_exit):
+    """The oracle's result and final state, cut after the first report
+    when ``early_exit`` is set."""
+    result = ScalarMonitor(model).run_peaks(peaks, times)
+    if early_exit and result.report_indices:
+        cut = result.report_indices[0] + 1
+        peaks, times = peaks[:cut], times[:cut]
+    oracle = ScalarMonitor(model)
+    return oracle.run_peaks(peaks, times), oracle.export_state()
+
+
+def _assert_states_equal(a, b):
+    assert a[0] == b[0]
+    np.testing.assert_array_equal(a[1]["history"], b[1]["history"])
+
+
+def _assert_walk_matches_oracle(model, peaks, early_exit, seed):
+    """Batch and random-chunk walks of ``peaks`` equal the oracle's steps:
+    every observable of the results, and the final exported state."""
+    times = np.arange(len(peaks)) * model.hop_duration
+    expected, state = _oracle_run(model, peaks, times, early_exit)
+
+    batch = Monitor(model)
+    plan = plan_chunks_pooled([(batch, peaks, None)])[0]
+    if plan is not None and plan.jobs:
+        score_ks_jobs(plan.jobs, model.config.alpha)
+    assert_results_equal(
+        batch.score_chunk(peaks, times, None, plan, early_exit=early_exit),
+        expected,
+    )
+    _assert_states_equal(batch.export_state(), state)
+
+    stream = Monitor(model)
+    rng = np.random.default_rng(seed)
+    results, start = [], 0
+    while start < len(times):
+        stop = min(len(times), start + int(rng.integers(1, 12)))
+        chunk = peaks[start:stop]
+        plan = plan_chunks_pooled([(stream, chunk, None)])[0]
+        if plan is not None and plan.jobs:
+            score_ks_jobs(plan.jobs, model.config.alpha)
+        result = stream.score_chunk(
+            chunk, times[start:stop], None, plan, early_exit=early_exit
+        )
+        results.append(result)
+        start = stop
+        if early_exit and result.reports:
+            break
+    assert_results_equal(MonitorResult.concat(results), expected)
+    _assert_states_equal(stream.export_state(), state)
+    return expected
+
+
+@pytest.mark.equivalence
+class TestWalkAgainstOracle:
+    """The verdict-table walk decides every window as the scalar
+    oracle's steps do: tracked regions, rejection flags, reports and
+    their indices, and the final exported state."""
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=sweep_cases())
+    def test_batch_and_random_chunks(self, case):
+        _assert_walk_matches_oracle(*case)
+
+    def test_candidates_tied_across_dims(self):
+        # loop:A rejects both dims of a stream centred on (14, 30).
+        # loop:X explains only dim 0 and loop:Y only dim 1, so each earns
+        # a vote in the same step and they tie; the change counts' dict
+        # order -- set by the order of the rejecting dims -- picks X.
+        rng = np.random.default_rng(4)
+        cfg = EddieConfig(
+            window_samples=64, max_peaks=2, group_sizes=(6,),
+            min_mon_values=3, change_steps=1, change_fraction=0.5,
+        )
+
+        def profile(name, centres):
+            return RegionProfile(
+                name, np.array(centres) + rng.normal(size=(80, 2)), 2, 6
+            )
+
+        model = EddieModel(
+            "tie", cfg,
+            {"loop:A": profile("loop:A", (10.0, 10.0)),
+             "loop:Y": profile("loop:Y", (50.0, 30.0)),
+             "loop:X": profile("loop:X", (14.0, 50.0))},
+            {"loop:A": ["loop:Y", "loop:X"]}, ["loop:A"], 64e3,
+        )
+        peaks = np.concatenate([
+            model.profile("loop:A").reference[:20],
+            np.array((14.0, 30.0)) + rng.normal(size=(20, 2)),
+        ])
+        for seed in range(3):
+            result = _assert_walk_matches_oracle(model, peaks, False, seed)
+            assert result.tracked[-1] == "loop:X"

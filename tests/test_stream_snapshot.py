@@ -198,6 +198,42 @@ class TestRefusals:
         with pytest.raises(MonitoringError, match="config fingerprint"):
             StreamingMonitor.restore(model.with_quality_gating(True), snap)
 
+    @pytest.mark.parametrize("edit, match", [
+        ({"hist_pos": 10**6}, "hist_pos"),
+        ({"hist_pos": -1}, "hist_pos"),
+        ({"filled": 10**6}, "filled"),
+        ({"filled": -1}, "filled"),
+        ({"anomaly_count": -1}, "negative counter"),
+        ({"streak": -2}, "negative counter"),
+        ({"change_counts": {"<initial>": -1}}, "negative counter"),
+        ({"resync_remaining": -3}, "resync_remaining"),
+        ({"resync_remaining": 0}, "resync_remaining"),
+        ({"resync_remaining": 10**6}, "resync_remaining"),
+        ({"current_region": "loop:nowhere"}, "not in the model"),
+        ({"change_counts": {"loop:nowhere": 1}}, "not in the model"),
+    ])
+    def test_restore_refuses_impossible_monitor_state(self, edit, match):
+        # A spill whose monitor state no run can reach -- a cursor or
+        # fill outside the history ring, a negative counter, a resync
+        # budget outside [1, resync_timeout], a region the model lacks --
+        # is refused with a typed error instead of resuming from it.
+        model = detector_for("bitcount").model
+        monitor = StreamingMonitor(model)
+        feed_all(monitor, list(signal_for("bitcount").iter_chunks(4096))[:2])
+        snap = monitor.snapshot()
+        assert snapshot_roundtrip(monitor).meta == snap.meta
+        if "change_counts" in edit:
+            edit = {"change_counts": {
+                model.initial_regions[0] if name == "<initial>" else name: v
+                for name, v in edit["change_counts"].items()
+            }}
+        blob = snapshot_to_bytes(StreamSnapshot(
+            meta=dict(snap.meta, monitor=dict(snap.meta["monitor"], **edit)),
+            arrays=snap.arrays,
+        ))
+        with pytest.raises(MonitoringError, match=match):
+            StreamingMonitor.restore(model, snapshot_from_bytes(blob))
+
     def test_restore_refuses_non_snapshot_meta(self):
         model = detector_for("bitcount").model
         with pytest.raises(MonitoringError, match="not a stream snapshot"):
