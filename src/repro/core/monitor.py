@@ -21,12 +21,17 @@ reacquire any region within ``resync_timeout`` scorable windows it
 escalates a ``desync`` report and resumes best-effort monitoring.
 
 Every path -- batch, stream, fleet, served -- runs a chunk of STSs the
-same way (DESIGN.md D24, D30, D31): :func:`plan_chunks_pooled` scores
-the current region's K-S tests for the whole chunk into a per-window
-verdict table, :meth:`Monitor.commit_chunk` walks that table -- with
-candidate probes scored from the chunk's rows in bulk -- through the
-one copy of Algorithm 1's counter machine, :meth:`Monitor._decide`,
-and only the windows no table decides go through :meth:`Monitor.step`.
+same way (DESIGN.md D24, D30, D31, D32): :func:`plan_chunks_pooled`
+plans the current region's two-sample tests for the whole chunk into a
+per-window verdict table, :func:`score_ks_jobs` scores it,
+:meth:`Monitor.commit_chunk` walks that table -- with candidate probes
+scored from the chunk's rows in bulk -- through the one copy of
+Algorithm 1's counter machine, :meth:`Monitor._decide`, and only the
+windows no table decides go through :meth:`Monitor.step`: unscorable
+windows, gaps and resyncs, and peak-less regions past their counting
+prefix. A testable window handed to :meth:`Monitor.step` directly is a
+one-window chunk, so every current-region and candidate test of a
+testable region is scored from a table.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from repro.core.stats import (
     kolmogorov_sf,
     ks_critical_value,
     ks_d_int_rows,
-    ks_statistic_batch,
     two_sample_reject,
 )
 from repro.core.stft import QF_DEAD, QF_GAPPED, QF_UNSCORABLE, stft, window_quality
@@ -59,20 +63,22 @@ __all__ = ["AnomalyReport", "MonitorResult", "Monitor"]
 
 
 class _KsJob:
-    """One vectorized K-S work item of a chunk plan.
+    """One vectorized two-sample work item of a chunk plan.
 
     ``rows`` holds sorted monitored sets, all of count ``count``, to test
-    against ``ref``. ``d`` and ``rejected`` are one column of the owning
+    against ``ref`` with ``test``, the owning monitor's ``(alpha,
+    statistic)``. ``d`` and ``rejected`` are one column of the owning
     plan's verdict table, and ``windows`` indexes the rows' cells in it;
     :func:`score_ks_jobs` writes each row's D and verdict there. Jobs
     from many sessions of one fleet group can be pooled into a single
-    call -- the kernel keys them by ``(id(ref), count)`` so the shared
-    reference is analyzed once.
+    call -- the scorer keys them by ``(id(ref), count, test)`` so the
+    shared reference is analyzed once per test.
     """
 
-    __slots__ = ("ref", "m", "count", "rows", "windows", "d", "rejected")
+    __slots__ = ("ref", "m", "count", "rows", "windows", "d", "rejected",
+                 "test")
 
-    def __init__(self, ref, count, rows, windows, d, rejected):
+    def __init__(self, ref, count, rows, windows, d, rejected, test):
         self.ref = ref
         self.m = len(ref)
         self.count = count
@@ -80,6 +86,7 @@ class _KsJob:
         self.windows = windows
         self.d = d
         self.rejected = rejected
+        self.test = test
 
 
 class _ChunkPlan:
@@ -130,31 +137,38 @@ class _ChunkPlan:
 _PROBE_BATCH = 16
 
 
-def score_ks_jobs(jobs: Sequence[_KsJob], alpha: float) -> None:
-    """Score every job's rows through the shared-reference K-S kernel.
+def score_ks_jobs(jobs: Sequence[_KsJob]) -> None:
+    """Score every job's rows through the shared-reference kernels.
 
-    Jobs are pooled by ``(reference identity, monitored count)``: all
-    rows sharing both -- across windows, dimensions, candidate probes
-    and (in the fleet kernel) sessions -- go through one
-    :func:`ks_d_int_rows` call, and the rejection threshold is the same
-    cached :func:`ks_critical_value` the scalar path compares against.
-    Each job's D and verdicts land in its plan's verdict table. Row
-    results are independent of the pooling, so decisions are
-    bit-identical to per-window scoring.
+    Jobs are pooled by ``(reference identity, monitored count, test)``:
+    all rows sharing them -- across windows, dimensions, candidate
+    probes and (in the fleet kernel) sessions -- are scored together.
+    K-S rows go through one :func:`ks_d_int_rows` call, and the
+    rejection threshold is the cached :func:`ks_critical_value`. U-test
+    rows go through :func:`two_sample_reject` one by one, and their D
+    cells stay NaN; both tests are order-invariant, so the sorted rows
+    decide as the chronological sets would. Each job's D and verdicts
+    land in its plan's verdict table. Row results are independent of
+    the pooling, so decisions are bit-identical to per-window scoring.
     """
-    groups: Dict[Tuple[int, int], List[_KsJob]] = {}
+    groups: Dict[tuple, List[_KsJob]] = {}
     for job in jobs:
-        groups.setdefault((id(job.ref), job.count), []).append(job)
-    for group in groups.values():
+        groups.setdefault((id(job.ref), job.count, job.test), []).append(job)
+    for (_, c, (alpha, statistic)), group in groups.items():
         ref = group[0].ref
         m = group[0].m
-        c = group[0].count
         if len(group) == 1:
             rows = group[0].rows
         else:
             rows = np.concatenate([job.rows for job in group], axis=0)
-        d = ks_d_int_rows(ref, rows) / (m * c)
-        rejected = d > ks_critical_value(m, c, alpha)
+        if statistic == "ks":
+            d = ks_d_int_rows(ref, rows) / (m * c)
+            rejected = d > ks_critical_value(m, c, alpha)
+        else:
+            d = np.full(len(rows), np.nan)
+            rejected = [
+                two_sample_reject(ref, row, alpha, statistic) for row in rows
+            ]
         offset = 0
         for job in group:
             b = len(job.rows)
@@ -229,7 +243,7 @@ def plan_chunks_pooled(
     one.
 
     A plan assumes the current region holds for the whole chunk and
-    computes every window's current-region K-S monitored sets in bulk
+    computes every window's current-region monitored sets in bulk
     (sliding windows over the history tail plus the chunk's own rows)
     into the plan's verdict table; :meth:`Monitor.commit_chunk` then
     walks that table through accepts, rejections, votes and reports,
@@ -260,10 +274,12 @@ def plan_chunks_pooled(
     first such window.
 
     A slot is ``None`` when the session's entry state already diverges
-    from the plan's straight line: a non-K-S statistic, a pending gap
-    resync, an active resync search, or a flagged first window. The
+    from the plan's straight line: a pending gap resync, an active
+    resync search, or a flagged first window. Both statistics plan
+    alike; each job carries its monitor's ``(alpha, statistic)``. The
     caller scores the plans (:func:`score_ks_jobs` pools rows fleet-wide
-    by shared reference) and commits each session's plan individually.
+    by shared reference and test) and commits each session's plan
+    individually.
     """
     plans: List[Optional[_ChunkPlan]] = [None] * len(entries)
     buckets: Dict[tuple, list] = {}
@@ -349,18 +365,21 @@ def _plan_tested_bucket(
 
     plans = []
     for s, (i, _) in enumerate(members):
+        cfg = entries[i][0]._cfg
+        test = (cfg.alpha, cfg.statistic)
         jobs = []
         for j, ref in refs:
             if steady[s][j]:
                 c = int(cnt[s, j, 0])
                 jobs.append(_KsJob(
                     ref, c, rows[s, j, :, :c], window_all, d[s, j],
-                    rejected[s, j],
+                    rejected[s, j], test,
                 ))
             elif scored[s][j]:
                 windows = np.flatnonzero(eligible[s, j])
                 jobs.extend(
-                    _KsJob(ref, c, sets, cells, d[s, j], rejected[s, j])
+                    _KsJob(ref, c, sets, cells, d[s, j], rejected[s, j],
+                           test)
                     for c, sets, cells in _by_count(
                         rows[s, j, windows], cnt[s, j, windows], windows
                     )
@@ -575,23 +594,19 @@ class Monitor:
     """A stateful Algorithm-1 monitor for one trained model.
 
     Per-dim sorted reference arrays are precomputed once per region
-    profile, and all tested dimensions of a window are scored through one
-    :func:`ks_statistic_batch` call in exact integer arithmetic. The
-    rolling history ring is the only window state; the sorted monitored
-    sets a :meth:`step` reads come from a per-group-size sorted copy of
-    its tail, made on first use and dropped at the next push (see
-    :meth:`_recent`). Batch, streaming, and fleet monitoring share one
-    execution path: :func:`plan_chunks_pooled` plans a chunk (a whole
-    batch signal is one chunk) -- K-S jobs in a testable region, a
-    counting-only plan in a peak-less one -- and :meth:`score_chunk`
-    walks the plan's verdict table (:meth:`commit_chunk`) through
-    accepts, rejections, votes and reports up to the first region
-    transition. :meth:`step` takes only what no table decides:
-    unscorable windows, gaps and resyncs, peak-less regions past their
-    counting prefix, and non-K-S statistics. Both feed one counter
-    machine, :meth:`_decide`. The scalar one-step-per-window reference
-    lives in the test suite as the oracle these paths are checked
-    against.
+    profile; the rolling history ring is the only window state. Batch,
+    streaming, and fleet monitoring share one execution path:
+    :func:`plan_chunks_pooled` plans a chunk (a whole batch signal is one
+    chunk) -- two-sample jobs in a testable region, a counting-only plan
+    in a peak-less one -- and :meth:`score_chunk` walks the plan's
+    verdict table (:meth:`commit_chunk`) through accepts, rejections,
+    votes and reports up to the first region transition. :meth:`step`
+    takes only what no table decides: unscorable windows, gaps and
+    resyncs, and peak-less regions past their counting prefix; a
+    testable window stepped directly is walked as a one-window plan.
+    Both feed one counter machine, :meth:`_decide`. The scalar
+    one-test-per-window reference lives in the test suite as the oracle
+    these paths are checked against.
     """
 
     def __init__(self, model: EddieModel) -> None:
@@ -604,9 +619,6 @@ class Monitor:
         self._history = np.full((history_len, self._width), np.nan)
         self._hist_pos = 0
         self._filled = 0
-        # Group size n -> (sorted tail, non-NaN count per dim); see
-        # _recent(). Every history write clears it.
-        self._sorted_tails: Dict[int, Tuple[np.ndarray, List[int]]] = {}
         # Region -> verdict-table layout of its plans; see _table_layout().
         self._layouts: Dict[str, tuple] = {}
         for profile in model.profiles.values():
@@ -694,14 +706,11 @@ class Monitor:
             raise MonitoringError(
                 f"{len(quality)} quality flags for {len(times)} timestamps"
             )
-        # The whole signal is one chunk: plan it, score the plan, and run
-        # the same walk/step loop as the streaming and fleet paths.
-        # Columns past the configured width are never pushed.
+        # The whole signal is one chunk, planned by the same walk/step
+        # loop as the streaming and fleet paths. Columns past the
+        # configured width are never pushed.
         peaks = peaks[:, : self._width]
-        plan = plan_chunks_pooled([(self, peaks, quality)])[0]
-        if plan is not None and plan.jobs:
-            score_ks_jobs(plan.jobs, self._cfg.alpha)
-        result = self.score_chunk(peaks, times, quality, plan)
+        result = self.score_chunk(peaks, times, quality, None)
         if OBS.enabled:
             self._flush_obs_run(result.status)
         return result
@@ -768,7 +777,9 @@ class Monitor:
         ``quality`` is the window's acquisition-quality bitmask; with
         quality gating enabled, flagged windows are skipped as unscorable
         (streak suspended) and gap/dead windows additionally invalidate
-        the history and schedule a resynchronization.
+        the history and schedule a resynchronization. A window in a
+        testable region is a one-window chunk (:meth:`_step_testable`);
+        the branches here are the ones no verdict table decides.
         """
         self.last_unscorable = False
         if self._cfg.quality_gating and (quality & QF_UNSCORABLE):
@@ -794,48 +805,47 @@ class Monitor:
             if any(p.testable() for p in self.model.profiles.values()):
                 self._resync_remaining = self._cfg.resync_timeout
 
-        self._push(peak_row)
+        # The row, cut or NaN-padded to the history width.
+        row = np.full((1, self._width), np.nan)
+        usable = min(len(peak_row), self._width)
+        row[0, :usable] = peak_row[:usable]
+        profile = self.model.profile(self.current_region)
+        if self._resync_remaining is None and profile.testable():
+            return self._step_testable(row, time)
 
+        self._push_rows(row)
         if self._resync_remaining is not None:
             return self._resync_step(time)
 
-        profile = self.model.profile(self.current_region)
-        candidates = self.model.candidate_regions(self.current_region)
-        n = profile.group_size
-
-        if not profile.testable():
-            # Peak-less region (e.g. GSM's hot loop): there is no reference
-            # to test against, but the region *expects no peaks*. First try
-            # to recognize a legal move to a successor; failing that,
-            # persistent peaks that no successor explains are anomalous --
-            # otherwise any injection arriving while the monitor sits in a
-            # peak-less region would be invisible. (No candidate votes
-            # here: the change counts are empty in a peak-less region.)
-            if self._maybe_switch_from_untestable(candidates):
-                return None, False
-            peaks_seen = self._recent(n, 0) is not None
-            report, rejected, _ = self._decide(
-                time, False, [[]] if peaks_seen else []
-            )
-            return report, rejected
-
-        mons = {dim: self._recent(n, dim) for dim in profile.test_dims}
-        rejected_dims = self._score_dims(profile, mons)
-        explanations = [
-            [
-                name for name in candidates
-                if self._candidate_accepts(self.model.profile(name), dim, n)
-            ]
-            for dim in profile.test_dims
-            if rejected_dims[dim]
-        ]
-        missing = (
-            profile.num_peaks > 0 and mons[0] is None and self._filled >= n
+        # Peak-less region (e.g. GSM's hot loop): there is no reference
+        # to test against, but the region *expects no peaks*. First try
+        # to recognize a legal move to a successor; failing that,
+        # persistent peaks that no successor explains are anomalous --
+        # otherwise any injection arriving while the monitor sits in a
+        # peak-less region would be invisible. (No candidate votes
+        # here: the change counts are empty in a peak-less region.)
+        if self._maybe_switch_from_untestable(
+            self.model.candidate_regions(self.current_region)
+        ):
+            return None, False
+        peaks_seen = self._recent(profile.group_size, 0) is not None
+        report, rejected, _ = self._decide(
+            time, False, [[]] if peaks_seen else []
         )
-        report, rejected, target = self._decide(time, missing, explanations)
-        if target is not None:
-            self._transition_to(target)
         return report, rejected
+
+    def _step_testable(self, row: np.ndarray, time: float):
+        """One window of a testable region, decided as a one-window
+        chunk: planned, scored and walked (:meth:`commit_chunk`).
+
+        ``row`` is ``(1, _width)``, and :meth:`step` only calls this with
+        no gap pending and no resync active, so the planner cannot
+        refuse the plan.
+        """
+        plan = plan_chunks_pooled([(self, row, None)])[0]
+        score_ks_jobs(plan.jobs)
+        _, rejected, found = self.commit_chunk(plan, (time,))
+        return (found[0][1] if found else None), bool(rejected)
 
     def _decide(
         self,
@@ -918,17 +928,13 @@ class Monitor:
         """Cheap entry gate for :func:`plan_chunks_pooled`.
 
         True when the monitor's *state* admits a chunk plan right now
-        (K-S statistic, no pending gap resync, no active resync search).
-        Peak-less regions qualify: they get counting-only plans.
-        :meth:`score_chunk` consults it before planning the rest of a
-        chunk after a step, so long resync stretches do not pay planning
-        costs per window.
+        (no pending gap resync, no active resync search), under either
+        statistic. Peak-less regions qualify: they get counting-only
+        plans. :meth:`score_chunk` consults it before planning the rest
+        of a chunk after a step, so long resync stretches do not pay
+        planning costs per window.
         """
-        return (
-            self._cfg.statistic == "ks"
-            and not self._gap_pending
-            and self._resync_remaining is None
-        )
+        return not self._gap_pending and self._resync_remaining is None
 
     def score_chunk(
         self,
@@ -940,14 +946,17 @@ class Monitor:
     ) -> MonitorResult:
         """Run one chunk of STSs through Algorithm 1; return its result.
 
-        ``plan`` is the chunk's scored plan from :func:`plan_chunks_pooled`
-        (or ``None`` when the entry state bars it). The loop walks a
-        plan's verdict table (:meth:`commit_chunk`) as far as it decides
-        the chunk. After a region transition the rest of the chunk is
-        planned again. At the plan's ``static_stop`` -- and wherever no
-        plan can be made -- it steps scalar (:meth:`step`) until a window
-        accepts cleanly, then plans the rest. Batch runs, streams, and
-        fleet sessions all go through here.
+        ``plan`` is the chunk's scored plan from :func:`plan_chunks_pooled`,
+        or ``None`` to have this loop plan it. The loop walks a plan's
+        verdict table (:meth:`commit_chunk`) as far as it decides the
+        chunk, and plans every stretch it was not handed a plan for:
+        after a region transition, after an unscorable window, after a
+        step that accepts. It steps (:meth:`step`) only the windows no
+        table decides: an unscorable window, a gap or resync stretch, and
+        a peak-less region past its counting prefix, which keeps
+        stepping until a window accepts (planning again after each of
+        its rejections would make a long anomalous stretch quadratic).
+        Batch runs, streams, and fleet sessions all go through here.
 
         With ``early_exit`` the chunk stops just after the first
         ``anomaly`` report and the result is truncated there. The
@@ -955,6 +964,7 @@ class Monitor:
         """
         cfg = self._cfg
         n = len(times)
+        gated = cfg.quality_gating and quality is not None
         tracked: List[str] = []
         reports: List[AnomalyReport] = []
         report_indices: List[int] = []
@@ -964,16 +974,21 @@ class Monitor:
         stop_at: Optional[int] = None
         i = 0
         while i < n:
-            if i:
-                plan = None
-                if n - i >= 2 and self._fast_path_ready():
-                    plan = plan_chunks_pooled([(
-                        self,
-                        peaks[i:],
-                        quality[i:] if quality is not None else None,
-                    )])[0]
-                    if plan is not None and plan.jobs:
-                        score_ks_jobs(plan.jobs, cfg.alpha)
+            # A flagged window is stepped without asking the planner,
+            # which would refuse it only after scanning the chunk's
+            # remaining flags.
+            if (
+                plan is None
+                and self._fast_path_ready()
+                and not (gated and quality[i] & QF_UNSCORABLE)
+            ):
+                plan = plan_chunks_pooled([(
+                    self,
+                    peaks[i:],
+                    quality[i:] if quality is not None else None,
+                )])[0]
+                if plan is not None and plan.jobs:
+                    score_ks_jobs(plan.jobs)
             if plan is not None:
                 region = self.current_region
                 stop, rejected, found = self.commit_chunk(
@@ -998,7 +1013,8 @@ class Monitor:
                 if early_exit and found:
                     stop_at = i
                     break
-                if stop < plan.static_stop:
+                static_stop, plan = plan.static_stop, None
+                if stop < static_stop:
                     continue
             while i < n:
                 q = int(quality[i]) if quality is not None else 0
@@ -1017,9 +1033,8 @@ class Monitor:
                     if early_exit and report.kind == "anomaly":
                         stop_at = i + 1
                         break
-                accepted = not rejected and not self.last_unscorable
                 i += 1
-                if accepted:
+                if not rejected:
                     break
             if stop_at is not None:
                 break
@@ -1125,7 +1140,7 @@ class Monitor:
         if target is not None:
             self._transition_to(target)
         self.last_unscorable = False
-        if OBS.enabled:
+        if OBS.enabled and self._cfg.statistic == "ks":
             for j, m in cols.values():
                 counts = plan.count[j, start:stop]
                 scored = counts >= mmv
@@ -1143,9 +1158,14 @@ class Monitor:
         memoized per region: ``(dims, cols, probes, width)``, as
         :class:`_ChunkPlan` describes them, ``dims`` in column order.
 
-        The probes are :meth:`_candidate_accepts`'s: the bounded group
-        and the fresh suffix of ``min_mon_values`` STSs (at least 2 by
-        config), per testable candidate that tests the dim.
+        The probes are Algorithm 1's candidate check, per testable
+        candidate that tests the dim: its group bounded by the current
+        region's group size -- right after a transition the history still
+        holds old-region STSs, and a full-size candidate group would keep
+        rejecting long enough to fake an anomaly -- and the fresh suffix
+        of ``min_mon_values`` STSs (at least 2 by config), which covers
+        the moment just after a transition when older history is still
+        mixed. The candidate explains the dim if either probe accepts.
         """
         layout = self._layouts.get(self.current_region)
         if layout is not None:
@@ -1186,7 +1206,7 @@ class Monitor:
     ) -> List[tuple]:
         """Per tested dim of ``plan``: its verdicts at ``windows`` and, per
         candidate, whether the candidate's probes accept there -- the
-        bounded probe or the fresh suffix (:meth:`_candidate_accepts`).
+        bounded probe or the fresh suffix (:meth:`_table_layout`).
         Lists, so the walk reads them without numpy calls."""
         accepts = (plan.count[:, windows] >= self._cfg.min_mon_values) & (
             ~plan.rejected[:, windows]
@@ -1207,8 +1227,8 @@ class Monitor:
         cells among ``windows`` into its probe columns, in one
         :func:`score_ks_jobs` call.
 
-        The sets are :meth:`_recent`'s: the last ``size`` rows of the
-        plan's stream at each window, with at least ``min_mon_values``
+        The sets are :meth:`_recent`'s, sorted: the last ``size`` rows of
+        the plan's stream at each window, with at least ``min_mon_values``
         real values. Its fill gate always passes here: a rejecting window
         holds ``n`` rows, and both probe sizes are at most ``n`` (the
         fresh suffix's ``min_mon_values`` because the rejected set held
@@ -1216,6 +1236,7 @@ class Monitor:
         any such set, as :meth:`_rejects` does.
         """
         mmv = self._cfg.min_mon_values
+        test = (self._cfg.alpha, self._cfg.statistic)
         n = self.model.profile(self.current_region).group_size
         rejecting = plan.rejected[: len(plan.cols), windows]
         sets: Dict[int, tuple] = {}  # probe size -> sorted sets, counts
@@ -1245,10 +1266,10 @@ class Monitor:
                     if len(ref):
                         jobs.extend(
                             _KsJob(ref, c, rows, w, plan.d[col],
-                                   plan.rejected[col])
+                                   plan.rejected[col], test)
                             for c, rows, w in by_count
                         )
-        score_ks_jobs(jobs, self._cfg.alpha)
+        score_ks_jobs(jobs)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -1257,9 +1278,8 @@ class Monitor:
 
         Everything :meth:`step` reads or writes is covered: the rolling
         history matrix and its cursor, the region belief, and every
-        counter of the anomaly / transition / quality state machines. The
-        sorted-tail memo is derived from the history and rebuilt on
-        demand. ``_ks_scaled_stats`` is observability-only and flushed
+        counter of the anomaly / transition / quality state machines.
+        ``_ks_scaled_stats`` is observability-only and flushed
         per chunk on the streaming path, so it is reset rather than
         carried.
         """
@@ -1340,7 +1360,6 @@ class Monitor:
         self._gap_pending = bool(meta["gap_pending"])
         self._resync_remaining = resync
         self.last_unscorable = bool(meta["last_unscorable"])
-        self._sorted_tails.clear()
         self._ks_scaled_stats = []
 
     # -- resynchronization after acquisition gaps ---------------------------
@@ -1415,12 +1434,6 @@ class Monitor:
 
     # -- internals ------------------------------------------------------------
 
-    def _push(self, peak_row: np.ndarray) -> None:
-        row = np.full((1, self._width), np.nan)
-        usable = min(len(peak_row), self._width)
-        row[0, :usable] = peak_row[:usable]
-        self._push_rows(row)
-
     def _push_rows(self, rows: np.ndarray) -> None:
         """Append ``rows`` (each ``_width`` wide) to the history ring in
         one circular write."""
@@ -1435,15 +1448,13 @@ class Monitor:
         self._history[offsets] = take
         self._hist_pos = (self._hist_pos + pushed) % size
         self._filled = min(self._filled + pushed, size)
-        self._sorted_tails.clear()
 
     def _history_tail(self, n: int) -> np.ndarray:
         """The last ``n`` pushed rows in chronological order.
 
         Callers must keep ``n <= self._filled`` (they all gate on it)
         and only read the result: it is a view of the ring unless the
-        tail wraps. Post-gap reacquisition reads it directly;
-        :meth:`_recent` sorts it once per group size.
+        tail wraps.
         """
         n = min(n, self._history.shape[0])
         pos = self._hist_pos
@@ -1452,80 +1463,16 @@ class Monitor:
         return np.concatenate((self._history[pos - n:], self._history[:pos]))
 
     def _recent(self, n: int, dim: int) -> Optional[np.ndarray]:
-        """Last up-to-n non-NaN observations of one peak dimension, sorted.
-
-        One step queries a few group sizes (the region's, each candidate
-        probe's, the fresh suffix) over many dims, so the last ``n``
-        history rows are sorted once per ``n``, all columns at a time --
-        NaNs sort past each column's real values -- and memoized until
-        the next history write (:meth:`_push`, :meth:`commit_chunk`,
-        :meth:`restore_state`). Both two-sample tests are
-        order-invariant, so sorted and chronological sets decide alike.
-        """
+        """The non-NaN values of one dim among the last ``n`` pushed
+        rows, in chronological order, or ``None`` before ``n`` rows are
+        in or when fewer than ``min_mon_values`` are real."""
         if self._filled < n:
             return None
-        memo = self._sorted_tails.get(n)
-        if memo is None:
-            tail = np.sort(self._history_tail(n).T, axis=1)
-            memo = (tail, (tail == tail).sum(axis=1).tolist())
-            self._sorted_tails[n] = memo
-        tail, counts = memo
-        count = counts[dim]
-        if count < self._cfg.min_mon_values:
+        values = self._history_tail(n)[:, dim]
+        values = values[~np.isnan(values)]
+        if len(values) < self._cfg.min_mon_values:
             return None
-        return tail[dim, :count]
-
-    def _score_dims(
-        self,
-        profile: RegionProfile,
-        mons: Dict[int, Optional[np.ndarray]],
-    ) -> Dict[int, bool]:
-        """Rejection decision for every tested dimension of one window.
-
-        With the K-S statistic all testable dimensions are scored in one
-        :func:`ks_statistic_batch` call against the profile's precomputed
-        sorted references; the U-test alternative runs each dimension
-        through :func:`~repro.core.stats.two_sample_reject`.
-        """
-        rejected: Dict[int, bool] = {}
-        batch_dims: List[int] = []
-        batch_refs: List[np.ndarray] = []
-        batch_mons: List[np.ndarray] = []
-        batch_runs: List[Tuple[np.ndarray, np.ndarray]] = []
-        for dim, mon in mons.items():
-            if mon is None:
-                rejected[dim] = False
-                continue
-            ref = profile.reference_dim(dim)
-            if len(ref) == 0:
-                rejected[dim] = False
-                continue
-            if self._cfg.statistic == "ks":
-                batch_dims.append(dim)
-                batch_refs.append(ref)
-                batch_mons.append(mon)
-                batch_runs.append(profile.reference_dim_runs(dim))
-            else:
-                rejected[dim] = two_sample_reject(
-                    ref, mon, self._cfg.alpha, self._cfg.statistic
-                )
-        if batch_dims:
-            stats = ks_statistic_batch(batch_refs, batch_mons, batch_runs)
-            for dim, ref, mon, d_stat in zip(
-                batch_dims, batch_refs, batch_mons, stats
-            ):
-                rejected[dim] = bool(
-                    d_stat > ks_critical_value(len(ref), len(mon), self._cfg.alpha)
-                )
-            if OBS.enabled:
-                # Buffer D * sqrt(mn/(m+n)); the run-level flush turns the
-                # whole buffer into asymptotic p-values in one shot.
-                for ref, mon, d_stat in zip(batch_refs, batch_mons, stats):
-                    m, k = len(ref), len(mon)
-                    self._ks_scaled_stats.append(
-                        float(d_stat) * (m * k / (m + k)) ** 0.5
-                    )
-        return rejected
+        return values
 
     def _rejects(self, profile: RegionProfile, dim: int, mon: np.ndarray) -> bool:
         ref = profile.reference_dim(dim)
@@ -1539,27 +1486,6 @@ class Monitor:
         return two_sample_reject(
             ref, mon, self._cfg.alpha, self._cfg.statistic, ref_runs
         )
-
-    def _candidate_accepts(self, cand: RegionProfile, dim: int, n: int) -> bool:
-        """Whether a successor region's reference explains recent STSs of
-        one dim that the current region (group size ``n``) rejected.
-
-        Only testable candidates that test the dim can explain it. The
-        probe group is bounded by ``n``: right after a transition the
-        history still contains old-region STSs, and a full-size
-        candidate group would keep rejecting long enough to fake an
-        anomaly. The candidate accepts if either that group or its fresh
-        suffix (the most recent few STSs) passes -- the suffix covers the
-        moment just after a transition when older history is still
-        mixed. :meth:`_score_probes` scores the same two sets in bulk.
-        """
-        if not cand.testable() or dim not in cand.test_dims:
-            return False
-        mon = self._recent(min(cand.group_size, n), dim)
-        if mon is not None and not self._rejects(cand, dim, mon):
-            return True
-        suffix = self._recent(max(2, self._cfg.min_mon_values), dim)
-        return suffix is not None and not self._rejects(cand, dim, suffix)
 
     def _maybe_switch_from_untestable(self, candidates: Sequence[str]) -> bool:
         """Try to recognize a successor region from a peak-less one.

@@ -18,7 +18,6 @@ from repro.core.stats.ks import (
     ks_critical_value,
     ks_d_int_rows,
     ks_statistic,
-    ks_statistic_batch,
     sorted_run_ends,
 )
 from repro.core.stats.utest import UTestResult, mann_whitney_u
@@ -28,7 +27,6 @@ __all__ = [
     "ks_2samp",
     "ks_critical_value",
     "ks_d_int_rows",
-    "ks_statistic_batch",
     "kolmogorov_sf",
     "KsResult",
     "mann_whitney_u",

@@ -12,17 +12,17 @@ asymptotic Kolmogorov distribution.
 
 Numerics note: the D statistic is computed in exact integer arithmetic
 (``|n * count_ref - m * count_mon|`` divided by ``m * n`` once at the end),
-so the scalar path (:func:`ks_statistic`) and the vectorized batch path
-(:func:`ks_statistic_batch`) produce bit-identical values -- the monitor's
-batched hot path can never flip a rejection decision relative to the
-per-dimension loop.
+so the scalar path (:func:`ks_statistic`) and the monitor's row kernel
+(:func:`ks_d_int_rows`) produce bit-identical values -- the monitor's
+verdict tables can never flip a rejection decision relative to one test
+per set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "KsResult",
     "ks_2samp",
     "ks_statistic",
-    "ks_statistic_batch",
     "ks_d_int_rows",
     "ks_critical_value",
     "kolmogorov_sf",
@@ -86,8 +85,8 @@ def _ks_d_int(
     sample -- two small searchsorted calls instead of one over the merged
     arrays. ``ref_runs`` may carry the reference side's precomputed
     :func:`sorted_run_ends` (it is fixed per region). Exact integer
-    arithmetic: dividing by m*n once at the end keeps the scalar and
-    batch paths bit-identical.
+    arithmetic: dividing by m*n once at the end keeps the scalar path
+    bit-identical to :func:`ks_d_int_rows`.
     """
     if ref_runs is None:
         ref_runs = sorted_run_ends(ref)
@@ -169,8 +168,10 @@ def ks_statistic(
 ) -> float:
     """The K-S D statistic; ``reference_sorted`` must be pre-sorted.
 
-    This is the hot path of EDDIE's monitor, so it avoids re-sorting the
-    reference set on every call. ``monitored`` may arrive in any order
+    The monitor's per-window callers (the peak-less switch and resync
+    reacquisition) test against fixed references, so it avoids
+    re-sorting the reference set on every call. ``monitored`` may arrive
+    in any order
     (sorting an already-sorted monitored group is cheap). ``ref_runs``
     may carry the reference's precomputed :func:`sorted_run_ends`.
     """
@@ -180,40 +181,6 @@ def ks_statistic(
     if m == 0 or n == 0:
         raise ConfigurationError("K-S test requires non-empty samples")
     return _ks_d_int(reference_sorted, mon_sorted, m, n, ref_runs) / (m * n)
-
-
-def ks_statistic_batch(
-    references_sorted: Sequence[np.ndarray],
-    monitored_sorted: Sequence[np.ndarray],
-    reference_runs: "Sequence[tuple[np.ndarray, np.ndarray]] | None" = None,
-) -> np.ndarray:
-    """K-S D statistics for many (reference, monitored) pairs in one call.
-
-    Both inputs are sequences of 1-D **pre-sorted** arrays; pair ``i`` is
-    ``(references_sorted[i], monitored_sorted[i])``. This is the monitor's
-    hot path: all tested dimensions of one window are scored in a single
-    call, each through the run-ends kernel that exploits both sides being
-    pre-sorted (the references once per profile, the monitored groups by
-    the monitor's incrementally sorted history). ``reference_runs``, when
-    given, carries each reference's precomputed :func:`sorted_run_ends`
-    so the fixed side of every pair is never re-analyzed.
-
-    Returns an array of D values, bit-identical to calling
-    :func:`ks_statistic` pair by pair.
-    """
-    if len(references_sorted) != len(monitored_sorted):
-        raise ConfigurationError(
-            f"{len(references_sorted)} reference sets for "
-            f"{len(monitored_sorted)} monitored sets"
-        )
-    out = np.empty(len(references_sorted), dtype=float)
-    for i, (ref, mon) in enumerate(zip(references_sorted, monitored_sorted)):
-        m, n = len(ref), len(mon)
-        if m == 0 or n == 0:
-            raise ConfigurationError("K-S test requires non-empty samples")
-        runs = reference_runs[i] if reference_runs is not None else None
-        out[i] = _ks_d_int(ref, mon, m, n, runs) / (m * n)
-    return out
 
 
 def ks_2samp(reference: np.ndarray, monitored: np.ndarray) -> KsResult:

@@ -30,9 +30,9 @@ whole group:
    sessions that share a region profile and window count (steady,
    history-filling, and quality-flagged alike) into single numpy passes;
 5. **score** -- all sessions' jobs are scored in one
-   :func:`score_ks_jobs` pass per alpha; the scorer already pools rows
-   by (reference, count), so sessions sharing a model collapse into
-   single :func:`ks_d_int_rows` calls across the whole fleet;
+   :func:`score_ks_jobs` pass; the scorer pools rows by (reference,
+   count, test), so sessions sharing a model collapse into single
+   :func:`ks_d_int_rows` calls across the whole fleet;
 6. **finish** -- each session runs :meth:`Monitor.score_chunk`: it
    walks its plan's verdict table (candidate probes scored on demand),
    steps only what no table decides, and assembles its chunk result
@@ -224,18 +224,17 @@ class FleetKernel:
                     results[i] = exc
                     del seqs[i]
 
-        # Score every session's jobs fleet-wide: jobs pool across
-        # sessions (and even across groups) as long as they share the
-        # significance level; the scorer splits by reference identity
-        # internally.
-        jobs_by_alpha: Dict[float, list] = {}
-        for i, plan in plan_of.items():
-            if i in seqs and plan is not None and plan.jobs:
-                jobs_by_alpha.setdefault(
-                    float(items[i][0]._cfg.alpha), []
-                ).extend(plan.jobs)
-        for alpha, jobs in jobs_by_alpha.items():
-            score_ks_jobs(jobs, alpha)
+        # Score every session's jobs fleet-wide: each job carries its
+        # session's test, and the scorer pools jobs across sessions (and
+        # even across groups) by reference identity, count and test.
+        jobs = [
+            job
+            for i, plan in plan_of.items()
+            if i in seqs and plan is not None
+            for job in plan.jobs
+        ]
+        if jobs:
+            score_ks_jobs(jobs)
 
         for i in active:
             if i not in seqs:

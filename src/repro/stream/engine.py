@@ -56,8 +56,8 @@ class StreamSnapshot:
 
     ``meta`` is a JSON-able dict (counters, region belief, config
     fingerprint, anomaly reports so far); ``arrays`` maps names to the
-    numeric state (STFT carry samples, rolling history, sorted
-    per-dimension buffers, quality baseline). The pair round-trips
+    numeric state (STFT carry samples, rolling history, quality
+    baseline). The pair round-trips
     losslessly through :func:`repro.serialize.snapshot_to_bytes`, and a
     stream restored from it continues bit-identically to one that was
     never interrupted (DESIGN.md D19).
@@ -200,16 +200,12 @@ class StreamingMonitor:
     def resident_bytes(self) -> int:
         """Approximate bytes of stream state held right now.
 
-        Covers the residual STFT tail, the monitor's history ring (its
-        only window state) and the sorted tails memoized from it -- the
-        quantities that must stay flat as the stream grows
-        (``keep_history`` results, if enabled, are counted too and are
-        the one intentionally unbounded part).
+        Covers the residual STFT tail and the monitor's history ring (its
+        only window state) -- the quantities that must stay flat as the
+        stream grows (``keep_history`` results, if enabled, are counted
+        too and are the one intentionally unbounded part).
         """
-        mon = self._monitor
-        total = mon._history.nbytes
-        for tail, _ in mon._sorted_tails.values():
-            total += tail.nbytes
+        total = self._monitor._history.nbytes
         if self._stft._buffer is not None:
             total += self._stft._buffer.nbytes
         if self._frontend is not None:
@@ -278,7 +274,7 @@ class StreamingMonitor:
         )
         plan = plan_chunks_pooled([(self._monitor, peaks, seq.quality)])[0]
         if plan is not None and plan.jobs:
-            score_ks_jobs(plan.jobs, cfg.alpha)
+            score_ks_jobs(plan.jobs)
         return [self._finish_windows(seq, peaks, plan)]
 
     # -- kernel hooks (see repro.stream.batchkernel) -------------------------
@@ -341,8 +337,8 @@ class StreamingMonitor:
         """Capture the stream's full resumable state.
 
         The snapshot covers everything :meth:`feed` reads or writes --
-        STFT carry samples, the monitor's rolling history and sorted
-        buffers, region/streak/quality-gating state, and the stream's
+        STFT carry samples, the monitor's rolling history,
+        region/streak/quality-gating state, and the stream's
         cumulative counters and reports -- and is stamped with the
         model's config fingerprint so :meth:`restore` can refuse a
         mismatched model. Guarantee: feed N chunks, snapshot, restore,

@@ -1,17 +1,19 @@
 """Reference oracles the fast paths are checked against.
 
 - :class:`ScalarMonitor`, the scalar reference monitor. Production
-  monitoring has one execution path (DESIGN.md D24): a chunk -- a whole
-  batch signal, a stream chunk, or one fleet session's round -- is
-  planned by :func:`repro.core.monitor.plan_chunks_pooled`, its verdict
-  table walked in bulk, and only what no table decides stepped through
-  :meth:`Monitor.step`. :class:`ScalarMonitor` is Algorithm 1 without
-  any of that: one :meth:`step` per window, chronological history
-  reads, and one two-sample test per tested dimension and candidate
-  probe. Both share :meth:`Monitor._decide`, the counter machine the
-  goldens pin. Every
-  bit-identity suite compares the fast path against it (directly, or
-  through isolated streams that the oracle suite pins).
+  monitoring has one execution path (DESIGN.md D24, D32): a chunk -- a
+  whole batch signal, a stream chunk, or one fleet session's round --
+  is planned by :func:`repro.core.monitor.plan_chunks_pooled`, its
+  verdict table walked in bulk, and only what no table decides stepped
+  through :meth:`Monitor.step`; even a testable window stepped on its
+  own is a one-window plan. :class:`ScalarMonitor` is Algorithm 1
+  without any of that: one :meth:`step` per window, and in a testable
+  region one two-sample test per tested dimension and candidate probe
+  on chronological history reads. Both share :meth:`Monitor._decide`,
+  the counter machine the goldens pin, and the branches no table
+  decides (unscorable windows, gaps and resyncs, peak-less regions).
+  Every bit-identity suite compares the fast path against it
+  (directly, or through isolated streams that the oracle suite pins).
 - :func:`schedule_path` and :func:`waveform`, the simulator's compile
   kernels as a per-instruction loop over numpy arrays and a
   per-instruction slice loop. The production kernels
@@ -58,22 +60,37 @@ from repro.types import RegionInterval, RegionTimeline, Signal
 class ScalarMonitor(Monitor):
     """Algorithm 1 one window at a time, with no fast path.
 
-    - the monitored set of a dimension is the chronological
-      :meth:`_history_tail` slice, never the memoized sorted tail;
-    - each tested dimension is scored by its own
-      :func:`two_sample_reject` call, not the pooled K-S kernels;
+    - a window in a testable region is decided here
+      (:meth:`_step_testable`), not by a one-window plan: the monitored
+      set of a dimension is the chronological :meth:`_recent` slice, and
+      each tested dimension and candidate probe is scored by its own
+      :func:`two_sample_reject` call, not the pooled kernels;
     - :meth:`run_peaks` calls :meth:`step` once per window; nothing is
       planned or committed, and no step reads a plan's verdict table.
     """
 
-    def _recent(self, n: int, dim: int) -> Optional[np.ndarray]:
-        if self._filled < n:
-            return None
-        values = self._history_tail(n)[:, dim]
-        values = values[~np.isnan(values)]
-        if len(values) < self._cfg.min_mon_values:
-            return None
-        return values
+    def _step_testable(self, row: np.ndarray, time: float):
+        self._push_rows(row)
+        profile = self.model.profile(self.current_region)
+        candidates = self.model.candidate_regions(self.current_region)
+        n = profile.group_size
+        mons = {dim: self._recent(n, dim) for dim in profile.test_dims}
+        rejected_dims = self._score_dims(profile, mons)
+        explanations = [
+            [
+                name for name in candidates
+                if self._candidate_accepts(self.model.profile(name), dim, n)
+            ]
+            for dim in profile.test_dims
+            if rejected_dims[dim]
+        ]
+        missing = (
+            profile.num_peaks > 0 and mons[0] is None and self._filled >= n
+        )
+        report, rejected, target = self._decide(time, missing, explanations)
+        if target is not None:
+            self._transition_to(target)
+        return report, rejected
 
     def _score_dims(
         self,
@@ -91,6 +108,21 @@ class ScalarMonitor(Monitor):
                 )
             )
         return rejected
+
+    def _candidate_accepts(
+        self, cand: RegionProfile, dim: int, n: int
+    ) -> bool:
+        """Whether a successor region's reference explains recent STSs of
+        one dim that the current region (group size ``n``) rejected: its
+        group bounded by ``n``, or the fresh suffix of the most recent
+        ``min_mon_values`` STSs, accepts."""
+        if not cand.testable() or dim not in cand.test_dims:
+            return False
+        mon = self._recent(min(cand.group_size, n), dim)
+        if mon is not None and not self._rejects(cand, dim, mon):
+            return True
+        suffix = self._recent(max(2, self._cfg.min_mon_values), dim)
+        return suffix is not None and not self._rejects(cand, dim, suffix)
 
     def run_peaks(
         self,

@@ -265,9 +265,7 @@ class TestPooledPlanner:
         plans = plan_chunks_pooled(
             [(mon, peaks, quality) for _, mon, peaks, _, quality in sessions]
         )
-        score_ks_jobs(
-            [job for plan in plans for job in plan.jobs], model.config.alpha
-        )
+        score_ks_jobs([job for plan in plans for job in plan.jobs])
         by_label = {label: plan for (label, *_), plan in zip(sessions, plans)}
         n = model.profile(regions.pop()).group_size
         # The filling session's first n-1 windows are never K-S tested.

@@ -7,10 +7,12 @@ equals the oracle's (:class:`oracle.ScalarMonitor`) on whole captures is
 the equivalence suite's job (``tests/test_equivalence.py``). This module
 adds the same check on a multi-peak loop's simulated power trace (clean,
 injected, and at forced group sizes) and a hypothesis sweep of the walk
-over tiny random models, and pins the mechanisms: that clean peak-less
-regions (gsm, susan) get counting-only plans instead of steps, that a
-candidate probe ends a counting prefix, and that the memoized sorted
-history tails track every history write.
+over tiny random models (K-S and U-test, quality-flagged windows), and
+pins the mechanisms: that clean peak-less regions (gsm, susan) get
+counting-only plans instead of steps, that a candidate probe ends a
+counting prefix, that the history ring tracks every history write, that
+K-S and U-test jobs never share a scorer call, and that ``step`` decides
+rows of any width as the oracle does.
 """
 
 import numpy as np
@@ -25,8 +27,17 @@ from repro.core.monitor import (
     Monitor,
     MonitorResult,
     _ChunkPlan,
+    _KsJob,
     plan_chunks_pooled,
     score_ks_jobs,
+)
+from repro.core.stats import two_sample_reject
+from repro.core.stft import (
+    QF_CLIPPED,
+    QF_DEAD,
+    QF_ENERGY_OUTLIER,
+    QF_GAPPED,
+    QF_NONFINITE,
 )
 from repro.experiments.runner import Scale, build_detector
 from repro.programs.workloads import injection_mix, multi_peak_loop_program
@@ -79,7 +90,7 @@ def _run_in_chunks(model, peaks, times, rng):
         chunk = peaks[start:stop]
         plan = plan_chunks_pooled([(monitor, chunk, None)])[0]
         if plan is not None and plan.jobs:
-            score_ks_jobs(plan.jobs, model.config.alpha)
+            score_ks_jobs(plan.jobs)
         results.append(
             monitor.score_chunk(chunk, times[start:stop], None, plan)
         )
@@ -172,15 +183,16 @@ def _tiny_model():
     )
 
 
-class TestSortedTailMemo:
-    def test_recent_tracks_history_across_writes(self):
-        # _recent() serves sorted copies of the history tail memoized
-        # per group size. Interleave every history write -- step pushes,
-        # bulk commits, walks of a scored plan from a random window,
-        # snapshot restores -- with queries at every n and dim: each
-        # answer must equal sorting the last n rows pushed (tracked here,
-        # independently of the ring), so a memo that outlives a write,
-        # or a walk that pushes a row too many or too few, fails here.
+class TestHistoryRing:
+    def test_history_tail_tracks_every_write(self):
+        # The history ring is the monitor's only window state. Interleave
+        # every history write -- steps (one-window walks), bulk commits,
+        # walks of a scored plan from a random window, snapshot restores
+        # -- with reads at every n: _history_tail(n) must equal the last
+        # n rows pushed (tracked here, independently of the ring), and
+        # _recent(n, dim) their real values of dim in order, so a walk
+        # that pushes a row too many or too few, or a write that lands in
+        # the wrong slot, fails here.
         model = _tiny_model()
         monitor = Monitor(model)
         donor = Monitor(model)
@@ -195,13 +207,17 @@ class TestSortedTailMemo:
 
         def check():
             for n in (2, 3, 6, 10):
+                if monitor._filled >= n:
+                    np.testing.assert_array_equal(
+                        monitor._history_tail(n), np.array(pushed[-n:])
+                    )
                 for dim in range(4):
                     got = monitor._recent(n, dim)
                     if monitor._filled < n:
                         assert got is None
                         continue
                     column = np.array(pushed[-n:])[:, dim]
-                    expected = np.sort(column[~np.isnan(column)])
+                    expected = column[~np.isnan(column)]
                     if len(expected) < model.config.min_mon_values:
                         assert got is None
                     else:
@@ -235,7 +251,7 @@ class TestSortedTailMemo:
                     random_rows(k - k // 2, float(rng.choice([10.0, 20.0]))),
                 ])
                 plan = plan_chunks_pooled([(monitor, rows, None)])[0]
-                score_ks_jobs(plan.jobs, model.config.alpha)
+                score_ks_jobs(plan.jobs)
                 region = monitor.current_region
                 start = int(rng.integers(0, k))
                 stop, rejected, _ = monitor.commit_chunk(
@@ -257,15 +273,94 @@ class TestSortedTailMemo:
         assert walked_rejections
 
 
+class TestScoreKsJobs:
+    def test_tests_never_share_a_scorer_call(self, monkeypatch):
+        # A K-S job and a U-test job on the same reference object, with
+        # the same count and alpha, pool by test as well: the K-S rows go
+        # through the integer kernel alone, the U-test rows through
+        # two_sample_reject alone, and each verdict is its own test's.
+        import repro.core.monitor as core_monitor
+
+        rng = np.random.default_rng(5)
+        ref = np.sort(rng.normal(size=60))
+        rows = np.sort(rng.normal(0.8, 1.0, size=(6, 8)), axis=1)
+        alpha = 0.05
+        tables = {name: (np.zeros(6), np.zeros(6, dtype=bool))
+                  for name in ("ks", "utest")}
+        jobs = [
+            _KsJob(ref, 8, rows, np.arange(6), *tables[name], (alpha, name))
+            for name in ("ks", "utest")
+        ]
+        kernel_rows, reject_methods = [], []
+        real_kernel = core_monitor.ks_d_int_rows
+        real_reject = core_monitor.two_sample_reject
+
+        def kernel(reference, sets):
+            kernel_rows.append(len(sets))
+            return real_kernel(reference, sets)
+
+        def reject(reference, sets, a, method, *args):
+            reject_methods.append(method)
+            return real_reject(reference, sets, a, method, *args)
+
+        monkeypatch.setattr(core_monitor, "ks_d_int_rows", kernel)
+        monkeypatch.setattr(core_monitor, "two_sample_reject", reject)
+        score_ks_jobs(jobs)
+        assert kernel_rows == [6]
+        assert reject_methods == ["utest"] * 6
+        for name, (d, rejected) in tables.items():
+            expected = [real_reject(ref, row, alpha, name) for row in rows]
+            assert rejected.tolist() == expected
+            assert np.isnan(d).all() == (name == "utest")
+        assert tables["ks"][1].tolist() != tables["utest"][1].tolist()
+
+
+class TestStepRowWidths:
+    def test_odd_row_widths_match_the_oracle(self):
+        # Monitor.step pads or cuts each row to the history width before
+        # its one-window plan. Rows narrower and wider than the width,
+        # drifting from loop:A towards loop:B, go through the public
+        # step of both monitors: every return, the tracked region and
+        # the final state agree, and the walk really rejects, reports or
+        # moves on the way.
+        model = _tiny_model()
+        width = Monitor(model)._width
+        rng = np.random.default_rng(9)
+        monitor, oracle = Monitor(model), ScalarMonitor(model)
+        outcomes = []
+        for k in range(120):
+            centre = 10.0 if k < 40 else (50.0 if k < 70 else 20.0)
+            row = centre + rng.normal(
+                size=int(rng.choice([0, 1, width - 1, width, width + 3]))
+            )
+            row[rng.random(size=len(row)) < 0.2] = np.nan
+            got = monitor.step(row, k * 1e-3)
+            assert got == oracle.step(row, k * 1e-3)
+            assert monitor.current_region == oracle.current_region
+            outcomes.append(got)
+        _assert_states_equal(monitor.export_state(), oracle.export_state())
+        assert any(rejected for _, rejected in outcomes)
+        assert any(report is not None for report, _ in outcomes)
+        assert monitor.current_region == "loop:B"
+
+
 # -- the walk against the oracle, over tiny random models -------------------
 
 #: Peak columns of the sweep's models (also the history width).
 _SWEEP_WIDTH = 3
 
 
+#: Per-window acquisition-quality flags the sweep draws from.
+_SWEEP_FLAGS = np.array(
+    [QF_CLIPPED, QF_GAPPED, QF_DEAD, QF_ENERGY_OUTLIER, QF_NONFINITE],
+    dtype=np.uint8,
+)
+
+
 @st.composite
 def sweep_cases(draw):
-    """A tiny random model and a NaN-heavy peak stream through it.
+    """A tiny random model, a NaN-heavy peak stream through it, and the
+    stream's per-window quality flags.
 
     Two to four regions, each with 0 (peak-less) to 3 peak dims, its own
     group size and a reference drawn around one of three centres per
@@ -274,7 +369,10 @@ def sweep_cases(draw):
     explain the same dims and tie on votes. Successor lists are random
     subsets of all regions, self-edges included. The stream visits
     regions in random order, with foreign rows that no region explains
-    and up to 60% of values missing.
+    and up to 60% of values missing. The model tests with K-S or the
+    U-test, with or without quality gating (and a short resync budget,
+    so desync reports happen); up to 30% of windows carry a clipped,
+    gapped, dead, energy-outlier or non-finite flag.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cfg = EddieConfig(
@@ -285,6 +383,9 @@ def sweep_cases(draw):
         change_steps=draw(st.integers(1, 4)),
         change_fraction=draw(st.floats(0.3, 1.0)),
         report_threshold=draw(st.integers(0, 5)),
+        statistic=draw(st.sampled_from(["ks", "utest"])),
+        quality_gating=draw(st.booleans()),
+        resync_timeout=draw(st.integers(1, 12)),
     )
     names = [f"loop:{c}" for c in "ABCD"[: draw(st.integers(2, 4))]]
     profiles = {}
@@ -321,19 +422,30 @@ def sweep_cases(draw):
         rows.append(segment.copy())
     peaks = np.concatenate(rows)
     peaks[rng.random(size=peaks.shape) < draw(st.floats(0.0, 0.6))] = np.nan
+    flagged = rng.random(size=len(peaks)) < draw(st.floats(0.0, 0.3))
+    quality = np.where(
+        flagged, rng.choice(_SWEEP_FLAGS, size=len(peaks)), 0
+    ).astype(np.uint8)
     early_exit = draw(st.booleans())
-    return model, peaks, early_exit, draw(st.integers(0, 2**32 - 1))
+    return (
+        model, peaks, early_exit, draw(st.integers(0, 2**32 - 1)), quality
+    )
 
 
-def _oracle_run(model, peaks, times, early_exit):
-    """The oracle's result and final state, cut after the first report
-    when ``early_exit`` is set."""
-    result = ScalarMonitor(model).run_peaks(peaks, times)
-    if early_exit and result.report_indices:
-        cut = result.report_indices[0] + 1
+def _oracle_run(model, peaks, times, early_exit, quality):
+    """The oracle's result and final state, cut after the first anomaly
+    report when ``early_exit`` is set."""
+    result = ScalarMonitor(model).run_peaks(peaks, times, quality)
+    anomalies = [
+        i for i, report in zip(result.report_indices, result.reports)
+        if report.kind == "anomaly"
+    ]
+    if early_exit and anomalies:
+        cut = anomalies[0] + 1
         peaks, times = peaks[:cut], times[:cut]
+        quality = quality[:cut] if quality is not None else None
     oracle = ScalarMonitor(model)
-    return oracle.run_peaks(peaks, times), oracle.export_state()
+    return oracle.run_peaks(peaks, times, quality), oracle.export_state()
 
 
 def _assert_states_equal(a, b):
@@ -341,18 +453,20 @@ def _assert_states_equal(a, b):
     np.testing.assert_array_equal(a[1]["history"], b[1]["history"])
 
 
-def _assert_walk_matches_oracle(model, peaks, early_exit, seed):
+def _assert_walk_matches_oracle(model, peaks, early_exit, seed, quality=None):
     """Batch and random-chunk walks of ``peaks`` equal the oracle's steps:
-    every observable of the results, and the final exported state."""
+    every observable of the results, and the final exported state. The
+    batch run lets :meth:`Monitor.score_chunk` plan for itself; the
+    chunked run hands it each chunk's scored entry plan, as the
+    streaming engine does."""
     times = np.arange(len(peaks)) * model.hop_duration
-    expected, state = _oracle_run(model, peaks, times, early_exit)
+    expected, state = _oracle_run(model, peaks, times, early_exit, quality)
 
     batch = Monitor(model)
-    plan = plan_chunks_pooled([(batch, peaks, None)])[0]
-    if plan is not None and plan.jobs:
-        score_ks_jobs(plan.jobs, model.config.alpha)
     assert_results_equal(
-        batch.score_chunk(peaks, times, None, plan, early_exit=early_exit),
+        batch.score_chunk(
+            peaks, times, quality, None, early_exit=early_exit
+        ),
         expected,
     )
     _assert_states_equal(batch.export_state(), state)
@@ -363,17 +477,21 @@ def _assert_walk_matches_oracle(model, peaks, early_exit, seed):
     while start < len(times):
         stop = min(len(times), start + int(rng.integers(1, 12)))
         chunk = peaks[start:stop]
-        plan = plan_chunks_pooled([(stream, chunk, None)])[0]
+        flags = quality[start:stop] if quality is not None else None
+        plan = plan_chunks_pooled([(stream, chunk, flags)])[0]
         if plan is not None and plan.jobs:
-            score_ks_jobs(plan.jobs, model.config.alpha)
+            score_ks_jobs(plan.jobs)
         result = stream.score_chunk(
-            chunk, times[start:stop], None, plan, early_exit=early_exit
+            chunk, times[start:stop], flags, plan, early_exit=early_exit
         )
         results.append(result)
         start = stop
-        if early_exit and result.reports:
+        if early_exit and any(r.kind == "anomaly" for r in result.reports):
             break
-    assert_results_equal(MonitorResult.concat(results), expected)
+    merged = MonitorResult.concat(
+        results, max_unscorable_fraction=model.config.max_unscorable_fraction
+    )
+    assert_results_equal(merged, expected)
     _assert_states_equal(stream.export_state(), state)
     return expected
 
