@@ -31,13 +31,17 @@ windows no table decides go through :meth:`Monitor.step`: unscorable
 windows, gaps and resyncs, and peak-less regions past their counting
 prefix. A testable window handed to :meth:`Monitor.step` directly is a
 one-window chunk, so every current-region and candidate test of a
-testable region is scored from a table.
+testable region is scored from a table. The loop that drives all this,
+:meth:`Monitor._walk`, hands each plan request back to its driver, so
+the fleet kernel plans and scores many sessions' requests together
+(D33).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,12 +71,14 @@ class _KsJob:
 
     ``rows`` holds sorted monitored sets, all of count ``count``, to test
     against ``ref`` with ``test``, the owning monitor's ``(alpha,
-    statistic)``. ``d`` and ``rejected`` are one column of the owning
-    plan's verdict table, and ``windows`` indexes the rows' cells in it;
-    :func:`score_ks_jobs` writes each row's D and verdict there. Jobs
-    from many sessions of one fleet group can be pooled into a single
-    call -- the scorer keys them by ``(id(ref), count, test)`` so the
-    shared reference is analyzed once per test.
+    statistic)``. ``d`` and ``rejected`` are one column of a verdict
+    table -- one plan's, or the column stacked over a planner bucket's
+    plans -- and ``windows`` indexes the rows' cells in it (a window
+    array, or a ``(slots, windows)`` pair); :func:`score_ks_jobs` writes
+    each row's D and verdict there. Jobs from many sessions of one fleet
+    group can be pooled into a single call -- the scorer keys them by
+    ``(id(ref), count, test)`` so the shared reference is analyzed once
+    per test.
     """
 
     __slots__ = ("ref", "m", "count", "rows", "windows", "d", "rejected",
@@ -87,6 +93,35 @@ class _KsJob:
         self.d = d
         self.rejected = rejected
         self.test = test
+
+
+class _Bucket:
+    """The stacked arrays of one planner bucket of testable-region
+    sessions (see :func:`plan_chunks_pooled`); each plan of the bucket
+    is one slot of them.
+
+    ``count``, ``d`` and ``rejected`` are the ``(slots, columns, k)``
+    verdict tables. ``stream`` and ``csum`` are the monitored-value
+    streams and their running non-NaN counts (:func:`_stacked_streams`,
+    span ``n``, the region's group size), from which candidate probes
+    are scored. ``missing`` is ``(slots, k)``: the windows in the
+    missing-peaks branch, past the fill gate and before ``static_stop``
+    with fewer than ``min_mon_values`` real dim-0 values. ``tested``
+    counts the tested-dim columns. ``checked`` holds each slot's
+    :func:`_checked_windows` once known.
+    """
+
+    __slots__ = ("n", "tested", "count", "d", "rejected", "stream", "csum",
+                 "missing", "checked")
+
+    def __init__(self, n, tested, table, stream, csum, missing):
+        self.checked: Optional[List[tuple]] = None
+        self.n = n
+        self.tested = tested
+        self.count, self.d, self.rejected = table
+        self.stream = stream
+        self.csum = csum
+        self.missing = missing
 
 
 class _ChunkPlan:
@@ -106,17 +141,23 @@ class _ChunkPlan:
 
     The planner writes the tested columns' counts and
     :func:`score_ks_jobs` their D and verdicts. The probe columns stay
-    empty until :meth:`Monitor.commit_chunk` meets rejections, and are
-    then scored from ``stream`` (the history tail at entry plus the
-    chunk's rows, one column per tested dim) and its running non-NaN
-    counts ``csum``. ``filled`` is the history fill at entry.
+    empty until the walk meets rejections, and are then scored from the
+    plan's ``bucket`` (:class:`_Bucket`), whose slot ``slot`` the table
+    is a view of. ``filled`` is the history fill at entry. A counting
+    plan (peak-less region) has an empty table and no bucket.
+
+    ``checked`` holds the windows that take the candidate check
+    (:func:`_checked_windows`) once known, and ``probed`` counts how many
+    of them, from the first, :func:`first_probe_jobs` scored before the
+    walk.
     """
 
     __slots__ = ("k", "static_stop", "peaks", "filled", "jobs", "cols",
-                 "probes", "count", "d", "rejected", "stream", "csum")
+                 "probes", "count", "d", "rejected", "bucket", "slot",
+                 "checked", "probed")
 
     def __init__(self, k, static_stop, peaks, filled, jobs=(), cols=None,
-                 probes=None, table=None, stream=None, csum=None):
+                 probes=None, bucket=None, slot=0):
         self.k = k
         self.static_stop = static_stop
         self.peaks = peaks
@@ -124,16 +165,26 @@ class _ChunkPlan:
         self.jobs = list(jobs)
         self.cols = cols or {}
         self.probes = probes or {}
-        self.count, self.d, self.rejected = table or (
-            (np.zeros((0, k), dtype=bool),) * 3
-        )
-        self.stream = stream
-        self.csum = csum
+        self.bucket = bucket
+        self.slot = slot
+        if bucket is None:
+            self.count = self.d = self.rejected = np.zeros((0, k), dtype=bool)
+            self.checked = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+        else:
+            self.count = bucket.count[slot]
+            self.d = bucket.d[slot]
+            self.rejected = bucket.rejected[slot]
+            self.checked = None
+        self.probed = 0
 
 
-#: Rejected windows whose candidate probes a walk scores in its first
-#: batch; each later batch doubles, so a walk that stops at an early
-#: region transition does not pay for the windows behind it.
+#: Checked windows -- rejecting, or missing their dim-0 peaks -- whose
+#: candidate probes make up a plan's first probe batch. The fleet kernel
+#: scores every fresh plan's first batch in one pooled call before the
+#: walks resume (DESIGN.md D33); a walk scores each later batch itself
+#: when it reaches it, twice as large as the one before, so a walk that
+#: stops at an early region transition does not pay for the windows
+#: behind it.
 _PROBE_BATCH = 16
 
 
@@ -188,20 +239,20 @@ def _stacked_streams(
 
     Returns ``(values, csum)``. ``values`` is ``(sessions, span-1+k,
     len(cols))``: each session's last ``span - 1`` history rows followed
-    by its chunk rows -- the only per-session gather; everything after is
-    one stacked op. Tail rows older than a filling session's history are
+    by its chunk rows, NaN past a chunk shorter than ``k`` -- the only
+    per-session gather; everything after is one stacked op. Tail rows older than a filling session's history are
     read but never reach a scored or counted window. ``csum[:, j]``
     counts the non-NaN values among the first ``j`` stream rows, so the
     window of size ``g`` ending at chunk window ``w`` holds
     ``csum[:, span + w] - csum[:, span + w - g]`` real values.
     """
-    values = np.empty((len(members), span - 1 + k, len(cols)))
+    values = np.full((len(members), span - 1 + k, len(cols)), np.nan)
     offsets = np.arange(span - 1)
     for j, (i, _) in enumerate(members):
         mon, peaks, _ = entries[i]
         idx = (mon._hist_pos - (span - 1) + offsets) % len(mon._history)
         values[j, : span - 1] = mon._history[idx[:, None], cols]
-        values[j, span - 1:] = peaks[:, cols]
+        values[j, span - 1: span - 1 + len(peaks)] = peaks[:, cols]
     csum = np.zeros((len(members), span + k, len(cols)), dtype=np.int64)
     np.cumsum(~np.isnan(values), axis=1, out=csum[:, 1:])
     return values, csum
@@ -251,8 +302,12 @@ def plan_chunks_pooled(
     the chunk is planned again. Planning is strictly read-only.
 
     Sessions sharing a region profile object (hence group size, test
-    dimensions and references) and a chunk window count are bucketed
-    together. Models share profile objects only as copies of one
+    dimensions and references) are bucketed together, whatever their
+    window counts: a bucket's stacks span its longest chunk, and a
+    shorter chunk's windows past its own end lie past its
+    ``static_stop``, so they are never scored or walked (a fleet
+    round's re-plans have as many window counts as sessions; DESIGN.md
+    D33). Models share profile objects only as copies of one
     another (``with_quality_gating``, a calibrated derivation), which
     keep the successor graph and every profile's group size and test
     dims, so a bucket also shares its table layout; each session reads
@@ -278,8 +333,9 @@ def plan_chunks_pooled(
     resync search, or a flagged first window. Both statistics plan
     alike; each job carries its monitor's ``(alpha, statistic)``. The
     caller scores the plans (:func:`score_ks_jobs` pools rows fleet-wide
-    by shared reference and test) and commits each session's plan
-    individually.
+    by shared reference and test) -- all of them before walking any,
+    since :func:`_checked_windows` reads a whole bucket -- and walks each
+    session's plan individually.
     """
     plans: List[Optional[_ChunkPlan]] = [None] * len(entries)
     buckets: Dict[tuple, list] = {}
@@ -301,12 +357,11 @@ def plan_chunks_pooled(
                 if stop == 0:
                     continue
         profile = mon.model.profile(mon.current_region)
-        buckets.setdefault((id(profile), k), [profile, []])[1].append(
-            (i, stop)
-        )
+        buckets.setdefault(id(profile), [profile, []])[1].append((i, stop))
 
-    for (_, k), (profile, members) in buckets.items():
+    for profile, members in buckets.values():
         mon0 = entries[members[0][0]][0]
+        k = max(len(entries[i][1]) for i, _ in members)
         stops = np.array([stop for _, stop in members], dtype=np.int64)
         filled = np.array(
             [entries[i][0]._filled for i, _ in members], dtype=np.int64
@@ -329,8 +384,9 @@ def _plan_tested_bucket(
     filled: np.ndarray,
 ) -> List[_ChunkPlan]:
     """Plans, K-S jobs and verdict tables for one bucket of sessions in a
-    testable region. ``mon`` is any member's monitor: they share the
-    region profile and its candidates' layout."""
+    testable region, ``k`` windows long (its longest chunk). ``mon`` is
+    any member's monitor: they share the region profile and its
+    candidates' layout."""
     profile = mon.model.profile(mon.current_region)
     mmv = mon._cfg.min_mon_values
     n = profile.group_size
@@ -354,14 +410,23 @@ def _plan_tested_bucket(
     cnt[...] = np.where(live[:, None], counts, 0)
     eligible = cnt >= mmv
     scored = eligible.any(axis=2).tolist()
-    # Steady state: every window eligible at one constant count -> one
+    # Steady: every live window eligible, at one constant count -> one
     # job per session and dim, its rows a plain view of the pooled sort.
+    lo = np.minimum(first, stops)
+    base = cnt[np.arange(len(members)), :, np.minimum(lo, k - 1)]
     steady = (
-        eligible.all(axis=2) & (cnt == cnt[:, :, :1]).all(axis=2)
-    ).tolist()
+        (eligible == live[:, None])
+        & ((cnt == base[:, :, None]) | ~live[:, None])
+    ).all(axis=2).tolist()
+    lo, hi = lo.tolist(), stops.tolist()
     refs = [
         (j, profile.reference_dim(dim)) for dim, (j, m) in cols.items() if m
     ]
+    missing = (
+        live & (cnt[:, cols[0][0]] < mmv) if 0 in cols
+        else np.zeros(live.shape, dtype=bool)
+    )
+    bucket = _Bucket(n, len(dims), (count, d, rejected), stream, csum, missing)
 
     plans = []
     for s, (i, _) in enumerate(members):
@@ -369,11 +434,11 @@ def _plan_tested_bucket(
         test = (cfg.alpha, cfg.statistic)
         jobs = []
         for j, ref in refs:
-            if steady[s][j]:
-                c = int(cnt[s, j, 0])
+            if steady[s][j] and scored[s][j]:
+                c = int(base[s, j])
                 jobs.append(_KsJob(
-                    ref, c, rows[s, j, :, :c], window_all, d[s, j],
-                    rejected[s, j], test,
+                    ref, c, rows[s, j, lo[s]:hi[s], :c],
+                    window_all[lo[s]:hi[s]], d[s, j], rejected[s, j], test,
                 ))
             elif scored[s][j]:
                 windows = np.flatnonzero(eligible[s, j])
@@ -385,8 +450,8 @@ def _plan_tested_bucket(
                     )
                 )
         plans.append(_ChunkPlan(
-            k, int(stops[s]), entries[i][1], int(filled[s]), jobs, cols,
-            probes, (count[s], d[s], rejected[s]), stream[s], csum[s],
+            len(entries[i][1]), int(stops[s]), entries[i][1], int(filled[s]),
+            jobs, cols, probes, bucket, s,
         ))
     return plans
 
@@ -443,9 +508,90 @@ def _plan_peakless_bucket(
     hit = fire.any(axis=1)
     stops[hit] = np.minimum(stops[hit], fire.argmax(axis=1)[hit])
     return [
-        _ChunkPlan(k, int(stops[s]), entries[i][1], int(filled[s]))
+        _ChunkPlan(
+            len(entries[i][1]), int(stops[s]), entries[i][1], int(filled[s])
+        )
         for s, (i, _) in enumerate(members)
     ]
+
+
+def first_probe_jobs(entries: Sequence[tuple]) -> List[_KsJob]:
+    """The candidate-probe jobs of each plan's first probe batch: its
+    first :data:`_PROBE_BATCH` checked windows (:func:`_checked_windows`).
+
+    ``entries`` holds ``(monitor, plan)`` pairs of scored, unwalked
+    plans. Plans of one planner bucket, model and test build their
+    probe sets together (:meth:`Monitor._probe_jobs`), and each plan
+    then counts its first batch as scored: the caller must pass the jobs
+    to :func:`score_ks_jobs` before any plan is walked. The fleet kernel
+    calls this once per wave (DESIGN.md D33).
+    """
+    groups: Dict[tuple, list] = {}
+    batches = []
+    for mon, plan in entries:
+        windows, _ = _checked_windows(plan)
+        if not len(windows):
+            continue
+        todo = windows[:_PROBE_BATCH]
+        batches.append((plan, len(todo)))
+        cfg = mon._cfg
+        key = (id(plan.bucket), id(mon.model), cfg.alpha, cfg.statistic)
+        group = groups.setdefault(key, [mon, plan.bucket, [], []])
+        group[2].append(np.full(len(todo), plan.slot))
+        group[3].append(todo)
+    jobs: List[_KsJob] = []
+    for mon, bucket, slots, windows in groups.values():
+        jobs.extend(mon._probe_jobs(
+            bucket, np.concatenate(slots), np.concatenate(windows)
+        ))
+    for plan, probed in batches:
+        plan.probed = probed
+    return jobs
+
+
+def _checked_windows(plan: _ChunkPlan) -> Tuple[np.ndarray, np.ndarray]:
+    """The plan windows before ``static_stop`` that take the candidate
+    check, ascending, and whether each misses its dim-0 peaks rather
+    than rejects.
+
+    A window is checked when a tested dim rejects it or it is in the
+    missing-peaks branch (:class:`_Bucket`). The first call on any plan
+    of a bucket finds them for every plan of the bucket in one pass, so
+    every plan of a :func:`plan_chunks_pooled` call must be scored
+    before any of them is walked.
+    """
+    if plan.checked is None:
+        bucket = plan.bucket
+        if bucket.checked is None:
+            checked = bucket.rejected[:, : bucket.tested].any(axis=1)
+            checked |= bucket.missing
+            slots, windows = np.nonzero(checked)
+            misses = bucket.missing[slots, windows]
+            bounds = np.searchsorted(
+                slots, np.arange(len(checked) + 1)
+            ).tolist()
+            bucket.checked = [
+                (windows[a:b], misses[a:b])
+                for a, b in zip(bounds, bounds[1:])
+            ]
+        plan.checked = bucket.checked[plan.slot]
+    return plan.checked
+
+
+def _sorted_pairs(
+    bucket: _Bucket, slots: np.ndarray, windows: np.ndarray, size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The monitored sets of ``size`` rows ending at chunk window
+    ``windows[p]`` of bucket slot ``slots[p]``, sorted, ``(pairs,
+    columns, size)``, and their real-value counts, ``(pairs,
+    columns)``: :func:`_sorted_windows` for scattered (slot, window)
+    pairs."""
+    span = bucket.n
+    rows = windows[:, None] + (span - size) + np.arange(size)
+    values = np.moveaxis(bucket.stream[slots[:, None], rows], -1, -2)
+    csum = bucket.csum
+    counts = csum[slots, windows + span] - csum[slots, windows + span - size]
+    return np.sort(values, axis=-1), counts
 
 
 @dataclass(frozen=True)
@@ -598,9 +744,11 @@ class Monitor:
     streaming, and fleet monitoring share one execution path:
     :func:`plan_chunks_pooled` plans a chunk (a whole batch signal is one
     chunk) -- two-sample jobs in a testable region, a counting-only plan
-    in a peak-less one -- and :meth:`score_chunk` walks the plan's
-    verdict table (:meth:`commit_chunk`) through accepts, rejections,
-    votes and reports up to the first region transition. :meth:`step`
+    in a peak-less one -- and the walk/step loop (:meth:`_walk`, driven
+    by :meth:`score_chunk` for one session and by the fleet kernel for
+    many) walks the plan's verdict table (:meth:`commit_chunk`) through
+    accepts, rejections, votes and reports up to the first region
+    transition. :meth:`step`
     takes only what no table decides: unscorable windows, gaps and
     resyncs, and peak-less regions past their counting prefix; a
     testable window stepped directly is walked as a one-window plan.
@@ -899,13 +1047,9 @@ class Monitor:
                 self._anomaly_count += 1
             for name in names:
                 explained[name] = explained.get(name, 0) + 1
-        if explanations:
-            need = max(
-                1, int(np.ceil(cfg.change_fraction * len(explanations)))
-            )
-            for name, votes in explained.items():
-                if votes >= need:
-                    counts[name] = counts.get(name, 0) + 1
+        for name, votes in explained.items():
+            if self._enough(votes, len(explanations)):
+                counts[name] = counts.get(name, 0) + 1
 
         self._streak += 1
         # Region transition once a candidate has explained the rejections
@@ -941,26 +1085,60 @@ class Monitor:
         peaks: np.ndarray,
         times: np.ndarray,
         quality: Optional[np.ndarray],
-        plan: Optional[_ChunkPlan],
+        plan: Optional[_ChunkPlan] = None,
         early_exit: bool = False,
     ) -> MonitorResult:
         """Run one chunk of STSs through Algorithm 1; return its result.
 
-        ``plan`` is the chunk's scored plan from :func:`plan_chunks_pooled`,
-        or ``None`` to have this loop plan it. The loop walks a plan's
-        verdict table (:meth:`commit_chunk`) as far as it decides the
-        chunk, and plans every stretch it was not handed a plan for:
-        after a region transition, after an unscorable window, after a
-        step that accepts. It steps (:meth:`step`) only the windows no
-        table decides: an unscorable window, a gap or resync stretch, and
-        a peak-less region past its counting prefix, which keeps
-        stepping until a window accepts (planning again after each of
-        its rejections would make a long anomalous stretch quadratic).
-        Batch runs, streams, and fleet sessions all go through here.
+        This is the one-session driver of the walk/step loop,
+        :meth:`_walk`: it answers each plan request of the loop with one
+        :func:`plan_chunks_pooled` call and one :func:`score_ks_jobs`
+        call, and the walk scores its candidate probes itself.
+        :meth:`FleetKernel.dispatch <repro.stream.batchkernel.FleetKernel.dispatch>`
+        drives the same loop for many sessions at once. ``plan`` is the
+        chunk's scored entry plan, or ``None`` to have the loop ask for
+        it. Batch runs and streams go through here.
 
         With ``early_exit`` the chunk stops just after the first
         ``anomaly`` report and the result is truncated there. The
         result's ``status`` covers this chunk's windows only.
+        """
+        walk = self._walk(peaks, times, quality, plan, early_exit)
+        try:
+            entry = next(walk)
+            while True:
+                plan = plan_chunks_pooled([entry])[0]
+                if plan is not None:
+                    score_ks_jobs(plan.jobs)
+                entry = walk.send(plan)
+        except StopIteration as done:
+            return done.value
+
+    def _walk(
+        self,
+        peaks: np.ndarray,
+        times: np.ndarray,
+        quality: Optional[np.ndarray],
+        plan: Optional[_ChunkPlan] = None,
+        early_exit: bool = False,
+    ) -> Generator[tuple, Optional[_ChunkPlan], MonitorResult]:
+        """The walk/step loop of one chunk, resumable at each plan it
+        needs; the only copy (DESIGN.md D33).
+
+        A generator: whenever the loop needs a plan for the rest of the
+        chunk from window ``i`` on, it yields the planner entry ``(self,
+        peaks[i:], quality[i:])`` and expects the entry's scored plan
+        (or ``None``) to be sent back; it returns the chunk's
+        :class:`MonitorResult`. It walks a plan's verdict table
+        (:meth:`commit_chunk`) as far as it decides the chunk, and asks
+        for a plan for every stretch it was not handed one for: after a
+        region transition, after an unscorable window, after a step that
+        accepts. It steps (:meth:`step`) only the windows no table
+        decides: an unscorable window, a gap or resync stretch, and a
+        peak-less region past its counting prefix, which keeps stepping
+        until a window accepts (planning again after each of its
+        rejections would make a long anomalous stretch quadratic).
+        :meth:`score_chunk` and the fleet kernel drive it.
         """
         cfg = self._cfg
         n = len(times)
@@ -982,13 +1160,11 @@ class Monitor:
                 and self._fast_path_ready()
                 and not (gated and quality[i] & QF_UNSCORABLE)
             ):
-                plan = plan_chunks_pooled([(
+                plan = yield (
                     self,
                     peaks[i:],
                     quality[i:] if quality is not None else None,
-                )])[0]
-                if plan is not None and plan.jobs:
-                    score_ks_jobs(plan.jobs)
+                )
             if plan is not None:
                 region = self.current_region
                 stop, rejected, found = self.commit_chunk(
@@ -1078,9 +1254,12 @@ class Monitor:
         Each window decides through :meth:`_decide`, as :meth:`step`
         would: one that no tested dim rejects accepts; one that rejects,
         or misses its dim-0 peaks, takes the candidate verdicts from the
-        table's probe columns (:meth:`_score_probes`), scored for the
-        next :data:`_PROBE_BATCH` such windows when the walk reaches
-        them, then for twice as many, and so on. ``times`` holds the
+        table's probe columns. Those are scored in batches of checked
+        windows (:func:`_checked_windows`): the first
+        :data:`_PROBE_BATCH` unless the caller already scored them
+        (:func:`first_probe_jobs`), then twice as many, and so on, each
+        when the walk reaches it. A plan with no checked window before
+        its ``static_stop`` commits as one accept. ``times`` holds the
         plan windows' times, for reports. The walk stops at the plan's
         ``static_stop``; at a region transition, with that window pushed
         and the transition applied; and, with ``early_exit``, after the
@@ -1094,29 +1273,24 @@ class Monitor:
         """
         mmv = self._cfg.min_mon_values
         stop = plan.static_stop
-        cols = plan.cols
-        rejecting = plan.rejected[: len(cols), start:stop].any(axis=0)
-        missing = np.zeros_like(rejecting)
-        if 0 in cols:
-            # The missing-peaks branch: past the fill gate, dim 0 holds
-            # fewer than min_mon_values real values.
-            n = self.model.profile(self.current_region).group_size
-            first = max(start, n - plan.filled - 1)
-            missing[first - start:] = (
-                plan.count[cols[0][0], first:stop] < mmv
-            )
-        windows = start + np.flatnonzero(rejecting | missing)
+        windows, misses = _checked_windows(plan)
+        pos = int(np.searchsorted(windows, start)) if start else 0
         decided: List[int] = []
         found: List[Tuple[int, AnomalyReport]] = []
         target = None
         last = start - 1  # the last window decided so far
         batch = _PROBE_BATCH
-        while len(decided) < len(windows) and last + 1 < stop:
-            todo = windows[len(decided):len(decided) + batch]
+        while pos < len(windows) and last + 1 < stop:
+            todo = windows[pos:pos + batch]
             batch *= 2
-            self._score_probes(plan, todo)
+            fresh = todo[max(0, plan.probed - pos):]
+            if len(fresh):
+                score_ks_jobs(self._probe_jobs(
+                    plan.bucket, np.full(len(fresh), plan.slot), fresh
+                ))
             table = self._explanation_table(plan, todo)
-            misses = missing[todo - start].tolist()
+            missing = misses[pos:pos + len(todo)].tolist()
+            pos += len(todo)
             for e, w in enumerate(todo.tolist()):
                 if w > last + 1:
                     self._decide(0.0, False, ())  # the accepts before w
@@ -1125,7 +1299,7 @@ class Monitor:
                     for rej, cands in table if rej[e]
                 ]
                 report, _, target = self._decide(
-                    float(times[w]), misses[e], explanations
+                    float(times[w]), missing[e], explanations
                 )
                 decided.append(w)
                 last = w
@@ -1141,7 +1315,7 @@ class Monitor:
             self._transition_to(target)
         self.last_unscorable = False
         if OBS.enabled and self._cfg.statistic == "ks":
-            for j, m in cols.values():
+            for j, m in plan.cols.values():
                 counts = plan.count[j, start:stop]
                 scored = counts >= mmv
                 if not m or not scored.any():
@@ -1222,54 +1396,60 @@ class Monitor:
             table.append((plan.rejected[j, windows].tolist(), cands))
         return table
 
-    def _score_probes(self, plan: _ChunkPlan, windows: np.ndarray) -> None:
-        """Score the candidate probes of ``plan``'s rejecting (window, dim)
-        cells among ``windows`` into its probe columns, in one
-        :func:`score_ks_jobs` call.
+    def _probe_jobs(
+        self, bucket: _Bucket, slots: np.ndarray, windows: np.ndarray
+    ) -> List[_KsJob]:
+        """The jobs that score the candidate probes of the rejecting
+        (window, dim) cells at the pairs ``(slots[p], windows[p])`` of a
+        planner bucket into their probe columns; their counts are
+        written here, and :func:`score_ks_jobs` writes their D and
+        verdicts. Every pair's plan must be in this monitor's region,
+        model and test, unwalked (:func:`first_probe_jobs` groups them).
 
         The sets are :meth:`_recent`'s, sorted: the last ``size`` rows of
-        the plan's stream at each window, with at least ``min_mon_values``
-        real values. Its fill gate always passes here: a rejecting window
-        holds ``n`` rows, and both probe sizes are at most ``n`` (the
-        fresh suffix's ``min_mon_values`` because the rejected set held
-        that many values). A candidate dim without a reference accepts
-        any such set, as :meth:`_rejects` does.
+        the slot's stream at each window, with at least
+        ``min_mon_values`` real values. Its fill gate always passes here:
+        a rejecting window holds ``n`` rows, and both probe sizes are at
+        most ``n`` (the fresh suffix's ``min_mon_values`` because the
+        rejected set held that many values). A candidate dim without a
+        reference accepts any such set, as :meth:`_rejects` does.
         """
         mmv = self._cfg.min_mon_values
         test = (self._cfg.alpha, self._cfg.statistic)
-        n = self.model.profile(self.current_region).group_size
-        rejecting = plan.rejected[: len(plan.cols), windows]
+        _, cols, probes, _ = self._table_layout()
+        rejecting = bucket.rejected[slots, : bucket.tested, windows]
         sets: Dict[int, tuple] = {}  # probe size -> sorted sets, counts
         jobs: List[_KsJob] = []
-        for dim, probes in plan.probes.items():
-            j = plan.cols[dim][0]
-            if not rejecting[j].any():
+        for dim, cands in probes.items():
+            j = cols[dim][0]
+            if not rejecting[:, j].any():
                 continue
             parts: Dict[int, tuple] = {}  # probe size -> this dim's sets
-            for name, size, bounded, suffix in probes:
+            for name, size, bounded, suffix in cands:
                 ref = self.model.profile(name).reference_dim(dim)
                 # The two columns are one when the sizes are.
                 for col, g in {bounded: size, suffix: mmv}.items():
                     if g not in sets:
-                        sets[g] = _sorted_windows(
-                            plan.stream, plan.csum, n, windows, g
-                        )
+                        sets[g] = _sorted_pairs(bucket, slots, windows, g)
                     if g not in parts:
                         rows, counts = sets[g]
-                        ok = rejecting[j] & (counts[j] >= mmv)
-                        parts[g] = (
-                            windows[ok], counts[j, ok],
-                            _by_count(rows[j, ok], counts[j, ok], windows[ok]),
+                        ok = np.flatnonzero(
+                            rejecting[:, j] & (counts[:, j] >= mmv)
                         )
-                    cells, counts, by_count = parts[g]
-                    plan.count[col, cells] = counts
+                        parts[g] = (
+                            slots[ok], windows[ok], counts[ok, j],
+                            _by_count(rows[ok, j], counts[ok, j], ok),
+                        )
+                    s, w, counts, by_count = parts[g]
+                    bucket.count[s, col, w] = counts
                     if len(ref):
                         jobs.extend(
-                            _KsJob(ref, c, rows, w, plan.d[col],
-                                   plan.rejected[col], test)
-                            for c, rows, w in by_count
+                            _KsJob(ref, c, rows, (slots[p], windows[p]),
+                                   bucket.d[:, col], bucket.rejected[:, col],
+                                   test)
+                            for c, rows, p in by_count
                         )
-        score_ks_jobs(jobs)
+        return jobs
 
     # -- checkpointing -------------------------------------------------------
 
@@ -1395,22 +1575,8 @@ class Monitor:
         ]
         for name in order:
             prof = self.model.profile(name)
-            if not prof.testable():
-                continue
-            n = min(prof.group_size, self._filled)
-            tail = self._history_tail(n)
-            tested = 0
-            accepted = 0
-            for dim in prof.test_dims:
-                values = tail[:, dim]
-                values = values[~np.isnan(values)]
-                if len(values) < self._cfg.min_mon_values:
-                    continue
-                tested += 1
-                if not self._rejects(prof, dim, values):
-                    accepted += 1
-            if tested and accepted >= max(
-                1, int(np.ceil(self._cfg.change_fraction * tested))
+            if prof.testable() and self._explains(
+                prof, min(prof.group_size, self._filled)
             ):
                 # Unlike a tracked transition, the history here is all
                 # post-gap and belongs to the reacquired region: keep it.
@@ -1487,6 +1653,26 @@ class Monitor:
             ref, mon, self._cfg.alpha, self._cfg.statistic, ref_runs
         )
 
+    def _enough(self, accepted: int, tested: int) -> bool:
+        """Algorithm 1's change rule: a region explains ``tested``
+        monitored dims when it accepts at least ``max(1,
+        ceil(change_fraction * tested))`` of them."""
+        return tested > 0 and accepted >= max(
+            1, math.ceil(self._cfg.change_fraction * tested)
+        )
+
+    def _explains(self, profile: RegionProfile, n: int) -> bool:
+        """Whether ``profile``'s references explain the last ``n`` pushed
+        rows (:meth:`_enough` over its test dims that hold a monitored
+        set, :meth:`_recent`'s)."""
+        tested = accepted = 0
+        for dim in profile.test_dims:
+            mon = self._recent(n, dim)
+            if mon is not None:
+                tested += 1
+                accepted += not self._rejects(profile, dim, mon)
+        return self._enough(accepted, tested)
+
     def _maybe_switch_from_untestable(self, candidates: Sequence[str]) -> bool:
         """Try to recognize a successor region from a peak-less one.
 
@@ -1494,20 +1680,7 @@ class Monitor:
         """
         for cand_name in candidates:
             cand = self.model.profile(cand_name)
-            if not cand.testable():
-                continue
-            accepted = 0
-            tested = 0
-            for dim in cand.test_dims:
-                mon = self._recent(cand.group_size, dim)
-                if mon is None:
-                    continue
-                tested += 1
-                if not self._rejects(cand, dim, mon):
-                    accepted += 1
-            if tested and accepted >= max(
-                1, int(np.ceil(self._cfg.change_fraction * tested))
-            ):
+            if cand.testable() and self._explains(cand, cand.group_size):
                 self._transition_to(cand_name)
                 return True
         return False

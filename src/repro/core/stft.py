@@ -25,7 +25,6 @@ __all__ = [
     "StreamingStft",
     "StreamingQuality",
     "stft",
-    "stft_seconds",
     "window_quality",
     "QF_CLIPPED",
     "QF_GAPPED",
@@ -157,18 +156,6 @@ def stft(
         window_duration=window_samples / signal.sample_rate,
         hop_duration=hop / signal.sample_rate,
     )
-
-
-def stft_seconds(
-    signal: Signal,
-    window_seconds: float,
-    overlap: float = 0.5,
-    window: str = "hann",
-    detrend: bool = True,
-) -> SpectrumSequence:
-    """Like :func:`stft` with the window given in seconds (paper: 0.1 ms)."""
-    window_samples = int(round(window_seconds * signal.sample_rate))
-    return stft(signal, window_samples, overlap, window, detrend)
 
 
 def _transform_frames(

@@ -25,18 +25,29 @@ whole group:
    :func:`peak_rows` call per bucket over the concatenated frames. Both
    are per-row computations, so pooling is bit-identical to per-session
    calls (see their docstrings);
-4. **plan** -- one :func:`plan_chunks_pooled` call builds every
-   session's K-S jobs and verdict table against its own history, stacking
-   sessions that share a region profile and window count (steady,
-   history-filling, and quality-flagged alike) into single numpy passes;
-5. **score** -- all sessions' jobs are scored in one
-   :func:`score_ks_jobs` pass; the scorer pools rows by (reference,
-   count, test), so sessions sharing a model collapse into single
-   :func:`ks_d_int_rows` calls across the whole fleet;
-6. **finish** -- each session runs :meth:`Monitor.score_chunk`: it
-   walks its plan's verdict table (candidate probes scored on demand),
-   steps only what no table decides, and assembles its chunk result
-   (per-session).
+4. **walk** -- each session starts its walk/step loop
+   (:meth:`Monitor._walk <repro.core.monitor.Monitor._walk>`, the one
+   copy that :meth:`Monitor.score_chunk` drives for a single session),
+   which runs until it needs a plan for the rest of its chunk;
+5. **waves** -- while any walk waits for a plan, one wave: one
+   :func:`plan_chunks_pooled` call plans every waiting session against
+   its own history (sessions sharing a region profile stack into single
+   numpy passes), one :func:`score_ks_jobs` call scores their verdict
+   tables, and one more scores each new plan's first candidate-probe
+   batch (:func:`first_probe_jobs`). The scorer pools rows by
+   (reference, count, test), so sessions sharing a model collapse into
+   single :func:`ks_d_int_rows` calls across the whole fleet. Each walk
+   then resumes: it decides its table's windows, scores any later probe
+   batch itself, steps only what no table decides, and either asks for
+   its next plan -- after a region transition, an unscorable window or
+   a step that accepts -- or finishes;
+6. **finish** -- a finished walk's chunk result is folded into its
+   stream's counters (per-session).
+
+The chunk start, every re-plan and every first probe batch are thus
+pooled fleet-wide; the number of scorer calls per round follows the
+number of waves -- the most re-plans any one session needs -- not the
+number of sessions (DESIGN.md D33).
 
 Canonical state lives only in each session's ``StreamingMonitor``; the
 kernel holds no per-session state between rounds. Snapshot, restore,
@@ -46,20 +57,22 @@ with bit-identical results, which is what ``tests/test_fleet_kernel.py``
 sweeps.
 
 Failures are isolated per session: an exception raised while staging,
-planning, or finishing one session lands in that session's result slot
-and the rest of the round completes normally.
+planning, walking, or finishing one session lands in that session's
+result slot, that session leaves the round, and the rest of the round
+completes normally.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Generator, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.model import EddieModel
 from repro.core.monitor import (
     MonitorResult,
+    first_probe_jobs,
     plan_chunks_pooled,
     score_ks_jobs,
 )
@@ -183,16 +196,26 @@ class FleetKernel:
                 offset += count
             pooled_windows += offset
 
-        # Per-session emit, then one pooled planning pass over every
-        # session that completed windows (see plan_chunks_pooled).
-        seqs: Dict[int, tuple] = {}
-        planned: List[int] = []
+        # Per-session emit; each session that completed windows starts
+        # its walk/step loop, which runs until it asks for a plan.
+        walks: Dict[int, Generator] = {}
+        requests: Dict[int, tuple] = {}
+
+        def resume(i: int, plan) -> None:
+            monitor = items[i][0]
+            try:
+                try:
+                    requests[i] = walks[i].send(plan)
+                except StopIteration as done:
+                    results[i] = [monitor._fold_result(done.value)]
+            except Exception as exc:
+                results[i] = exc
+
         for i in active:
             monitor = items[i][0]
-            staged = staged_list[i]
             try:
                 seq = monitor._emit_windows(
-                    staged, power_of.get(i), freqs_of.get(i)
+                    staged_list[i], power_of.get(i), freqs_of.get(i)
                 )
             except Exception as exc:
                 results[i] = exc
@@ -200,53 +223,34 @@ class FleetKernel:
             if len(seq) == 0:
                 results[i] = []
                 continue
-            seqs[i] = (seq, peaks_of[i])
-            planned.append(i)
+            walks[i] = monitor._monitor._walk(
+                peaks_of[i], seq.times, seq.quality,
+                early_exit=monitor._early_exit,
+            )
+            resume(i, None)
 
-        plan_of: Dict[int, object] = {}
-        try:
-            pooled = plan_chunks_pooled([
-                (items[i][0]._monitor, seqs[i][1], seqs[i][0].quality)
-                for i in planned
-            ])
-            for i, plan in zip(planned, pooled):
-                plan_of[i] = plan
-        except Exception:
-            # If the pooled call fails, plan each session as a group of
-            # one so the exception lands on the session that raised it.
-            for i in planned:
-                seq, peaks = seqs[i]
-                try:
-                    plan_of[i] = plan_chunks_pooled(
-                        [(items[i][0]._monitor, peaks, seq.quality)]
-                    )[0]
-                except Exception as exc:
-                    results[i] = exc
-                    del seqs[i]
-
-        # Score every session's jobs fleet-wide: each job carries its
-        # session's test, and the scorer pools jobs across sessions (and
-        # even across groups) by reference identity, count and test.
-        jobs = [
-            job
-            for i, plan in plan_of.items()
-            if i in seqs and plan is not None
-            for job in plan.jobs
-        ]
-        if jobs:
-            score_ks_jobs(jobs)
-
-        for i in active:
-            if i not in seqs:
-                continue
-            monitor = items[i][0]
-            seq, peaks = seqs[i]
-            try:
-                results[i] = [
-                    monitor._finish_windows(seq, peaks, plan_of.get(i))
-                ]
-            except Exception as exc:
-                results[i] = exc
+        # Waves (DESIGN.md D33): plan every pending request in one pooled
+        # call, score the plans' tables in one call and their first probe
+        # batches in one more, then resume each walk until it asks again
+        # or finishes. Jobs pool across sessions by reference, count and
+        # test, so each scorer call serves the whole wave.
+        while requests:
+            wave = dict(requests)
+            requests.clear()
+            plan_of = self._plan_wave(wave, results)
+            jobs = [
+                job
+                for plan in plan_of.values()
+                if plan is not None
+                for job in plan.jobs
+            ]
+            if jobs:
+                score_ks_jobs(jobs)
+            probes = self._first_probes(wave, plan_of, results)
+            if probes:
+                score_ks_jobs(probes)
+            for i, plan in plan_of.items():
+                resume(i, plan)
 
         if OBS.enabled:
             record_count("stream.fleet", "kernel_dispatches")
@@ -255,3 +259,49 @@ class FleetKernel:
                     "stream.fleet", "kernel_pooled_windows", pooled_windows
                 )
         return results
+
+    @staticmethod
+    def _first_probes(
+        wave: Dict[int, tuple],
+        plan_of: Dict[int, object],
+        results: List[DispatchResult],
+    ) -> list:
+        """One :func:`first_probe_jobs` call over a wave's plans. If it
+        raises, each session's plan builds its jobs alone, and a session
+        that raises leaves the round with the exception in its slot."""
+        entries = {
+            i: (wave[i][0], plan)
+            for i, plan in plan_of.items()
+            if plan is not None
+        }
+        try:
+            return first_probe_jobs(list(entries.values()))
+        except Exception:
+            jobs = []
+            for i, entry in entries.items():
+                try:
+                    jobs.extend(first_probe_jobs([entry]))
+                except Exception as exc:
+                    results[i] = exc
+                    del plan_of[i]
+            return jobs
+
+    @staticmethod
+    def _plan_wave(
+        wave: Dict[int, tuple], results: List[DispatchResult]
+    ) -> Dict[int, object]:
+        """One :func:`plan_chunks_pooled` call over a wave's planner
+        entries, keyed like ``wave``. If the pooled call raises, each
+        session is planned as a group of one, so the exception lands in
+        the result slot of the session that raised it and that session
+        leaves the round."""
+        try:
+            return dict(zip(wave, plan_chunks_pooled(list(wave.values()))))
+        except Exception:
+            plan_of = {}
+            for i, entry in wave.items():
+                try:
+                    plan_of[i] = plan_chunks_pooled([entry])[0]
+                except Exception as exc:
+                    results[i] = exc
+            return plan_of

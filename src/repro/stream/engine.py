@@ -6,7 +6,7 @@ capture in memory before the first verdict. :class:`StreamingMonitor`
 closes that gap: it accepts arbitrary-size sample chunks via
 :meth:`~StreamingMonitor.feed`, carries the STFT tail across chunk
 boundaries (:class:`~repro.core.stft.StreamingStft`), extracts peaks and
-quality flags per completed window, and drives the same plan/commit
+quality flags per completed window, and drives the same walk/step
 loop (:meth:`Monitor.score_chunk`) that batch monitoring runs over a
 whole signal as one chunk. Steady-state memory is O(1) in the stream
 length: the residual sample tail, the monitor's bounded rolling
@@ -275,16 +275,19 @@ class StreamingMonitor:
         plan = plan_chunks_pooled([(self._monitor, peaks, seq.quality)])[0]
         if plan is not None and plan.jobs:
             score_ks_jobs(plan.jobs)
-        return [self._finish_windows(seq, peaks, plan)]
+        return [self._fold_result(self._monitor.score_chunk(
+            peaks, seq.times, seq.quality, plan, early_exit=self._early_exit
+        ))]
 
     # -- kernel hooks (see repro.stream.batchkernel) -------------------------
     #
     # The fleet kernel drives one chunk through the same stages as
-    # _feed_samples, but pools the expensive middle stages (spectral
-    # transform, peak extraction, K-S scoring) across every session of a
-    # group before finishing each session individually. Canonical state
-    # lives only in this object; the staged/pooled arrays are transient,
-    # so snapshot/restore and eviction need no kernel-side pack/unpack.
+    # _feed_samples, but pools the expensive stages (spectral transform,
+    # peak extraction, planning, K-S scoring) across every session of a
+    # group, driving each session's walk/step loop (Monitor._walk) in
+    # waves and folding its result here. Canonical state lives only in
+    # this object; the staged/pooled arrays are transient, so
+    # snapshot/restore and eviction need no kernel-side pack/unpack.
 
     def _stage_chunk(self, samples: ChunkLike):
         """Stage one chunk's STFT (state advances; transform deferred).
@@ -310,15 +313,9 @@ class StreamingMonitor:
             self._chunks += 1
         return seq
 
-    def _finish_windows(
-        self, seq: SpectrumSequence, peaks: np.ndarray, plan
-    ) -> MonitorResult:
-        """Run a chunk's windows through the monitor's plan/commit loop
-        (from its scored entry plan, or ``None``), fold the result into
+    def _fold_result(self, result: MonitorResult) -> MonitorResult:
+        """Fold a chunk's result from the monitor's walk/step loop into
         the stream's cumulative counters, and return it."""
-        result = self._monitor.score_chunk(
-            peaks, seq.times, seq.quality, plan, early_exit=self._early_exit
-        )
         if self._early_exit and any(
             r.kind == "anomaly" for r in result.reports
         ):

@@ -12,6 +12,10 @@ streams across every MiBench program, and pins the mechanisms under it:
 - the pooled chunk planner with steady, history-filling, and
   quality-flagged sessions in one call, walked and stepped against the
   scalar oracle,
+- rounds in waves (DESIGN.md D33): many sessions rejecting, probing and
+  changing region in one wave, with an early-exit session and sessions
+  that raise mid-wave, against isolated streams and the oracle, and the
+  scorer calls per round against the sessions' own plan requests,
 - hypothesis fuzz of the vectorized exact-integer K-S row kernel and
   the vectorized peak extractor against their scalar counterparts
   (tie-heavy integer grids, since K-S run-end handling is where
@@ -37,6 +41,7 @@ from repro.core.stats.ks import _ks_d_int, ks_d_int_rows
 from repro.core.stft import QF_CLIPPED, QF_GAPPED, stft
 from repro.programs.mibench import BENCHMARKS
 from repro.stream import FleetScheduler, StreamingMonitor
+from repro.stream.batchkernel import FleetKernel
 
 TINY = tiny_scale()
 
@@ -337,3 +342,202 @@ class TestVectorizedKernels:
             expected = np.full(max_peaks, np.nan)
             expected[: len(freqs_i)] = freqs_i
             np.testing.assert_array_equal(rows[i], expected)
+
+
+class _RaisingMonitor(Monitor):
+    """Raises at its first region transition: mid-wave, while the fleet
+    kernel resumes a wave's walks."""
+
+    def _transition_to(self, region):
+        raise RuntimeError("transition refused")
+
+
+class _ProbeRaisingMonitor(Monitor):
+    """Raises whenever it builds candidate-probe jobs; listed first in a
+    round, it builds the wave's pooled first probe batch."""
+
+    def _probe_jobs(self, bucket, slots, windows):
+        raise RuntimeError("probe jobs refused")
+
+
+def _recording(monkeypatch, owner, name, log):
+    """Wrap ``owner.name`` so each call appends its result to ``log``."""
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        log.append(out)
+        return out
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+class TestWaves:
+    """Fleet rounds in waves (DESIGN.md D33): a round in which many
+    sessions on one model reject, probe and change region in the same
+    wave.
+
+    bitcount's TINY captures, fed in 16384-sample chunks (about 64
+    windows), change region once or twice in most chunks, and several
+    report on the way, so every round needs more than one wave.
+    """
+
+    CHUNK = 16384
+
+    def _captures(self, count):
+        detector = detector_for("bitcount")
+        return detector.model, [
+            detector.source.capture(seed=TINY.monitor_seed(200 + s)).iq
+            for s in range(count)
+        ]
+
+    def _chunks(self, signal):
+        samples = signal.samples
+        return [
+            samples[start:start + self.CHUNK]
+            for start in range(0, len(samples), self.CHUNK)
+        ]
+
+    def test_round_matches_isolated_streams_and_oracle(self, monkeypatch):
+        import repro.stream.batchkernel as batchkernel
+
+        model, signals = self._captures(8)
+        plans, probing_per_wave = [], []
+        _recording(monkeypatch, batchkernel, "plan_chunks_pooled", plans)
+        real_first_probe_jobs = batchkernel.first_probe_jobs
+
+        def first_probe_jobs(entries):
+            jobs = real_first_probe_jobs(entries)
+            probing_per_wave.append(sum(plan.probed > 0 for _, plan in entries))
+            return jobs
+
+        monkeypatch.setattr(batchkernel, "first_probe_jobs", first_probe_jobs)
+        flags = [False] * 8
+        flags[2] = True  # session 2 stops at its first report
+        sessions = [
+            StreamingMonitor(
+                model, early_exit=early, keep_history=True, t0=signal.t0
+            )
+            for early, signal in zip(flags, signals)
+        ]
+        raising = 5
+        sessions[raising]._monitor = _RaisingMonitor(model)
+        chunks = [self._chunks(signal) for signal in signals]
+        kernel = FleetKernel()
+        raised_in = None
+        for r in range(max(len(c) for c in chunks)):
+            live = [
+                s for s in range(8)
+                if r < len(chunks[s]) and not (s == raising and raised_in)
+            ]
+            plans.clear()
+            slots = kernel.dispatch(
+                [(sessions[s], chunks[s][r]) for s in live]
+            )
+            for s, slot in zip(live, slots):
+                if s == raising and isinstance(slot, Exception):
+                    assert isinstance(slot, RuntimeError)
+                    assert len(plans) > 1  # other walks went on after it
+                    raised_in = r
+                else:
+                    assert not isinstance(slot, Exception), slot
+        assert raised_in is not None
+        assert max(probing_per_wave) >= 4
+        assert sessions[2].stopped
+
+        for s, signal in enumerate(signals):
+            if s == raising:
+                continue
+            sessions[s].finish()
+            alone = StreamingMonitor(
+                model, early_exit=flags[s], keep_history=True, t0=signal.t0
+            )
+            for chunk in chunks[s]:
+                alone.feed(chunk)
+            alone.finish()
+            assert_results_equal(sessions[s].result(), alone.result())
+            peaks, times = sts_rows(model, signal)
+            expected = ScalarMonitor(model).run_peaks(peaks, times)
+            if flags[s]:
+                first = next(
+                    i for i, report in zip(
+                        expected.report_indices, expected.reports
+                    )
+                    if report.kind == "anomaly"
+                )
+                expected = ScalarMonitor(model).run_peaks(
+                    peaks[:first + 1], times[:first + 1]
+                )
+            assert_results_equal(sessions[s].result(), expected)
+
+    def test_scorer_calls_do_not_grow_with_probing_sessions(
+        self, monkeypatch
+    ):
+        """Per dispatch, the kernel makes at most two scorer calls per
+        wave, and a wave count no session alone would not need: eight
+        probing sessions cost the scorer calls of the busiest one."""
+        import repro.stream.batchkernel as batchkernel
+
+        model, signals = self._captures(8)
+        chunks = [self._chunks(signal) for signal in signals]
+        plans, scores = [], []
+        _recording(monkeypatch, batchkernel, "plan_chunks_pooled", plans)
+        _recording(monkeypatch, batchkernel, "score_ks_jobs", scores)
+
+        def round_calls(items):
+            plans.clear()
+            scores.clear()
+            FleetKernel().dispatch(items)
+            return len(plans), len(scores)
+
+        fleet = [StreamingMonitor(model) for _ in signals]
+        solo = [StreamingMonitor(model) for _ in signals]
+        copies = [StreamingMonitor(model) for _ in signals]
+        for r in range(min(len(c) for c in chunks)):
+            waves, scored = round_calls(
+                [(fleet[s], chunks[s][r]) for s in range(8)]
+            )
+            alone = [round_calls([(solo[s], chunks[s][r])]) for s in range(8)]
+            assert waves == max(w for w, _ in alone)
+            assert scored <= 2 * waves
+            # Eight sessions walking the same capture reject, probe and
+            # change region together: exactly one session's calls.
+            assert round_calls(
+                [(copy, chunks[0][r]) for copy in copies]
+            ) == alone[0]
+
+    def test_probe_builder_failure_stays_in_its_slot(self):
+        """A session whose probe jobs raise fails the wave's pooled
+        first-probe call; rebuilt one session at a time, the exception
+        lands in its slot and the others walk on unchanged."""
+        model, signals = self._captures(4)
+        sessions = [
+            StreamingMonitor(model, keep_history=True, t0=signal.t0)
+            for signal in signals
+        ]
+        sessions[0]._monitor = _ProbeRaisingMonitor(model)
+        chunks = [self._chunks(signal) for signal in signals]
+        kernel = FleetKernel()
+        failed = False
+        for r in range(max(len(c) for c in chunks)):
+            live = [
+                s for s in range(4)
+                if r < len(chunks[s]) and not (s == 0 and failed)
+            ]
+            slots = kernel.dispatch(
+                [(sessions[s], chunks[s][r]) for s in live]
+            )
+            for s, slot in zip(live, slots):
+                if s == 0 and isinstance(slot, Exception):
+                    assert str(slot) == "probe jobs refused"
+                    failed = True
+                else:
+                    assert not isinstance(slot, Exception), slot
+        assert failed
+        for s in range(1, 4):
+            sessions[s].finish()
+            alone = StreamingMonitor(model, keep_history=True, t0=signals[s].t0)
+            for chunk in chunks[s]:
+                alone.feed(chunk)
+            alone.finish()
+            assert_results_equal(sessions[s].result(), alone.result())

@@ -11,7 +11,6 @@ from repro.core.stft import (
     QF_GAPPED,
     SpectrumSequence,
     stft,
-    stft_seconds,
     window_quality,
 )
 from repro.errors import SignalError
@@ -97,12 +96,6 @@ class TestStftBasics:
         assert len(part) == 3
         assert part.times[0] == seq.times[2]
         assert np.array_equal(part.power, seq.power[2:5])
-
-    def test_stft_seconds(self):
-        fs = 1e6
-        sig = tone(1e4, fs, 200_000)
-        seq = stft_seconds(sig, window_seconds=1e-3)
-        assert seq.window_duration == pytest.approx(1e-3)
 
     def test_energy_agrees_with_scipy(self):
         """Spectral content must match scipy's STFT on the same params."""
