@@ -622,11 +622,11 @@ class MonitorResult:
             each STS (before candidate resolution).
         group_sizes: group size in effect at each STS (for group-span
             bookkeeping in metrics).
+        report_indices: STS index of each report, aligned with
+            ``reports``.
         unscorable_flags: per-STS mask of windows skipped as unscorable
             (quality gating; all False when gating is off).
         quality: the per-window quality bitmasks, when computed.
-        report_indices: STS index of each report, aligned with
-            ``reports``; ``None`` for results built step-by-step.
         status: ``'ok'``, or ``'degraded'`` when so much of the run was
             unscorable that the monitoring verdict is not meaningful.
     """
@@ -636,28 +636,17 @@ class MonitorResult:
     reports: List[AnomalyReport]
     rejection_flags: np.ndarray
     group_sizes: np.ndarray
+    report_indices: List[int]
     unscorable_flags: Optional[np.ndarray] = None
     quality: Optional[np.ndarray] = None
-    report_indices: Optional[List[int]] = None
     status: str = "ok"
 
     @property
     def reported_mask(self) -> np.ndarray:
         """Boolean per-STS mask of report firings."""
         mask = np.zeros(len(self.times), dtype=bool)
-        if self.report_indices is not None:
-            mask[np.asarray(self.report_indices, dtype=int)] = True
-            return mask
-        if not self.reports or len(self.times) == 0:
-            return mask
-        # Fallback for hand-built results: tolerant float matching (exact
-        # `t in set` comparison broke on times reconstructed through
-        # different arithmetic).
-        report_times = np.array([r.time for r in self.reports])
-        return np.isclose(
-            self.times[:, None], report_times[None, :],
-            rtol=1e-9, atol=1e-12,
-        ).any(axis=1)
+        mask[np.asarray(self.report_indices, dtype=int)] = True
+        return mask
 
     @property
     def unscorable_fraction(self) -> float:
@@ -702,8 +691,7 @@ class MonitorResult:
         for r in results:
             tracked.extend(r.tracked)
             reports.extend(r.reports)
-            if r.report_indices is not None:
-                report_indices.extend(i + offset for i in r.report_indices)
+            report_indices.extend(i + offset for i in r.report_indices)
             offset += len(r.times)
         quality = None
         if all(r.quality is not None for r in results):

@@ -12,7 +12,7 @@ both sides of the carrier are visible, as in the paper's Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -139,11 +139,9 @@ def stft(
 
     n_windows = 1 + (len(samples) - window_samples) // hop
     starts = np.arange(n_windows) * hop
-    # Build a strided view [n_windows, window_samples] without copying.
-    frames = np.lib.stride_tricks.sliding_window_view(samples, window_samples)[starts]
     power, freqs = _transform_frames(
-        frames, is_complex, taper, detrend, fold,
-        window_samples, signal.sample_rate,
+        _gather_frames([samples], [starts], window_samples),
+        is_complex, taper, detrend, fold, window_samples, signal.sample_rate,
     )
     times = signal.t0 + (starts + window_samples / 2.0) / signal.sample_rate
     if OBS.enabled:
@@ -156,6 +154,36 @@ def stft(
         window_duration=window_samples / signal.sample_rate,
         hop_duration=hop / signal.sample_rate,
     )
+
+
+def _gather_frames(
+    buffers: Sequence[np.ndarray],
+    starts: Sequence[np.ndarray],
+    window_samples: int,
+) -> np.ndarray:
+    """Copy the frames of one or more sample buffers into one fresh
+    ``(n_frames, window_samples)`` array.
+
+    ``starts[k]`` holds the frame starts within ``buffers[k]``. The
+    buffers are concatenated (a group of one is used as is) and every
+    frame is taken by one fancy index into a strided window view, so the
+    result is a new, C-contiguous array the caller owns -- and
+    :func:`_transform_frames` may overwrite -- while the buffers, which
+    can be a caller's chunk, are left untouched. Rows are in buffer
+    order. The buffers must share a dtype (concatenation would otherwise
+    promote one buffer's samples through another's).
+    """
+    if len(buffers) == 1:
+        flat, global_starts = buffers[0], starts[0]
+    else:
+        flat = np.concatenate(buffers)
+        offsets = np.cumsum([0] + [len(b) for b in buffers[:-1]])
+        global_starts = np.concatenate(
+            [s + offset for s, offset in zip(starts, offsets)]
+        )
+    return np.lib.stride_tricks.sliding_window_view(flat, window_samples)[
+        global_starts
+    ]
 
 
 def _transform_frames(
@@ -174,28 +202,44 @@ def _transform_frames(
     fold), so transforming a subset of a capture's windows produces
     bit-identical spectra to transforming all of them at once -- the
     property the streaming engine's batch-equality guarantee rests on.
+
+    ``frames`` is consumed: it comes from :func:`_gather_frames`, and each
+    step writes into it (or into the step's one promoted or reshaped
+    output) instead of allocating a temporary. Narrow frames (float32,
+    complex64) detrend in their own dtype and are promoted once, at the
+    taper multiply.
     """
     if detrend:
         # Remove each frame's mean BEFORE tapering: subtracting after
         # tapering leaves a taper-shaped residual that leaks into the
         # lowest bins and can outweigh genuine loop peaks.
-        frames = frames - frames.mean(axis=1, keepdims=True)
-    frames = frames * taper
+        frames = _in_place(
+            np.subtract, frames, frames.mean(axis=1, keepdims=True)
+        )
+    frames = _in_place(np.multiply, frames, taper)
     if is_complex:
-        spectra = np.fft.fft(frames, axis=1)
-        power = np.abs(spectra) ** 2
-        if fold:
-            power, freqs = _fold_two_sided(power, window_samples, sample_rate)
-        else:
-            power = np.fft.fftshift(power, axes=1)
-            freqs = np.fft.fftshift(
-                np.fft.fftfreq(window_samples, 1.0 / sample_rate)
-            )
+        spectra = np.fft.fft(frames, axis=1, out=frames)
     else:
         spectra = np.fft.rfft(frames, axis=1)
+    power = np.abs(spectra)
+    np.square(power, out=power)
+    if not is_complex:
         freqs = np.fft.rfftfreq(window_samples, 1.0 / sample_rate)
-        power = np.abs(spectra) ** 2
+    elif fold:
+        power, freqs = _fold_two_sided(power, window_samples, sample_rate)
+    else:
+        power = np.fft.fftshift(power, axes=1)
+        freqs = np.fft.fftshift(
+            np.fft.fftfreq(window_samples, 1.0 / sample_rate)
+        )
     return power, freqs
+
+
+def _in_place(ufunc, frames: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """``ufunc(frames, operand)``, written into ``frames`` when the result
+    keeps its dtype, else into one new array of the promoted dtype."""
+    keeps = np.result_type(frames.dtype, operand.dtype) == frames.dtype
+    return ufunc(frames, operand, out=frames if keeps else None)
 
 
 def _fold_two_sided(
@@ -207,7 +251,7 @@ def _fold_two_sided(
     folded = np.empty((power.shape[0], half + 1))
     folded[:, 0] = power[:, 0]
     # Positive bins 1..half-1 pair with negative bins n-1..half+1.
-    folded[:, 1:half] = power[:, 1:half] + power[:, n - 1: half: -1]
+    np.add(power[:, 1:half], power[:, n - 1: half: -1], out=folded[:, 1:half])
     folded[:, half] = power[:, half]
     freqs = np.arange(half + 1) * (sample_rate / n)
     return folded, freqs
@@ -551,15 +595,17 @@ class StreamingQuality:
 
 
 class _StagedStft:
-    """One chunk staged by :meth:`StreamingStft.begin_feed`: the frames
-    awaiting their spectral transform, plus the chunk's completed-window
-    bookkeeping (``frames`` is ``None`` when the chunk completed no
-    window)."""
+    """One chunk staged by :meth:`StreamingStft.begin_feed`: the sample
+    buffer its completed windows lie in and their starts within it,
+    awaiting the gather and spectral transform, plus the chunk's
+    completed-window bookkeeping (``buffer`` is ``None`` when the chunk
+    completed no window)."""
 
-    __slots__ = ("frames", "quality_flags", "times", "n")
+    __slots__ = ("buffer", "starts", "quality_flags", "times", "n")
 
-    def __init__(self, frames, quality_flags, times, n):
-        self.frames = frames
+    def __init__(self, buffer, starts, quality_flags, times, n):
+        self.buffer = buffer
+        self.starts = starts
         self.quality_flags = quality_flags
         self.times = times
         self.n = n
@@ -635,20 +681,23 @@ class StreamingStft:
         return self.finish_feed(staged, power, freqs)
 
     def begin_feed(self, samples: np.ndarray) -> "_StagedStft":
-        """Stage one chunk: gather its completed frames and advance the
-        stream state, deferring the spectral transform.
+        """Stage one chunk: advance the stream state and return the
+        sample buffer holding the chunk's completed windows with their
+        local starts, deferring the frame gather and spectral transform.
 
-        The split lets the fleet kernel pool many sessions' staged frames
-        into one :func:`_transform_frames` call (per-row transform, so
+        The split lets the fleet kernel gather many sessions' staged
+        buffers with one :func:`_gather_frames` call and transform them
+        with one :func:`_transform_frames` call (per-row transform, so
         pooling is bit-identical); :meth:`feed` is simply
         ``begin_feed`` + :meth:`transform` + :meth:`finish_feed`.
 
         When an incoming chunk aligns with the window hop (no residual
-        tail carried over), the chunk is processed in place: no
+        tail carried over), the chunk itself is the staged buffer: no
         concatenation and no full-chunk copy -- only the new residual
-        tail (under one window of samples) is copied out. The returned
-        frames may alias the caller's chunk; nothing downstream mutates
-        them.
+        tail (under one window of samples) is copied out. The staged
+        buffer may therefore be the caller's chunk; it is only read, by
+        the gather, which copies the frames out before the transform
+        overwrites them.
         """
         if samples.ndim != 1:
             raise SignalError(
@@ -675,21 +724,23 @@ class StreamingStft:
         n = 1 + (len(buf) - w) // hop if len(buf) >= w else 0
         if n <= 0:
             self._buffer = buf if private else buf.copy()
-            return _StagedStft(None, quality_flags, np.empty(0), 0)
+            return _StagedStft(None, None, quality_flags, np.empty(0), 0)
         local_starts = np.arange(n) * hop
-        frames = np.lib.stride_tricks.sliding_window_view(buf, w)[local_starts]
         starts = self._consumed + local_starts
         times = self.t0 + (starts + w / 2.0) / self.sample_rate
         self._consumed += n * hop
         self._buffer = buf[n * hop:].copy()
-        return _StagedStft(frames, quality_flags, times, n)
+        return _StagedStft(buf, local_starts, quality_flags, times, n)
 
     def transform(self, staged: "_StagedStft"):
-        """Spectral transform of a staged chunk's frames:
-        ``(power, freqs)``."""
+        """Gather and spectrally transform a staged chunk's frames:
+        ``(power, freqs)``. The fleet kernel does the same for a pooled
+        group of stagings."""
+        w = self.window_samples
         return _transform_frames(
-            staged.frames, self._is_complex, self._taper_arr, self._detrend,
-            self._fold, self.window_samples, self.sample_rate,
+            _gather_frames([staged.buffer], [staged.starts], w),
+            self._is_complex, self._taper_arr, self._detrend, self._fold,
+            w, self.sample_rate,
         )
 
     def finish_feed(

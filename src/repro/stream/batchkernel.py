@@ -13,18 +13,23 @@ drives every session's chunk through the same stages as
 whole group:
 
 1. **stage** -- each session's :meth:`~StreamingMonitor._stage_chunk`
-   advances its STFT state and stages the chunk's frames (per-session,
-   cheap, stateful);
+   advances its STFT state and stages the chunk: the sample buffer its
+   completed windows lie in and their starts (per-session, cheap,
+   stateful; no frame is copied yet);
 2. **group** -- staged sessions are bucketed by pooling key: model
    identity (program, sample rate, config fingerprint) plus stream mode
-   and frame dtype. Sessions that cannot pool -- divergent config, a
+   and sample dtype. Sessions that cannot pool -- divergent config, a
    chunk that completed no window, a stopped stream -- simply form their
    own bucket or skip straight to emit; there is no special-cased
    "fallback mode", the scalar path *is* the group of size one;
-3. **transform + peaks** -- one :func:`_transform_frames` and one
-   :func:`peak_rows` call per bucket over the concatenated frames. Both
-   are per-row computations, so pooling is bit-identical to per-session
-   calls (see their docstrings);
+3. **gather + transform + peaks** -- per bucket, one
+   :func:`_gather_frames` call copies every member's frames out of the
+   concatenated buffers into one array, which one
+   :func:`_transform_frames` call transforms in place, and one
+   :func:`peak_rows` call extracts the peaks. All three are per-row
+   computations -- :meth:`StreamingStft.transform` is the same gather
+   and transform for a group of one -- so pooling is bit-identical to
+   per-session calls (see their docstrings; DESIGN.md D34);
 4. **walk** -- each session starts its walk/step loop
    (:meth:`Monitor._walk <repro.core.monitor.Monitor._walk>`, the one
    copy that :meth:`Monitor.score_chunk` drives for a single session),
@@ -77,7 +82,7 @@ from repro.core.monitor import (
     score_ks_jobs,
 )
 from repro.core.peaks import peak_rows
-from repro.core.stft import _transform_frames
+from repro.core.stft import _gather_frames, _transform_frames
 from repro.obs import OBS, record_count
 from repro.stream.engine import ChunkLike, StreamingMonitor
 
@@ -150,8 +155,8 @@ class FleetKernel:
 
         # Bucket window-completing sessions by pooling compatibility.
         # The model key fixes every transform/peak parameter; the stream
-        # mode and frame dtype must match too so concatenation cannot
-        # upcast one session's frames through another's.
+        # mode and sample dtype must match too so concatenation cannot
+        # upcast one session's samples through another's.
         groups: Dict[tuple, List[int]] = {}
         for i in active:
             staged = staged_list[i]
@@ -161,7 +166,7 @@ class FleetKernel:
             key = (
                 self._model_key(monitor.model),
                 bool(monitor._stft._is_complex),
-                staged.frames.dtype.str,
+                staged.buffer.dtype.str,
             )
             groups.setdefault(key, []).append(i)
 
@@ -172,14 +177,16 @@ class FleetKernel:
         for members in groups.values():
             first = items[members[0]][0]
             stft = first._stft
-            if len(members) == 1:
-                frames = staged_list[members[0]].frames
-            else:
-                frames = np.concatenate(
-                    [staged_list[i].frames for i in members]
-                )
+            # No name here keeps the gathered frames alive past the
+            # transform, so they are freed before the next group gathers
+            # and the allocator can hand their pages on (DESIGN.md D34).
             power, freqs = _transform_frames(
-                frames, stft._is_complex, stft._taper_arr, stft._detrend,
+                _gather_frames(
+                    [staged_list[i].buffer for i in members],
+                    [staged_list[i].starts for i in members],
+                    stft.window_samples,
+                ),
+                stft._is_complex, stft._taper_arr, stft._detrend,
                 stft._fold, stft.window_samples, stft.sample_rate,
             )
             cfg = first._cfg

@@ -14,6 +14,12 @@
   decides (unscorable windows, gaps and resyncs, peak-less regions).
   Every bit-identity suite compares the fast path against it
   (directly, or through isolated streams that the oracle suite pins).
+- :func:`stft_power`, the Short-Term Spectra of a signal computed one
+  temporary per step (detrend, taper, FFT, magnitude, square, fold).
+  The production transform (:mod:`repro.core.stft`, DESIGN.md D34)
+  gathers every frame into one array and overwrites it step by step;
+  ``tests/test_streaming.py`` checks that both give the same bytes on
+  narrow and wide dtypes.
 - :func:`schedule_path` and :func:`waveform`, the simulator's compile
   kernels as a per-instruction loop over numpy arrays and a
   per-instruction slice loop. The production kernels
@@ -173,6 +179,24 @@ def assert_results_equal(a: MonitorResult, b: MonitorResult) -> None:
     assert a.reports == b.reports
     assert a.report_indices == b.report_indices
     assert a.status == b.status
+
+
+def stft_power(samples: np.ndarray, window_samples: int) -> np.ndarray:
+    """Hann-tapered, detrended, 50%-overlap power spectra of ``samples``:
+    one-sided for real input, folded one-sided for complex input."""
+    w = window_samples
+    hop = w // 2
+    starts = np.arange(1 + (len(samples) - w) // hop) * hop
+    frames = np.stack([samples[s:s + w] for s in starts])
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    frames = frames * np.hanning(w)
+    if not np.iscomplexobj(samples):
+        return np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    power = np.abs(np.fft.fft(frames, axis=1)) ** 2
+    half = w // 2
+    folded = power[:, : half + 1].copy()
+    folded[:, 1:half] = power[:, 1:half] + power[:, w - 1: half: -1]
+    return folded
 
 
 class _UnitTracker:

@@ -16,10 +16,14 @@ streams across every MiBench program, and pins the mechanisms under it:
   changing region in one wave, with an early-exit session and sessions
   that raise mid-wave, against isolated streams and the oracle, and the
   scorer calls per round against the sessions' own plan requests,
+- complex64 and complex128 sessions of one model in one round, which
+  pool in separate groups,
 - hypothesis fuzz of the vectorized exact-integer K-S row kernel and
   the vectorized peak extractor against their scalar counterparts
   (tie-heavy integer grids, since K-S run-end handling is where
-  vectorization could plausibly diverge).
+  vectorization could plausibly diverge; for peaks also all-zero rows
+  and non-finite entries), and of the peak extractor's row median
+  against ``np.median``.
 """
 
 import numpy as np
@@ -36,7 +40,12 @@ from repro.core.monitor import (
     plan_chunks_pooled,
     score_ks_jobs,
 )
-from repro.core.peaks import extract_peaks, peak_matrix, peak_rows
+from repro.core.peaks import (
+    _row_median,
+    extract_peaks,
+    peak_matrix,
+    peak_rows,
+)
 from repro.core.stats.ks import _ks_d_int, ks_d_int_rows
 from repro.core.stft import QF_CLIPPED, QF_GAPPED, stft
 from repro.programs.mibench import BENCHMARKS
@@ -90,6 +99,45 @@ class TestKernelEquivalence:
                 fleet.session(f"dev-{s}").monitor.result(),
                 stream_in_chunks(model, signal.samples, chunk).result(),
             )
+
+    def test_narrow_dtype_sessions_pool_apart(self, monkeypatch):
+        """complex64 and complex128 sessions of one model, chunked on and
+        off the hop, in one round: the groups split by dtype, and each
+        session equals its isolated stream and the batch monitor on the
+        same samples."""
+        import repro.stream.batchkernel as batchkernel
+
+        detector = detector_for("bitcount")
+        model = detector.model
+        iq = detector.source.capture(seed=TINY.monitor_seed(60)).iq
+        cases = [
+            (np.complex64, 2048), (np.complex64, 997),
+            (np.complex128, 2048), (np.complex128, 997),
+        ]
+        signals = [iq.astype(dtype) for dtype, _ in cases]
+        chunkings = [chunk for _, chunk in cases]
+        group_dtypes = []
+        real_transform = batchkernel._transform_frames
+
+        def recording(frames, *args):
+            group_dtypes.append(frames.dtype)
+            return real_transform(frames, *args)
+
+        monkeypatch.setattr(batchkernel, "_transform_frames", recording)
+        fleet = FleetScheduler(max_sessions=8, keep_history=True)
+        for s in range(len(cases)):
+            fleet.add_session(f"dev-{s}", model)
+        drive_fleet(fleet, signals, chunkings)
+        assert set(group_dtypes) == {
+            np.dtype(np.complex64), np.dtype(np.complex128)
+        }
+        for s, (signal, chunk) in enumerate(zip(signals, chunkings)):
+            result = fleet.session(f"dev-{s}").monitor.result()
+            assert_results_equal(
+                result,
+                stream_in_chunks(model, signal.samples, chunk).result(),
+            )
+            assert_results_equal(result, Monitor(model).run_signal(signal))
 
 
 class TestKernelMidGroupChanges:
@@ -321,27 +369,69 @@ class TestVectorizedKernels:
         )
         np.testing.assert_array_equal(ks_d_int_rows(ref, rows), expected)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_peak_rows_fuzz_matches_scalar(self, data):
-        """peak_rows == extract_peaks per window, NaN padding included."""
+        """peak_rows == extract_peaks per window, NaN padding included.
+
+        Small integer grids give ties and plateaus, at the edge bins too;
+        all-zero rows have no energy; NaN and +/-inf entries are what a
+        non-finite sample makes of a spectrum when quality gating is off.
+        Bin counts are odd and even, since the row median's middle differs.
+        """
         n_windows = data.draw(st.integers(1, 5), label="windows")
-        n_bins = data.draw(st.integers(4, 24), label="bins")
+        n_bins = data.draw(st.integers(1, 24), label="bins")
         max_peaks = data.draw(st.integers(1, 5), label="max_peaks")
+        prominence = data.draw(st.sampled_from([0.0, 2.0]), label="prom")
         power = np.asarray(data.draw(st.lists(
-            st.lists(
-                st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
-                min_size=n_bins, max_size=n_bins,
-            ),
-            min_size=n_windows, max_size=n_windows,
+            _spectrum_rows(n_bins), min_size=n_windows, max_size=n_windows,
         )), dtype=float)
         freqs = np.arange(n_bins, dtype=float) * 13.5
-        rows = peak_rows(power, freqs, 0.01, max_peaks, 2.0)
-        for i in range(n_windows):
-            freqs_i, _ = extract_peaks(power[i], freqs, 0.01, max_peaks, 2.0)
-            expected = np.full(max_peaks, np.nan)
-            expected[: len(freqs_i)] = freqs_i
-            np.testing.assert_array_equal(rows[i], expected)
+        with np.errstate(invalid="ignore", over="ignore"):
+            rows = peak_rows(power, freqs, 0.01, max_peaks, prominence)
+            for i in range(n_windows):
+                freqs_i, _ = extract_peaks(
+                    power[i], freqs, 0.01, max_peaks, prominence
+                )
+                expected = np.full(max_peaks, np.nan)
+                expected[: len(freqs_i)] = freqs_i
+                np.testing.assert_array_equal(rows[i], expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_row_median_matches_np_median(self, data):
+        """The partition row median equals ``np.median(axis=1)`` bit for
+        bit, NaN rows included, for odd and even bin counts."""
+        n_bins = data.draw(st.integers(1, 40), label="bins")
+        power = np.asarray(data.draw(st.lists(
+            _spectrum_rows(n_bins), min_size=1, max_size=6,
+        )), dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.median(power, axis=1)
+            got = _row_median(power)
+        assert np.array_equal(got, expected, equal_nan=True)
+        finite = ~np.isnan(expected)
+        assert got[finite].tobytes() == expected[finite].tobytes()
+
+
+def _spectrum_rows(n_bins):
+    """Power rows for the peak fuzzers: small integer grids (ties and
+    plateaus), spread-out floats, all-zero rows, and rows with NaN and
+    +/-inf entries."""
+    grid = st.integers(0, 3).map(float)
+    spread = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+    special = st.sampled_from([np.nan, np.inf, -np.inf])
+
+    def row(values):
+        return st.lists(values, min_size=n_bins, max_size=n_bins)
+
+    return st.one_of(
+        row(grid),
+        row(spread),
+        st.just([0.0] * n_bins),
+        row(st.one_of(grid, grid, grid, special)),
+        row(st.one_of(spread, spread, spread, special)),
+    )
 
 
 class _RaisingMonitor(Monitor):

@@ -30,6 +30,7 @@ def make_result(n, report_at=(), reject_at=(), tracked=None, group=8):
         reports=reports,
         rejection_flags=flags,
         group_sizes=np.full(n, group),
+        report_indices=list(report_at),
     )
 
 
@@ -180,34 +181,9 @@ class TestAggregate:
 class TestReportedMask:
     def test_mask_from_report_indices(self):
         result = make_result(10, report_at=(2, 7))
-        result.report_indices = [2, 7]
         mask = result.reported_mask
         assert mask.sum() == 2
         assert mask[2] and mask[7]
-
-    def test_float_reconstructed_times_still_match(self):
-        """Regression: report times rebuilt through different arithmetic.
-
-        ``0.1 + 0.1 + 0.1 != 0.3`` in floats; the old exact ``t in set``
-        matching silently dropped such reports from the mask.
-        """
-        n = 10
-        times = np.arange(n) * 0.1          # times[3] = 0.30000000000000004
-        accumulated = 0.0
-        for _ in range(3):
-            accumulated += 0.1              # 0.30000000000000004... or not
-        report_time = float(np.float32(0.3))  # a third arithmetic path
-        assert report_time != times[3]      # genuinely different floats...
-        result = MonitorResult(
-            times=times,
-            tracked=["loop:A"] * n,
-            reports=[AnomalyReport(time=0.3, region="loop:A", streak=4)],
-            rejection_flags=np.zeros(n, dtype=bool),
-            group_sizes=np.full(n, 8),
-        )
-        mask = result.reported_mask         # ...but isclose still matches
-        assert mask[3]
-        assert mask.sum() == 1
 
     def test_no_reports_empty_mask(self):
         result = make_result(5)

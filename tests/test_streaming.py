@@ -19,7 +19,7 @@ import pytest
 from conftest import shared_tiny_detector as detector_for
 from conftest import stream_in_chunks, tiny_scale
 
-from oracle import ScalarMonitor, assert_results_equal
+from oracle import ScalarMonitor, assert_results_equal, stft_power
 from repro.core.monitor import Monitor, MonitorResult
 from repro.core.stft import (
     QF_DEAD,
@@ -307,6 +307,29 @@ class TestStreamingStft:
         assert streaming.samples_seen == len(samples)
         assert streaming.pending_samples < 512
 
+    @pytest.mark.parametrize("chunk", [1024, 613])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.float32])
+    def test_narrow_dtypes_match_batch(self, dtype, chunk):
+        """Narrow captures detrend in their own dtype and are promoted
+        once, at the taper: batch and streaming spectra equal the
+        one-temporary-per-step reference bit for bit, whether the chunks
+        align with the hop (1024) or carry a tail (613)."""
+        rng = np.random.default_rng(2)
+        samples = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
+        if dtype is np.float32:
+            samples = samples.real
+        samples = samples.astype(dtype)
+        batch = stft(Signal(samples, 1e6), window_samples=512)
+        streaming = StreamingStft(1e6, window_samples=512)
+        power = np.concatenate([
+            streaming.feed(samples[start : start + chunk]).power
+            for start in range(0, len(samples), chunk)
+        ])
+        expected = stft_power(samples, 512)
+        assert batch.power.dtype == expected.dtype == np.float64
+        np.testing.assert_array_equal(batch.power, expected)
+        np.testing.assert_array_equal(power, expected)
+
     def test_real_stream_rejects_complex_chunk(self):
         streaming = StreamingStft(1e6, window_samples=64)
         streaming.feed(np.zeros(32))
@@ -319,6 +342,41 @@ class TestStreamingStft:
         base = StreamingStft(1e6, window_samples=256).feed(samples)
         offset = StreamingStft(1e6, window_samples=256, t0=1.5).feed(samples)
         np.testing.assert_allclose(offset.times - base.times, 1.5)
+
+
+class TestCallerArraysUnchanged:
+    """The spectral transform overwrites its frames (DESIGN.md D34); the
+    frames are gathered copies, so no path writes into the caller's
+    chunks or a signal's samples, including hop-aligned chunks, which
+    the stream stages without a copy."""
+
+    @pytest.mark.parametrize("chunk_samples", [2048, 997])
+    def test_feed_feed_many_and_stft(self, chunk_samples):
+        model = detector_for("bitcount").model
+        signal = capture("bitcount", 0).iq
+        kept = signal.samples.copy()
+        stft(signal, model.config.window_samples)
+        chunks = [
+            signal.samples[start : start + chunk_samples].copy()
+            for start in range(0, len(signal), chunk_samples)
+        ]
+        originals = [c.copy() for c in chunks]
+
+        spectra = StreamingStft(
+            signal.sample_rate, model.config.window_samples
+        )
+        monitor = StreamingMonitor(model)
+        fleet = FleetScheduler(max_sessions=2)
+        fleet.add_session("a", model)
+        fleet.add_session("b", model)
+        for c in chunks:
+            spectra.feed(c)
+            monitor.feed(c)
+            fleet.feed_many([("a", c), ("b", c)])
+
+        np.testing.assert_array_equal(signal.samples, kept)
+        for c, original in zip(chunks, originals):
+            np.testing.assert_array_equal(c, original)
 
 
 class TestStreamingQuality:
