@@ -5,8 +5,9 @@ interpreting every dynamic instruction, each distinct control path through a
 loop body is scheduled cycle-accurately *once* (per OOO schedule variant),
 yielding a per-cycle power waveform; a loop execution is then composed by
 sampling a path variant per iteration, appending stochastic stall cycles for
-cache misses and branch mispredictions, and scattering the memoized
-waveforms into one long per-cycle power array -- all vectorized with numpy.
+cache misses and branch mispredictions, and reading each iteration's cycles
+out of a table of the memoized waveforms, a block of iterations at a time
+(D35) -- all vectorized with numpy.
 
 The per-iteration *period* (which sets the loop's spectral peak) and its
 *variance* (which sets the STS spread EDDIE's statistics must absorb) are
@@ -55,8 +56,11 @@ _OOO_MISS_EXPOSURE = 0.45
 # what makes OOO cores need larger K-S groups in the paper (Section 5.3,
 # Figure 4) without destabilizing the reference distribution itself.
 _OOO_VARIANT_DWELL = 75
-# Iterations composed per numpy chunk (bounds peak memory).
+# Iterations whose random draws are made per numpy chunk.
 _CHUNK_ITERS = 65536
+# Cycles a chunk is built and binned in at a time, cut at iteration
+# boundaries (DESIGN.md D35): no per-cycle array grows with the chunk.
+_BLOCK_CYCLES = 32768
 # Compiled segments the process-wide variant memo keeps, least recently
 # used first out (DESIGN.md D27). A quick-scale Table 2 protocol fills 154
 # (0.4 MB of waveforms).
@@ -70,11 +74,15 @@ _VARIANT_MEMO_LOCK = threading.Lock()
 
 
 class TraceBuilder:
-    """Accumulates per-cycle power chunks and bins them into samples.
+    """Bins per-cycle power into samples as it arrives.
 
     The paper's SESC setup samples the power signal every 20 cycles; the
-    builder performs that decimation streamingly (mean power per
-    ``cycles_per_sample`` bucket) so full-run cycle arrays never exist.
+    builder takes cycles in pieces of any length (a segment's waveform,
+    a leaf loop's blocks) and keeps only the samples -- the mean power
+    of each ``cycles_per_sample`` bin -- plus the fewer than
+    ``cycles_per_sample`` cycles of a partial bin, which the next piece
+    completes. A bin is the same row mean of the same cycles however
+    they were cut into pieces (DESIGN.md D35).
     """
 
     def __init__(self, cycles_per_sample: int) -> None:
@@ -86,12 +94,12 @@ class TraceBuilder:
         self.total_cycles = 0
 
     def add_cycles(self, power: np.ndarray) -> None:
-        """Append a chunk of per-cycle power values."""
+        """Append per-cycle power values."""
         self.total_cycles += len(power)
         cps = self.cycles_per_sample
         if len(self._carry):
-            # Close the carried partial bin from the chunk's head, then
-            # bin the rest of the chunk in place.
+            # Close the carried partial bin from the piece's head, then
+            # bin the rest of the piece in place.
             need = cps - len(self._carry)
             head = np.concatenate([self._carry, power[:need]])
             if len(head) < cps:
@@ -104,10 +112,6 @@ class TraceBuilder:
             full = power[: n_full * cps].reshape(n_full, cps)
             self._sample_chunks.append(full.mean(axis=1))
         self._carry = power[n_full * cps:]
-
-    def add_constant(self, level: float, n_cycles: int) -> None:
-        """Append ``n_cycles`` cycles at constant power ``level``."""
-        self.add_cycles(np.full(n_cycles, level))
 
     def samples(self) -> np.ndarray:
         """All complete samples binned so far (drops a partial tail bucket)."""
@@ -359,7 +363,9 @@ class CompositionEngine:
         Control-path (and injected/clean) choice is i.i.d. per iteration;
         on OOO cores the *schedule variant* within the chosen path follows
         a sticky Markov chain with mean dwell ``_OOO_VARIANT_DWELL`` (see
-        that constant's comment).
+        that constant's comment). The draws are made per ``_CHUNK_ITERS``
+        chunk; the chunk's cycles are then built and binned a block at a
+        time by :func:`_render_blocks` (DESIGN.md D35).
         """
         variants, family_probs, n_clean_variants = self._iteration_variants(
             iter_paths, injection
@@ -399,21 +405,10 @@ class CompositionEngine:
                 extra[mask] = e
                 energy[mask] = en
             lengths = base_len[idx] + extra
-            offsets = np.zeros(chunk, dtype=np.int64)
-            np.cumsum(lengths[:-1], out=offsets[1:])
-            total = int(lengths.sum())
-            power = np.full(total, self.power.stall_power)
-            for v, variant in enumerate(variants):
-                starts = offsets[idx == v]
-                if not len(starts):
-                    continue
-                positions = (starts[:, None] + np.arange(variant.cycles)).ravel()
-                power[positions] = np.tile(variant.waveform, len(starts))
-            gap_mask = extra > 0
-            if gap_mask.any():
-                gap_starts = (offsets + base_len[idx])[gap_mask]
-                np.add.at(power, gap_starts, energy[gap_mask])
-            builder.add_cycles(power)
+            table, row_start = _leaf_table(
+                variants, int(extra.max()), self.power.stall_power
+            )
+            _render_blocks(table, row_start[idx], lengths, extra, energy, builder)
             chunk_instrs = int(instr_counts[idx].sum())
             total_instrs += chunk_instrs
             if injection is not None:
@@ -768,6 +763,66 @@ class CompositionEngine:
             mispredicts = rng.binomial(count, rate, size)
             extra += mispredicts * penalty
         return np.round(extra).astype(np.int64), energy
+
+
+def _leaf_table(
+    variants: Sequence[Variant], pad: int, stall_power: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The per-cycle lookup table of a leaf loop's iterations.
+
+    Row ``v`` is variant ``v``'s waveform followed by ``pad`` cycles at
+    stall power, so an iteration of variant ``v`` with up to ``pad``
+    stall cycles reads its cycles from one contiguous run of the table.
+    Returns the table and each row's start.
+    """
+    row_len = np.array([v.cycles + pad for v in variants], dtype=np.int64)
+    row_start = np.zeros(len(variants), dtype=np.int64)
+    np.cumsum(row_len[:-1], out=row_start[1:])
+    table = np.full(int(row_len.sum()), stall_power)
+    for start, variant in zip(row_start, variants):
+        table[start:start + variant.cycles] = variant.waveform
+    return table, row_start
+
+
+def _render_blocks(
+    table: np.ndarray,
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    extra: np.ndarray,
+    energy: np.ndarray,
+    builder: TraceBuilder,
+) -> None:
+    """Build and bin one chunk's cycles about ``_BLOCK_CYCLES`` at a time.
+
+    Iteration ``i`` reads ``lengths[i]`` cycles from the table row that
+    starts at ``rows[i]``, and its first stall cycle (there is one when
+    ``extra[i] > 0``) also carries the refill energy ``energy[i]``.
+    Blocks are cut at iteration boundaries, so a block is one iteration
+    when that iteration alone exceeds the block size; the builder's
+    carry joins the bins that straddle two blocks.
+    """
+    ends = np.cumsum(lengths)
+    # Table index minus chunk cycle index, per iteration.
+    shift = rows - (ends - lengths)
+    gaps = extra > 0
+    gap_at = (ends - extra)[gaps]
+    gap_energy = energy[gaps]
+    n = len(lengths)
+    i0 = c0 = 0
+    while i0 < n:
+        i1 = max(
+            i0 + 1,
+            int(np.searchsorted(ends, c0 + _BLOCK_CYCLES, side="right")),
+        )
+        c1 = int(ends[i1 - 1])
+        src = np.repeat(shift[i0:i1], lengths[i0:i1])
+        src += np.arange(c0, c1)
+        power = table[src]
+        g0, g1 = np.searchsorted(gap_at, (c0, c1))
+        if g1 > g0:
+            np.add.at(power, gap_at[g0:g1] - c0, gap_energy[g0:g1])
+        builder.add_cycles(power)
+        i0, c0 = i1, c1
 
 
 def _sticky_stream(

@@ -245,14 +245,24 @@ def _in_place(ufunc, frames: np.ndarray, operand: np.ndarray) -> np.ndarray:
 def _fold_two_sided(
     power: np.ndarray, window_samples: int, sample_rate: float
 ):
-    """Fold an unshifted two-sided power spectrum onto [0, Nyquist]."""
+    """Fold an unshifted two-sided power spectrum onto [0, Nyquist].
+
+    The bins are ``rfftfreq``'s: positive bin k (1 <= k < n/2) pairs with
+    negative bin n - k, and only an even window has a Nyquist bin, which
+    has no pair.
+    """
     n = window_samples
     half = n // 2
+    pairs = (n - 1) // 2
     folded = np.empty((power.shape[0], half + 1))
     folded[:, 0] = power[:, 0]
-    # Positive bins 1..half-1 pair with negative bins n-1..half+1.
-    np.add(power[:, 1:half], power[:, n - 1: half: -1], out=folded[:, 1:half])
-    folded[:, half] = power[:, half]
+    np.add(
+        power[:, 1:pairs + 1],
+        power[:, n - 1: n - 1 - pairs: -1],
+        out=folded[:, 1:pairs + 1],
+    )
+    if n % 2 == 0:
+        folded[:, half] = power[:, half]
     freqs = np.arange(half + 1) * (sample_rate / n)
     return folded, freqs
 

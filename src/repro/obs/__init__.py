@@ -18,7 +18,8 @@ The three sub-layers:
   into the parent (``repro.experiments.runner.parallel_map`` wires this).
 - :mod:`repro.obs.metrics` -- counters/gauges/histograms registered by
   module, exported with one :func:`snapshot` call and merged across
-  processes with :func:`merge_snapshot`.
+  processes with :func:`merge_snapshot` (or, without touching the
+  registry, :func:`merge_snapshots`).
 - :mod:`repro.obs.manifest` -- per-experiment run manifests (config
   fingerprint, seeds, git SHA, per-stage timings, metric snapshot,
   result summary) and the ``repro obs diff`` machinery.
@@ -58,6 +59,7 @@ from repro.obs.metrics import (
     gauge,
     histogram,
     merge_snapshot,
+    merge_snapshots,
     record_count,
     reset_metrics,
     snapshot,
@@ -108,6 +110,7 @@ __all__ = [
     "manifest_path",
     "merge_export",
     "merge_snapshot",
+    "merge_snapshots",
     "merge_spans",
     "record_count",
     "reset",

@@ -7,7 +7,7 @@ that run manifests embed and :func:`merge_snapshot` folds worker-process
 snapshots back into the parent -- which is what makes totals (e.g. the
 artifact cache's hit/miss counts) correct under the
 ``ProcessPoolExecutor`` fan-out, where per-process tallies alone are
-silently partial.
+silently partial; :func:`merge_snapshots` merges without a registry.
 
 All mutation is gated on the shared enabled flag (:data:`~repro.obs.trace.OBS`),
 so the disabled path costs one attribute check per call site. Increments
@@ -19,7 +19,7 @@ Merge semantics (deterministic when merges happen in task order):
 - counters add;
 - gauges take the incoming value if the incoming instrument was ever set;
 - histograms add bin counts and pool count/sum/min/max (bin edges must
-  match; mismatched edges raise).
+  match; mismatched edges raise, or keep the first in the pure merge).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "gauge",
     "histogram",
     "merge_snapshot",
+    "merge_snapshots",
     "record_count",
     "reset_metrics",
     "snapshot",
@@ -195,25 +196,16 @@ class Histogram:
         }
 
     def merge(self, data: Dict[str, Any]) -> None:
-        if [float(e) for e in data["edges"]] != self.edges:
+        if not _same_edges(self.edges, data["edges"]):
             raise ValueError(
                 f"histogram {self.name!r}: cannot merge snapshots with "
                 f"different bin edges"
             )
         with self._lock:
-            self.bins = [a + b for a, b in zip(self.bins, data["bins"])]
-            self.count += int(data["count"])
-            self.total += float(data["sum"])
-            if data["min"] is not None:
-                self.min = (
-                    data["min"] if self.min is None
-                    else min(self.min, float(data["min"]))
-                )
-            if data["max"] is not None:
-                self.max = (
-                    data["max"] if self.max is None
-                    else max(self.max, float(data["max"]))
-                )
+            pooled = _pool_histograms(self.to_dict(), data)
+            self.bins, self.count, self.total, self.min, self.max = (
+                pooled[key] for key in ("bins", "count", "sum", "min", "max")
+            )
 
     def reset(self) -> None:
         with self._lock:
@@ -222,6 +214,24 @@ class Histogram:
             self.total = 0.0
             self.min = None
             self.max = None
+
+
+def _same_edges(a: Sequence[float], b: Sequence[float]) -> bool:
+    return [float(e) for e in a] == [float(e) for e in b]
+
+
+def _pool_histograms(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
+    """Two histogram snapshots with the same edges, pooled."""
+    lows = [v for v in (a["min"], b["min"]) if v is not None]
+    highs = [v for v in (a["max"], b["max"]) if v is not None]
+    return {
+        "edges": list(a["edges"]),
+        "bins": [x + y for x, y in zip(a["bins"], b["bins"])],
+        "count": int(a["count"]) + int(b["count"]),
+        "sum": float(a["sum"]) + float(b["sum"]),
+        "min": min(lows, default=None),
+        "max": max(highs, default=None),
+    }
 
 
 def _get_or_register(module: str, name: str, factory):
@@ -315,6 +325,31 @@ def merge_snapshot(snap: Dict[str, Dict[str, Any]]) -> None:
     for full_name, value in snap.get("histograms", {}).items():
         module, name = full_name.split("/", 1)
         histogram(module, name, value["edges"]).merge(value)
+
+
+def merge_snapshots(
+    snaps: Sequence[Dict[str, Dict[str, Any]]],
+) -> Dict[str, Dict[str, Any]]:
+    """:func:`merge_snapshot`'s rules applied to ``snaps`` in order, into
+    a new snapshot, touching no instrument. A histogram whose edges
+    differ from the first one's is skipped instead of raising."""
+    out: Dict[str, Dict[str, Any]] = {"counters": {}, "gauges": {}, "histograms": {}}
+    counters, gauges, histograms = out.values()
+    for snap in snaps:
+        for name, value in snap.get("counters", {}).items():
+            counters[name] = counters.get(name, 0) + int(value)
+        for name, value in snap.get("gauges", {}).items():
+            if name not in gauges or value.get("set"):
+                gauges[name] = dict(value)
+        for name, value in snap.get("histograms", {}).items():
+            prior = histograms.get(name)
+            if prior is None:
+                histograms[name] = dict(
+                    value, edges=list(value["edges"]), bins=list(value["bins"])
+                )
+            elif _same_edges(prior["edges"], value["edges"]):
+                histograms[name] = _pool_histograms(prior, value)
+    return out
 
 
 def reset_metrics() -> None:

@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServeError
+from repro.obs import merge_snapshots
 from repro.serve import protocol
 from repro.serve.protocol import (
     ERR_NO_WORKERS,
@@ -117,50 +118,6 @@ _SUM_KEYS = frozenset({
 _FIRST_KEYS = frozenset({"evict_idle", "checkpoint_interval"})
 
 
-def _merge_metric_snapshots(snaps: List[Dict]) -> Dict[str, Dict]:
-    """Merge ``snapshot_module()`` dicts without touching the registry.
-
-    Counters sum exactly; gauges take the last set value; histograms
-    pool bins / count / sum and extremize min / max. Pure -- unlike
-    :func:`repro.obs.merge_snapshot`, nothing is folded into this
-    process's live instruments.
-    """
-    out: Dict[str, Dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-    for snap in snaps:
-        for name, value in snap.get("counters", {}).items():
-            out["counters"][name] = out["counters"].get(name, 0) + int(value)
-        for name, value in snap.get("gauges", {}).items():
-            prior = out["gauges"].get(name)
-            if prior is None or value.get("set"):
-                out["gauges"][name] = dict(value)
-        for name, value in snap.get("histograms", {}).items():
-            prior = out["histograms"].get(name)
-            if prior is None:
-                out["histograms"][name] = {
-                    "edges": list(value["edges"]),
-                    "bins": list(value["bins"]),
-                    "count": int(value["count"]),
-                    "sum": float(value["sum"]),
-                    "min": value["min"],
-                    "max": value["max"],
-                }
-                continue
-            if list(value["edges"]) != prior["edges"]:
-                continue  # incompatible edges: keep the first worker's
-            prior["bins"] = [
-                a + b for a, b in zip(prior["bins"], value["bins"])
-            ]
-            prior["count"] += int(value["count"])
-            prior["sum"] += float(value["sum"])
-            for side, pick in (("min", min), ("max", max)):
-                if value[side] is not None:
-                    prior[side] = (
-                        value[side] if prior[side] is None
-                        else pick(prior[side], value[side])
-                    )
-    return out
-
-
 def merge_stats_payloads(payloads: Sequence[Dict]) -> Dict:
     """Fold per-worker STATS payloads into one fleet-wide snapshot.
 
@@ -201,7 +158,7 @@ def merge_stats_payloads(payloads: Sequence[Dict]) -> Dict:
         sessions, key=lambda s: str(s.get("session", ""))
     )
     if metric_snaps:
-        merged["metrics"] = _merge_metric_snapshots(metric_snaps)
+        merged["metrics"] = merge_snapshots(metric_snaps)
     return merged
 
 

@@ -26,6 +26,14 @@
   (:mod:`repro.arch.pipeline`, :mod:`repro.arch.power`) run on Python
   ints and one ``np.add.at``; ``tests/test_sim_kernels.py`` checks that
   both give the same schedules and the same waveform bytes.
+- :func:`render_leaf`, a leaf loop's iterations rendered by
+  materializing each chunk's per-cycle power (a stall-filled array, the
+  waveforms scattered into it, the refill energies added) and binning
+  it in one call. The production renderer
+  (:meth:`repro.arch.engine.CompositionEngine._render_leaf`, DESIGN.md
+  D35) makes the same random draws and builds and bins the cycles in
+  blocks from a lookup table; ``tests/test_engine.py`` checks that both
+  give the same sample bytes.
 - :class:`ReferenceInterpreter`, the slow simulator the fast
   composition engine (:mod:`repro.arch.engine`) is validated against,
   with the functional :class:`CacheHierarchy` (exact LRU over explicit
@@ -41,6 +49,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.arch import engine as arch_engine
 from repro.arch import pipeline
 from repro.arch.config import CacheConfig, CoreConfig, MemoryConfig
 from repro.arch.isa import UNIT_OF, Unit, base_latency
@@ -185,7 +194,7 @@ def stft_power(samples: np.ndarray, window_samples: int) -> np.ndarray:
     """Hann-tapered, detrended, 50%-overlap power spectra of ``samples``:
     one-sided for real input, folded one-sided for complex input."""
     w = window_samples
-    hop = w // 2
+    hop = int(round(w * 0.5))
     starts = np.arange(1 + (len(samples) - w) // hop) * hop
     frames = np.stack([samples[s:s + w] for s in starts])
     frames = frames - frames.mean(axis=1, keepdims=True)
@@ -193,10 +202,80 @@ def stft_power(samples: np.ndarray, window_samples: int) -> np.ndarray:
     if not np.iscomplexobj(samples):
         return np.abs(np.fft.rfft(frames, axis=1)) ** 2
     power = np.abs(np.fft.fft(frames, axis=1)) ** 2
-    half = w // 2
-    folded = power[:, : half + 1].copy()
-    folded[:, 1:half] = power[:, 1:half] + power[:, w - 1: half: -1]
+    # Bin k pairs with bin w - k; an even window's Nyquist bin has none.
+    pairs = (w - 1) // 2
+    folded = power[:, : w // 2 + 1].copy()
+    folded[:, 1:pairs + 1] = (
+        power[:, 1:pairs + 1] + power[:, w - 1: w - 1 - pairs: -1]
+    )
     return folded
+
+
+def render_leaf(engine, iter_paths, n_iters, rng, builder, injection):
+    """Render a child-free loop's iterations the materializing way.
+
+    The same draws, in the same order and sizes, as
+    :meth:`CompositionEngine._render_leaf`; each ``_CHUNK_ITERS`` chunk
+    is laid out as one per-cycle power array before it reaches the
+    builder. Returns (instructions, injected instructions).
+    """
+    variants, family_probs, n_clean_variants = engine._iteration_variants(
+        iter_paths, injection
+    )
+    k_variants = arch_engine._OOO_VARIANTS if engine.core.is_ooo else 1
+    n_families = len(family_probs)
+    family_probs = np.array(family_probs)
+    family_probs = family_probs / family_probs.sum()
+    base_len = np.array([v.cycles for v in variants])
+    instr_counts = np.array([v.instr_count for v in variants])
+
+    total_instrs = 0
+    injected_instrs = 0
+    injected_len = len(injection[0]) if injection else 0
+    current_variant = int(rng.integers(k_variants))
+    remaining = n_iters
+    while remaining > 0:
+        chunk = min(remaining, arch_engine._CHUNK_ITERS)
+        remaining -= chunk
+        family_idx = rng.choice(n_families, size=chunk, p=family_probs)
+        if k_variants > 1:
+            schedule_idx, current_variant = arch_engine._sticky_stream(
+                chunk, k_variants, current_variant,
+                1.0 / arch_engine._OOO_VARIANT_DWELL, rng,
+            )
+        else:
+            schedule_idx = np.zeros(chunk, dtype=np.int64)
+        idx = family_idx * k_variants + schedule_idx
+        extra = np.zeros(chunk, dtype=np.int64)
+        energy = np.zeros(chunk)
+        for v, variant in enumerate(variants):
+            mask = idx == v
+            count = int(mask.sum())
+            if not count:
+                continue
+            e, en = engine._sample_extras(variant, count, rng)
+            extra[mask] = e
+            energy[mask] = en
+        lengths = base_len[idx] + extra
+        offsets = np.zeros(chunk, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=offsets[1:])
+        power = np.full(int(lengths.sum()), engine.power.stall_power)
+        for v, variant in enumerate(variants):
+            starts = offsets[idx == v]
+            if not len(starts):
+                continue
+            positions = (starts[:, None] + np.arange(variant.cycles)).ravel()
+            power[positions] = np.tile(variant.waveform, len(starts))
+        gap_mask = extra > 0
+        if gap_mask.any():
+            gap_starts = (offsets + base_len[idx])[gap_mask]
+            np.add.at(power, gap_starts, energy[gap_mask])
+        builder.add_cycles(power)
+        total_instrs += int(instr_counts[idx].sum())
+        if injection is not None:
+            n_injected_iters = int((idx >= n_clean_variants).sum())
+            injected_instrs += n_injected_iters * injected_len
+    return total_instrs, injected_instrs
 
 
 class _UnitTracker:

@@ -1,12 +1,18 @@
 """Unit tests for the composition engine (repro.arch.engine)."""
 
+import tracemalloc
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.arch import engine as engine_mod
 from repro.arch.config import CoreConfig
-from repro.arch.engine import CompositionEngine, TraceBuilder
+from repro.arch.engine import CompositionEngine, TraceBuilder, Variant
 from repro.arch.power import PowerModel, PowerParams
 from repro.arch.simulator import Simulator
 from repro.cfg.graph import ControlFlowGraph
@@ -17,6 +23,8 @@ from repro.experiments.tables_common import evaluate_benchmark
 from repro.programs.builder import ProgramBuilder
 from repro.programs.ir import Instr, MemRef, OpClass
 from repro.programs.mibench import BENCHMARKS
+
+from oracle import render_leaf
 
 
 def adds(n):
@@ -47,11 +55,6 @@ class TestTraceBuilder:
         tb.add_cycles(np.array([4.0, 4.0, 8.0]))
         assert np.allclose(tb.samples(), [3.0])
         assert tb.total_cycles == 5
-
-    def test_add_constant(self):
-        tb = TraceBuilder(cycles_per_sample=2)
-        tb.add_constant(1.5, 4)
-        assert np.allclose(tb.samples(), [1.5, 1.5])
 
     def test_invalid_cps(self):
         with pytest.raises(SimulationError):
@@ -281,6 +284,143 @@ class TestRunRepeated:
         )
         tb = TraceBuilder(1)
         assert engine.run_repeated(adds(50), 0, np.random.default_rng(0), tb) == 0
+
+
+@st.composite
+def leaf_cases(draw):
+    """A leaf loop's variants and draws, with block and chunk sizes small
+    enough that one case spans several of each."""
+    block = draw(st.sampled_from([8, 64, 500]))
+    k_variants = 4 if draw(st.booleans()) else 1
+    n_families = draw(st.integers(1, 3))
+    n_injected = draw(st.integers(0, n_families - 1))
+    waves = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    variants = []
+    for _ in range(n_families):
+        # Zero extras, mispredicts only, or misses all the way to DRAM.
+        mem, br = draw(st.sampled_from([
+            ((), ()),
+            ((), ((3, 0.5),)),
+            (((20, 1.0, 1.0), (2, 0.3, 0.0)), ((1, 0.25),)),
+        ]))
+        for _ in range(k_variants):
+            cycles = draw(st.one_of(
+                st.integers(1, 19),          # shorter than a bin
+                st.integers(20, 100),        # a bin or more
+                st.integers(block + 1, block + 300),  # longer than a block
+            ))
+            variants.append(Variant(
+                waves.random(cycles) + 0.5, cycles,
+                draw(st.integers(1, 40)), mem, br,
+            ))
+    family_probs = [draw(st.floats(0.1, 1.0)) for _ in range(n_families)]
+    return {
+        "block": block,
+        "chunk_iters": draw(st.integers(1, 40)),
+        "ooo": k_variants > 1,
+        "variants": variants,
+        "family_probs": family_probs,
+        "n_clean": (n_families - n_injected) * k_variants,
+        "injected": n_injected > 0,
+        "n_iters": draw(st.integers(1, 150)),
+        "carry": draw(st.integers(0, 19)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+class TestBlockedRendering:
+    """``_render_leaf`` builds and bins a chunk in blocks (DESIGN.md D35);
+    the materializing renderer in ``tests/oracle.py`` pins its bytes."""
+
+    @staticmethod
+    def assert_same_render(engine, paths, carry, seed, n_iters, injection):
+        """Instruction counts, ``total_cycles``, sample bytes and the
+        carried partial bin agree, after a builder carry of ``carry``."""
+        rendered = []
+        for renderer in (engine._render_leaf, partial(render_leaf, engine)):
+            builder = TraceBuilder(20)
+            builder.add_cycles(np.linspace(0.25, 1.0, carry))
+            counts = renderer(paths, n_iters, np.random.default_rng(seed),
+                              builder, injection)
+            rendered.append((counts, builder.total_cycles,
+                             builder.samples().tobytes(),
+                             builder._carry.tobytes()))
+        assert rendered[0] == rendered[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(leaf_cases())
+    def test_matches_materializing_oracle(self, case):
+        core = (CoreConfig.sim_ooo(clock_hz=1e8) if case["ooo"]
+                else CoreConfig(clock_hz=1e8))
+        engine, _, _ = make_engine(
+            lambda b: (b.block("init", [], next_block="out"), b.halt("out")),
+            core,
+        )
+        engine._iteration_variants = lambda paths, injection: (
+            case["variants"], case["family_probs"], case["n_clean"])
+        injection = (tuple(adds(3)), 0.5) if case["injected"] else None
+        with mock.patch.object(engine_mod, "_BLOCK_CYCLES", case["block"]), \
+                mock.patch.object(engine_mod, "_CHUNK_ITERS",
+                                  case["chunk_iters"]):
+            self.assert_same_render(
+                engine, [], case["carry"], case["seed"], case["n_iters"],
+                injection,
+            )
+
+    @pytest.mark.parametrize("core", [
+        CoreConfig(clock_hz=1e8), CoreConfig.sim_ooo(clock_hz=1e8),
+    ], ids=["inorder", "ooo"])
+    def test_matches_oracle_over_real_chunks(self, core):
+        """Two full ``_CHUNK_ITERS`` chunks and a partial one at the real
+        block size, on a compiled body with cache misses and an injection."""
+        body = adds(6) + [
+            Instr(OpClass.LOAD, dst="m", srcs=("p",),
+                  mem=MemRef("arr", footprint=1 << 22, pattern="rand"))
+        ]
+
+        def build(b):
+            b.block("init", [], next_block="L")
+            b.counted_loop("L", body, trips=10, exit="out")
+            b.halt("out")
+
+        engine, forest, _ = make_engine(build, core)
+        paths = engine._enumerate_paths(forest.by_header("L"), {})[0]
+        iter_paths = [p for p in paths if not p.exits_loop]
+        injection = (tuple(adds(4)), 0.3)
+        n_iters = 2 * engine_mod._CHUNK_ITERS + 77
+        for carry in (0, 13):
+            self.assert_same_render(
+                engine, iter_paths, carry, 5, n_iters, injection)
+
+    def test_peak_memory_does_not_grow_with_cycles(self):
+        """A 65,536-iteration leaf loop allocates per-iteration draws and a
+        few blocks, never an array per cycle of the chunk: ten times the
+        cycles per iteration leaves the traced peak, net of the samples
+        produced, where it was. (The materializing renderer, which holds a
+        power array per cycle of the chunk, peaks at 13 MB and 84 MB
+        here.)"""
+        engine, _, _ = make_engine(
+            lambda b: (b.block("init", [], next_block="out"), b.halt("out")),
+            CoreConfig.sim_ooo(clock_hz=1e8),
+        )
+        n_iters = engine_mod._CHUNK_ITERS
+        block_bytes = 8 * engine_mod._BLOCK_CYCLES
+        net_peaks = []
+        for n_adds in (40, 400):
+            body = adds(n_adds)
+            engine.run_repeated(body, 1, np.random.default_rng(0),
+                                TraceBuilder(20))  # compile outside the trace
+            builder = TraceBuilder(20)
+            tracemalloc.start()
+            try:
+                engine.run_repeated(body, n_iters, np.random.default_rng(1),
+                                    builder)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            net_peaks.append(peak - 8 * (builder.total_cycles // 20))
+        assert max(net_peaks) < 14 * 8 * n_iters + 4 * block_bytes
+        assert abs(net_peaks[1] - net_peaks[0]) < 2 * block_bytes
 
 
 class TestOOOVariance:

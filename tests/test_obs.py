@@ -145,6 +145,55 @@ class TestMetrics:
                      "sum": 0.0, "min": None, "max": None})
 
 
+def metric_snap(chunks, depth, edges, bins, lo, hi):
+    return {
+        "counters": {"m/chunks": chunks},
+        "gauges": {"m/depth": {"value": depth or 0.0,
+                               "set": depth is not None}},
+        "histograms": {"m/lat": {
+            "edges": edges, "bins": bins, "count": sum(bins),
+            "sum": float(sum(bins)) / 2, "min": lo, "max": hi,
+        }},
+    }
+
+
+class TestSnapshotMerges:
+    """``merge_snapshots`` (pure) and ``merge_snapshot`` (into the live
+    registry) share one set of rules; they differ only on histograms
+    whose edges do not match."""
+
+    def test_pure_merge_equals_live_merge(self):
+        snaps = [
+            metric_snap(3, 2.0, [0.0, 1.0], [1, 2, 0], 0.5, 0.9),
+            metric_snap(4, None, [0.0, 1.0], [0, 0, 0], None, None),
+            metric_snap(5, 7.0, [0.0, 1.0], [2, 0, 1], -1.0, 3.0),
+        ]
+        merged = obs.merge_snapshots(snaps)
+        assert obs.snapshot() == {"counters": {}, "gauges": {},
+                                  "histograms": {}}
+        obs.enable()
+        for snap in snaps:
+            obs.merge_snapshot(snap)
+        assert obs.snapshot() == merged
+        assert merged["counters"]["m/chunks"] == 12
+        assert merged["gauges"]["m/depth"] == {"value": 7.0, "set": True}
+        lat = merged["histograms"]["m/lat"]
+        assert (lat["bins"], lat["count"]) == ([3, 2, 1], 6)
+        assert (lat["min"], lat["max"]) == (-1.0, 3.0)
+
+    def test_mismatched_edges_first_wins_in_pure_merge_and_raise_live(self):
+        first = metric_snap(1, 1.0, [0.0, 1.0], [1, 1, 0], 0.2, 0.7)
+        other = metric_snap(2, 2.0, [0.0, 2.0], [0, 1, 1], 1.5, 2.5)
+        merged = obs.merge_snapshots([first, other])
+        assert merged["histograms"]["m/lat"] == first["histograms"]["m/lat"]
+        assert merged["counters"]["m/chunks"] == 3
+        assert first["histograms"]["m/lat"]["bins"] == [1, 1, 0]
+        obs.enable()
+        obs.merge_snapshot(first)
+        with pytest.raises(ValueError, match="different bin edges"):
+            obs.merge_snapshot(other)
+
+
 class TestManifest:
     def test_write_load_roundtrip(self, tmp_path):
         obs.enable()

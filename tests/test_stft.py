@@ -10,11 +10,14 @@ from repro.core.stft import (
     QF_ENERGY_OUTLIER,
     QF_GAPPED,
     SpectrumSequence,
+    StreamingStft,
     stft,
     window_quality,
 )
 from repro.errors import SignalError
 from repro.types import Signal
+
+from oracle import stft_power
 
 
 def tone(freq, fs, n, complex_=False):
@@ -111,6 +114,45 @@ class TestStftBasics:
         assert theirs_power.shape[0] == len(ours)
         for ours_row, theirs_row in zip(ours.power, theirs_power):
             assert np.argmax(ours_row) == np.argmax(theirs_row)
+
+
+class TestFold:
+    """A complex capture's two-sided spectrum folds onto ``rfftfreq``'s
+    bins for odd windows as for even ones."""
+
+    @staticmethod
+    def capture(n=5000):
+        rng = np.random.default_rng(4)
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    @pytest.mark.parametrize("window", [9, 63, 64])
+    def test_folded_power_sums_two_sided_power_per_abs_freq(self, window):
+        fs = 1e6
+        samples = self.capture()
+        folded = stft(Signal(samples, fs), window_samples=window)
+        two_sided = stft(Signal(samples, fs), window_samples=window,
+                         fold=False)
+        np.testing.assert_allclose(
+            folded.freqs, np.fft.rfftfreq(window, 1.0 / fs), rtol=1e-12)
+        # Bin index of each two-sided frequency's magnitude.
+        k = np.rint(np.abs(two_sided.freqs) * window / fs).astype(int)
+        expected = np.zeros_like(folded.power)
+        for col, bin_ in enumerate(k):
+            expected[:, bin_] += two_sided.power[:, col]
+        np.testing.assert_allclose(folded.power, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [31, 500])
+    def test_odd_window_batch_equals_streaming(self, chunk):
+        samples = self.capture()
+        batch = stft(Signal(samples, 1e6), window_samples=63)
+        streaming = StreamingStft(1e6, window_samples=63)
+        power = np.concatenate([
+            streaming.feed(samples[start:start + chunk]).power
+            for start in range(0, len(samples), chunk)
+        ])
+        assert batch.power.shape == (len(batch), 32)
+        np.testing.assert_array_equal(batch.power, stft_power(samples, 63))
+        np.testing.assert_array_equal(power, batch.power)
 
 
 class TestStftValidation:
