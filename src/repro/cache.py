@@ -193,7 +193,8 @@ def describe(obj: Any) -> Any:
             describe(obj.reference),
         ]
     if isinstance(obj, EddieModel):
-        desc = [
+        # Calibration provenance is part of a derived model's identity.
+        return [
             "EddieModel",
             obj.program_name,
             describe(obj.config),
@@ -201,14 +202,9 @@ def describe(obj: Any) -> Any:
             describe(obj.successors),
             describe(list(obj.initial_regions)),
             describe(obj.sample_rate),
+            describe(obj.energy_reference),
+            describe(obj.calibration),
         ]
-        # Calibration provenance is part of a derived model's identity;
-        # appended only when present so base-model fingerprints (and every
-        # registry entry and golden manifest written before derivations
-        # existed) are unchanged.
-        if obj.calibration is not None:
-            desc.append(describe(obj.calibration))
-        return desc
     if callable(obj) and hasattr(obj, "__code__"):
         return _describe_callable(obj)
     raise TypeError(
@@ -235,14 +231,16 @@ def fingerprint(*parts: Any) -> str:
     return digest(describe(list(parts)))
 
 
-def sts_fingerprint(signal: Any, config: Any) -> str:
-    """Cache key of a signal's STS peak stream.
+def sts_fingerprint(signal: Any, model: Any) -> str:
+    """Cache key of a signal's STS peak stream under ``model``.
 
-    Keyed by the signal's exact samples plus only the config knobs the
-    stream depends on (STFT geometry, peak extraction, quality gating) --
-    not the whole :class:`EddieConfig`, so monitoring knobs like ``alpha``
-    or ``statistic`` (varied by experiment sweeps) reuse the same entry.
+    Keyed by the signal's exact samples plus only what the stream depends
+    on (STFT geometry, peak extraction, quality gating and, when gating,
+    the model's trained energy reference) -- not the whole
+    :class:`EddieConfig`, so monitoring knobs like ``alpha`` or
+    ``statistic`` (varied by experiment sweeps) reuse the same entry.
     """
+    config = model.config
     return fingerprint(
         "sts",
         signal.samples,
@@ -260,6 +258,7 @@ def sts_fingerprint(signal: Any, config: Any) -> str:
         config.dead_fraction if config.quality_gating else None,
         config.energy_outlier_mads if config.quality_gating else None,
         getattr(config, "frontend", ()),
+        model.energy_reference if config.quality_gating else None,
     )
 
 

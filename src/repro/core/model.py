@@ -132,8 +132,8 @@ class EddieConfig:
         reference_cap: maximum reference windows stored per region.
         min_mon_values: minimum non-NaN observations needed to run a test.
         quality_gating: compute per-window acquisition-quality flags
-            (clipped / gapped / dead / energy-outlier; see
-            repro.core.stft.window_quality) and treat flagged STSs as
+            (clipped / gapped / dead / energy-outlier / non-finite; see
+            repro.core.stft.StreamingQuality) and treat flagged STSs as
             *unscorable*: the anomaly streak suspends across them instead
             of counting them as rejections, and after a gap the monitor
             re-enters region search (DESIGN.md D14). Off by default --
@@ -143,7 +143,9 @@ class EddieConfig:
         gap_samples: consecutive exact zeros marking a window gapped.
         dead_fraction: share of zeros marking a window dead.
         energy_outlier_mads: robust z-score (in scaled MADs of
-            log-energy) beyond which a window is an energy outlier.
+            log-energy, against the model's trained
+            ``EddieModel.energy_reference``) beyond which a window is an
+            energy outlier.
         resync_timeout: scorable windows the monitor may spend
             reacquiring a region after a gap before escalating to a
             ``desync`` report.
@@ -357,7 +359,12 @@ class RegionProfile:
 
 
 class EddieModel:
-    """The full trained model for one program."""
+    """The full trained model for one program.
+
+    ``energy_reference`` is the trained ``(median, scale)`` the quality
+    gate's energy rule tests against (DESIGN.md D36); ``None`` turns the
+    rule off.
+    """
 
     def __init__(
         self,
@@ -368,6 +375,7 @@ class EddieModel:
         initial_regions: Sequence[str],
         sample_rate: float,
         calibration: Optional[CalibrationInfo] = None,
+        energy_reference: Optional[Tuple[float, float]] = None,
     ) -> None:
         if not profiles:
             raise TrainingError("model has no region profiles")
@@ -383,6 +391,7 @@ class EddieModel:
         )[:1]
         self.sample_rate = float(sample_rate)
         self.calibration = calibration
+        self.energy_reference = energy_reference and tuple(energy_reference)
         del unknown
 
     @property
@@ -447,6 +456,7 @@ class EddieModel:
             self.initial_regions,
             self.sample_rate,
             calibration=self.calibration,
+            energy_reference=self.energy_reference,
         )
 
     def with_alpha(self, alpha: float) -> "EddieModel":
@@ -459,6 +469,7 @@ class EddieModel:
             self.initial_regions,
             self.sample_rate,
             calibration=self.calibration,
+            energy_reference=self.energy_reference,
         )
 
     def with_quality_gating(self, enabled: bool = True) -> "EddieModel":
@@ -471,6 +482,7 @@ class EddieModel:
             self.initial_regions,
             self.sample_rate,
             calibration=self.calibration,
+            energy_reference=self.energy_reference,
         )
 
     def with_calibrated_references(
@@ -478,6 +490,7 @@ class EddieModel:
         references: Dict[str, np.ndarray],
         calibration: CalibrationInfo,
         sample_rate: Optional[float] = None,
+        energy_reference: Optional[Tuple[float, float]] = None,
     ) -> "EddieModel":
         """Derived-model constructor (``with_*`` style, DESIGN.md D23).
 
@@ -486,7 +499,9 @@ class EddieModel:
         dimensions of the base model. Every replacement must match its
         base region's shape exactly: calibration warps observations, it
         never adds or drops them. ``sample_rate`` may be updated to the
-        target device's estimated rate so hop timing follows the warp.
+        target device's estimated rate so hop timing follows the warp,
+        and ``energy_reference`` to the target's (the base's is kept
+        when it is ``None``).
         """
         unknown = set(references) - set(self.profiles)
         if unknown:
@@ -524,6 +539,7 @@ class EddieModel:
             self.initial_regions,
             self.sample_rate if sample_rate is None else float(sample_rate),
             calibration=calibration,
+            energy_reference=energy_reference or self.energy_reference,
         )
 
     def __repr__(self) -> str:

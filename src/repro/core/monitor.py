@@ -53,7 +53,14 @@ from repro.core.stats import (
     ks_d_int_rows,
     two_sample_reject,
 )
-from repro.core.stft import QF_DEAD, QF_GAPPED, QF_UNSCORABLE, stft, window_quality
+from repro.core.stft import (
+    QF_DEAD,
+    QF_GAPPED,
+    QF_UNSCORABLE,
+    StreamingQuality,
+    require_finite,
+    stft,
+)
 from repro.errors import MonitoringError
 from repro.obs import OBS, counter, histogram
 from repro.types import Signal
@@ -783,14 +790,20 @@ class Monitor:
         artifact cache configured (:mod:`repro.cache`) it is memoized and
         repeated monitoring passes -- group-size sweeps, re-runs of a
         warm experiment -- skip the STFT and peak extraction entirely.
+
+        Without quality gating a signal holding a NaN or inf sample is
+        refused with :class:`~repro.errors.SignalError`: nothing would
+        flag its windows, and their spectra would be scored.
         """
         from repro.cache import get_cache, sts_fingerprint
 
         cfg = self._cfg
+        if not cfg.quality_gating:
+            require_finite(signal.samples)
         cache = get_cache()
         key = None
         if cache is not None:
-            key = sts_fingerprint(signal, cfg)
+            key = sts_fingerprint(signal, self.model)
             cached = cache.get_sts(key)
             if cached is not None:
                 peaks, times, quality = cached
@@ -806,13 +819,10 @@ class Monitor:
                             cfg.peak_prominence, cfg.diffuse_features)
         quality = None
         if cfg.quality_gating:
-            quality = window_quality(
-                signal, cfg.window_samples, cfg.overlap,
-                clip_fraction=cfg.clip_fraction,
-                gap_samples=cfg.gap_samples,
-                dead_fraction=cfg.dead_fraction,
-                energy_outlier_mads=cfg.energy_outlier_mads,
-            )
+            # The streaming gate fed the whole signal as one chunk.
+            quality = StreamingQuality.from_config(
+                cfg, self.model.energy_reference
+            ).feed(signal.samples)
         if key is not None:
             cache.put_sts(key, peaks, spectra.times, quality)
         return self.run_peaks(peaks, spectra.times, quality=quality)
@@ -826,8 +836,8 @@ class Monitor:
         """Monitor a pre-extracted peak matrix.
 
         ``quality`` is an optional per-window bitmask from
-        :func:`repro.core.stft.window_quality`; it only has an effect when
-        the model's config enables ``quality_gating``.
+        :class:`repro.core.stft.StreamingQuality`; it only has an effect
+        when the model's config enables ``quality_gating``.
         """
         if peaks.shape[0] != len(times):
             raise MonitoringError(

@@ -12,7 +12,7 @@ both sides of the carrier are visible, as in the paper's Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +24,10 @@ __all__ = [
     "SpectrumSequence",
     "StreamingStft",
     "StreamingQuality",
+    "energy_outliers",
+    "energy_reference",
+    "require_finite",
     "stft",
-    "window_quality",
     "QF_CLIPPED",
     "QF_GAPPED",
     "QF_DEAD",
@@ -42,7 +44,7 @@ QF_CLIPPED = 0x1         # ADC saturation: samples piled up at the rails
 QF_GAPPED = 0x2          # sample-drop gap: a run of exact zeros inside
 QF_DEAD = 0x4            # dead channel: the window is (almost) all zeros
 QF_ENERGY_OUTLIER = 0x8  # impulsive interference / gain step: energy far
-                         # outside the capture's robust range
+                         # outside the trained robust range
 QF_NONFINITE = 0x10      # NaN or inf samples: a host-side DMA fault, no
                          # spectrum can be computed from the window
 QF_UNSCORABLE = (
@@ -267,146 +269,24 @@ def _fold_two_sided(
     return folded, freqs
 
 
-def window_quality(
-    signal: Signal,
-    window_samples: int,
-    overlap: float = 0.5,
-    clip_fraction: float = 0.01,
-    gap_samples: int = 16,
-    dead_fraction: float = 0.9,
-    energy_outlier_mads: float = 8.0,
+def _window_counts(
+    mask: np.ndarray, starts: np.ndarray, window_samples: int
 ) -> np.ndarray:
-    """Per-window acquisition-quality flags aligned with :func:`stft`.
-
-    Computed from the raw samples, before any spectral processing, so a
-    corrupted window is flagged regardless of what its (garbage) spectrum
-    happens to look like. Returns a uint8 bitmask per window (``QF_*``).
-
-    Detection criteria:
-
-    - *clipped* (``QF_CLIPPED``): at least ``clip_fraction`` of the
-      window's samples sit at the capture's amplitude rails (within 0.1%
-      of the global max of |I| / |Q|). A clean capture puts only its
-      single largest sample there; a saturated ADC piles samples up.
-    - *gapped* (``QF_GAPPED``): the window contains a run of at least
-      ``gap_samples`` consecutive exact zeros -- the signature of a
-      zero-filled overflow gap (noise makes exact zeros vanishingly rare
-      otherwise).
-    - *dead* (``QF_DEAD``): at least ``dead_fraction`` of the window is
-      exact zeros (front-end dropout).
-    - *energy outlier* (``QF_ENERGY_OUTLIER``): the window's log-energy
-      is more than ``energy_outlier_mads`` robust standard deviations
-      (scaled MAD over the not-otherwise-flagged windows) from the
-      capture's median -- impulsive interference or an AGC gain step.
-    - *non-finite* (``QF_NONFINITE``): the window holds a NaN or inf
-      sample. The rail and energy statistics above are taken over finite
-      samples only, so such samples cannot blind the other flags of the
-      rest of the capture.
-    """
-    if window_samples < 8:
-        raise SignalError(f"window_samples must be >= 8, got {window_samples}")
-    if not 0.0 <= overlap < 1.0:
-        raise SignalError(f"overlap must be in [0, 1), got {overlap}")
-    samples = signal.samples
-    if len(samples) < window_samples:
-        raise SignalError(
-            f"signal has {len(samples)} samples, shorter than one window "
-            f"({window_samples})"
-        )
-    hop = max(1, int(round(window_samples * (1.0 - overlap))))
-    n_windows = 1 + (len(samples) - window_samples) // hop
-    starts = np.arange(n_windows) * hop
-
-    is_zero = samples == 0
-    samples, finite = _finite_view(samples)
-    amp = _amplitude(samples)
-
-    flags = np.zeros(n_windows, dtype=np.uint8)
-    if finite is not None:
-        bad = _window_sums(~finite, starts, window_samples)
-        flags[bad > 0] |= QF_NONFINITE
-
-    # Clipping: samples at the capture's rails.
-    full_scale = float(amp.max()) if len(amp) else 0.0
-    if full_scale > 0:
-        at_rail = amp >= 0.999 * full_scale
-        rail_counts = _window_sums(at_rail, starts, window_samples)
-        flags[rail_counts >= max(2, clip_fraction * window_samples)] |= (
-            QF_CLIPPED
-        )
-
-    # Gaps and dead windows from exact-zero runs.
-    zero_counts = _window_sums(is_zero, starts, window_samples)
-    flags[zero_counts >= dead_fraction * window_samples] |= QF_DEAD
-    run_len = _zero_run_lengths(is_zero)
-    long_run = run_len >= gap_samples
-    gap_hits = _window_sums(long_run, starts, window_samples)
-    flags[gap_hits > 0] |= QF_GAPPED
-
-    # Energy outliers, robustly referenced to the unflagged windows.
-    energy = _window_sums(np.abs(samples) ** 2, starts, window_samples)
-    log_e = np.log10(energy + np.finfo(float).tiny)
-    baseline = log_e[flags == 0]
-    if len(baseline) >= 8:
-        median = float(np.median(baseline))
-        mad = float(np.median(np.abs(baseline - median)))
-        scale = max(1.4826 * mad, 0.02)  # floor: 0.02 decades
-        outlier = np.abs(log_e - median) > energy_outlier_mads * scale
-        flags[outlier & (flags == 0)] |= QF_ENERGY_OUTLIER
-
-    if OBS.enabled:
-        for bit, name in (
-            (QF_CLIPPED, "flagged_clipped"),
-            (QF_GAPPED, "flagged_gapped"),
-            (QF_DEAD, "flagged_dead"),
-            (QF_ENERGY_OUTLIER, "flagged_energy_outlier"),
-            (QF_NONFINITE, "flagged_nonfinite"),
-        ):
-            hits = int(np.count_nonzero(flags & bit))
-            if hits:
-                record_count("core.stft", name, hits)
-    return flags
+    """How many set entries of ``mask`` lie in each
+    [start, start + window_samples) window."""
+    hits = np.flatnonzero(mask)
+    return np.searchsorted(hits, starts + window_samples) - np.searchsorted(
+        hits, starts
+    )
 
 
-def _finite_view(samples: np.ndarray):
-    """``(samples, finite)`` with non-finite entries zeroed.
-
-    ``finite`` is the per-sample mask, or ``None`` when every sample is
-    finite (then ``samples`` is returned as is, without a copy).
-    """
-    finite = np.isfinite(samples)
-    if finite.all():
-        return samples, None
-    return np.where(finite, samples, 0), finite
-
-
-def _amplitude(samples: np.ndarray) -> np.ndarray:
-    """Per-sample rail amplitude: max(|I|, |Q|) for IQ, |x| for real."""
-    if np.iscomplexobj(samples):
-        return np.maximum(np.abs(samples.real), np.abs(samples.imag))
-    return np.abs(samples)
-
-
-def _window_sums(
-    values: np.ndarray, starts: np.ndarray, window_samples: int
-) -> np.ndarray:
-    """Sum of ``values`` over each [start, start + window_samples) window."""
-    csum = np.concatenate([[0.0], np.cumsum(values, dtype=float)])
-    return csum[starts + window_samples] - csum[starts]
-
-
-def _zero_run_lengths(is_zero: np.ndarray) -> np.ndarray:
-    """At each position, the length of the zero-run ending there (else 0)."""
-    nonzero_idx = np.nonzero(~is_zero)[0]
-    if len(nonzero_idx) == 0:
-        return np.arange(1, len(is_zero) + 1, dtype=np.int64)
+def _zero_run_lengths(is_zero: np.ndarray, carry: int = 0) -> np.ndarray:
+    """At each position, the length of the zero run ending there (else 0),
+    counting ``carry`` zeros just before the first position."""
+    index = np.arange(len(is_zero))
     # Index of the most recent nonzero at or before each position.
-    prev = np.full(len(is_zero), -1, dtype=np.int64)
-    prev[nonzero_idx] = nonzero_idx
-    prev = np.maximum.accumulate(prev)
-    out = np.arange(len(is_zero), dtype=np.int64) - prev
-    out[~is_zero] = 0
-    return out
+    prev = np.maximum.accumulate(np.where(is_zero, -1 - carry, index))
+    return np.where(is_zero, index - prev, 0)
 
 
 def _taper(name: str, length: int) -> np.ndarray:
@@ -420,30 +300,34 @@ def _taper(name: str, length: int) -> np.ndarray:
 
 
 class StreamingQuality:
-    """Causal, chunked counterpart of :func:`window_quality`.
+    """Per-window acquisition-quality flags of a sample stream: the one
+    quality gate of every path (DESIGN.md D14, D36).
 
-    Consumes arbitrary-size sample chunks and emits the quality bitmask of
-    every window completed by each chunk, in lockstep with
-    :class:`StreamingStft`. State is O(1) in the stream length: a residual
-    sample buffer shorter than one window plus one chunk, the running
-    amplitude rail, the zero-run length carried across the chunk boundary,
-    and a bounded ring of recent log-energies.
+    Batch runs and training feed it a whole capture as one chunk; stream,
+    fleet and served sessions feed it chunk by chunk, in lockstep with
+    :class:`StreamingStft`. Flags come from the raw samples, whatever the
+    window's spectrum looks like, as a uint8 bitmask (``QF_*``) per
+    window a chunk completes:
 
-    Exactness relative to the batch function (which sees the whole capture
-    at once):
+    - *clipped*: at least ``clip_fraction`` of the window's samples lie
+      within 0.1% of the rail, the running maximum of |I| / |Q| (a clean
+      capture puts only its largest sample there);
+    - *gapped*: a run of at least ``gap_samples`` exact zeros, the mark
+      of a zero-filled overflow gap;
+    - *dead*: at least ``dead_fraction`` of the window is exact zeros;
+    - *energy outlier*: the window's log-energy lies more than
+      ``energy_outlier_mads`` scales from ``energy_reference``, the
+      trained ``(median, scale)`` (:func:`energy_reference`); without a
+      reference the rule is off;
+    - *non-finite*: a NaN or inf sample. The rail and energy are taken
+      over finite samples only, so such samples blind no other flag.
 
-    - *gapped* / *dead* flags are bit-identical: zero runs only ever look
-      backward, and the run length at the chunk boundary is carried over.
-    - *non-finite* flags are bit-identical: they depend on the window's
-      own samples only.
-    - *clipped* uses the running amplitude maximum instead of the global
-      one, so a window early in the stream may miss the flag if the
-      capture's true rail only appears later (a fielded receiver knows its
-      ADC rail up front and can seed ``full_scale``).
-    - *energy outlier* references the median/MAD of the last
-      ``baseline_capacity`` unflagged windows instead of the whole
-      capture's -- the stationary-capture verdicts agree, and the causal
-      version additionally adapts to slow drift.
+    Every flag but *clipped* depends only on the window's own samples
+    (zero runs carry across chunk boundaries) and the reference, so any
+    chunking gives the same bits. The rail can only be the one seen so
+    far: over one chunk it is the capture's, but an early stream window
+    misses the flag when the rail appears later. State is O(1) in the
+    stream length: the residual samples, the rail, and the zero run.
     """
 
     def __init__(
@@ -454,8 +338,7 @@ class StreamingQuality:
         gap_samples: int = 16,
         dead_fraction: float = 0.9,
         energy_outlier_mads: float = 8.0,
-        full_scale: Optional[float] = None,
-        baseline_capacity: int = 512,
+        energy_reference: Optional[Tuple[float, float]] = None,
     ) -> None:
         if window_samples < 8:
             raise SignalError(
@@ -463,23 +346,52 @@ class StreamingQuality:
             )
         if not 0.0 <= overlap < 1.0:
             raise SignalError(f"overlap must be in [0, 1), got {overlap}")
-        if baseline_capacity < 8:
-            raise SignalError("baseline_capacity must be >= 8")
         self._window = window_samples
         self._hop = max(1, int(round(window_samples * (1.0 - overlap))))
         self._clip_fraction = clip_fraction
         self._gap_samples = gap_samples
         self._dead_fraction = dead_fraction
         self._mads = energy_outlier_mads
+        self._reference = energy_reference
         self._buffer: Optional[np.ndarray] = None
-        self._full_scale = float(full_scale) if full_scale else 0.0
+        self._rail = 0.0
         self._zero_carry = 0
-        self._baseline = np.empty(baseline_capacity)
-        self._baseline_size = 0
-        self._baseline_pos = 0
+
+    @classmethod
+    def from_config(
+        cls, config, energy_reference: Optional[Tuple[float, float]] = None
+    ) -> "StreamingQuality":
+        """The gate an :class:`~repro.core.model.EddieConfig` describes."""
+        return cls(
+            config.window_samples,
+            config.overlap,
+            clip_fraction=config.clip_fraction,
+            gap_samples=config.gap_samples,
+            dead_fraction=config.dead_fraction,
+            energy_outlier_mads=config.energy_outlier_mads,
+            energy_reference=energy_reference,
+        )
 
     def feed(self, samples: np.ndarray) -> np.ndarray:
         """Quality flags of the windows completed by this chunk."""
+        flags, _ = self.measure(samples)
+        if OBS.enabled:
+            for bit, name in (
+                (QF_CLIPPED, "flagged_clipped"),
+                (QF_GAPPED, "flagged_gapped"),
+                (QF_DEAD, "flagged_dead"),
+                (QF_ENERGY_OUTLIER, "flagged_energy_outlier"),
+                (QF_NONFINITE, "flagged_nonfinite"),
+            ):
+                hits = int(np.count_nonzero(flags & bit))
+                if hits:
+                    record_count("core.stft", name, hits)
+        return flags
+
+    def measure(self, samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(flags, log_energy)`` of the windows completed by this chunk,
+        like :meth:`feed` but recording no counters (training fits the
+        reference from the log-energies)."""
         samples = np.asarray(samples)
         prev = self._buffer
         if prev is not None and len(prev):
@@ -492,116 +404,115 @@ class StreamingQuality:
             # ``buf``).
             buf = samples
             private = False
+        finite = np.isfinite(buf)
+        region = buf if finite.all() else np.where(finite, buf, 0)
+        if np.iscomplexobj(region):
+            amp = np.maximum(np.abs(region.real), np.abs(region.imag))
+        else:
+            amp = np.abs(region)
         if len(samples):
-            amp_new = _amplitude(_finite_view(samples)[0])
-            self._full_scale = max(self._full_scale, float(amp_new.max()))
+            self._rail = max(
+                self._rail, float(amp[len(buf) - len(samples):].max())
+            )
         w, hop = self._window, self._hop
         if len(buf) < w:
             self._buffer = buf if private else buf.copy()
-            return np.zeros(0, dtype=np.uint8)
+            return np.zeros(0, dtype=np.uint8), np.zeros(0)
         n = 1 + (len(buf) - w) // hop
+        m = (n - 1) * hop + w
         starts = np.arange(n) * hop
-        raw = buf[: (n - 1) * hop + w]
-        is_zero = raw == 0
-        region, finite = _finite_view(raw)
-        amp = _amplitude(region)
 
         flags = np.zeros(n, dtype=np.uint8)
-        if finite is not None:
-            flags[_window_sums(~finite, starts, w) > 0] |= QF_NONFINITE
-        if self._full_scale > 0:
-            at_rail = amp >= 0.999 * self._full_scale
-            rail_counts = _window_sums(at_rail, starts, w)
+        flags[_window_counts(~finite[:m], starts, w) > 0] |= QF_NONFINITE
+        if self._rail > 0:
+            rail_counts = _window_counts(
+                amp[:m] >= 0.999 * self._rail, starts, w
+            )
             flags[rail_counts >= max(2, self._clip_fraction * w)] |= QF_CLIPPED
 
-        zero_counts = _window_sums(is_zero, starts, w)
-        flags[zero_counts >= self._dead_fraction * w] |= QF_DEAD
-        run_len = _zero_run_lengths(is_zero)
-        if self._zero_carry:
-            # Fold the pre-buffer zero run into the leading zero prefix so
-            # runs spanning the chunk boundary keep their full length.
-            prefix = len(run_len)
-            nz = np.nonzero(~is_zero)[0]
-            if len(nz):
-                prefix = int(nz[0])
-            run_len[:prefix] += self._zero_carry
-        gap_hits = _window_sums(run_len >= self._gap_samples, starts, w)
-        flags[gap_hits > 0] |= QF_GAPPED
+        is_zero = buf[:m] == 0
+        run_len = None
+        if is_zero.any():
+            zero_counts = _window_counts(is_zero, starts, w)
+            flags[zero_counts >= self._dead_fraction * w] |= QF_DEAD
+            run_len = _zero_run_lengths(is_zero, self._zero_carry)
+            gap_hits = _window_counts(run_len >= self._gap_samples, starts, w)
+            flags[gap_hits > 0] |= QF_GAPPED
 
-        energy = _window_sums(np.abs(region) ** 2, starts, w)
-        log_e = np.log10(energy + np.finfo(float).tiny)
-        for i in range(n):
-            if flags[i]:
-                continue
-            if self._baseline_size >= 8:
-                base = self._baseline[: self._baseline_size]
-                median = float(np.median(base))
-                mad = float(np.median(np.abs(base - median)))
-                scale = max(1.4826 * mad, 0.02)  # floor: 0.02 decades
-                if abs(log_e[i] - median) > self._mads * scale:
-                    flags[i] |= QF_ENERGY_OUTLIER
-            # Like the batch baseline (every not-otherwise-flagged window,
-            # outliers included -- the robust statistics absorb them).
-            self._baseline[self._baseline_pos] = log_e[i]
-            self._baseline_pos = (self._baseline_pos + 1) % len(self._baseline)
-            self._baseline_size = min(
-                self._baseline_size + 1, len(self._baseline)
-            )
+        # Each window's energy is summed from its own samples, never as a
+        # difference of a chunk-wide cumsum, whose last bits depend on
+        # where the chunk starts.
+        power = np.square(np.abs(region[:m]), dtype=float)
+        frames = np.lib.stride_tricks.sliding_window_view(power, w)
+        log_e = np.log10(frames[::hop].sum(axis=1) + np.finfo(float).tiny)
+        flags[energy_outliers(log_e, self._reference, self._mads)] |= (
+            QF_ENERGY_OUTLIER
+        )
 
         drop = n * hop
-        self._zero_carry = int(run_len[drop - 1])
+        self._zero_carry = 0 if run_len is None else int(run_len[drop - 1])
         self._buffer = buf[drop:].copy()
-        return flags
+        return flags, log_e
 
     # -- checkpointing -------------------------------------------------------
 
     def export_state(self) -> tuple:
-        """State needed to resume this quality stream elsewhere.
-
-        Returns ``(meta, arrays)`` where ``meta`` is JSON-able and
-        ``arrays`` maps names to ndarrays. The baseline ring is exported
-        as its defined slots only; ring position and fill are carried in
-        ``meta`` so a restored stream continues bit-identically.
-        """
+        """``(meta, arrays)`` to resume this stream elsewhere (``meta``
+        JSON-able). The energy reference is the model's, not exported."""
         meta = {
-            "full_scale": self._full_scale,
+            "rail": self._rail,
             "zero_carry": self._zero_carry,
-            "baseline_size": self._baseline_size,
-            "baseline_pos": self._baseline_pos,
-            "baseline_capacity": len(self._baseline),
             "has_buffer": self._buffer is not None,
         }
-        arrays = {
-            "baseline": self._baseline[: self._baseline_size].copy(),
-        }
+        arrays = {}
         if self._buffer is not None:
             arrays["buffer"] = self._buffer.copy()
         return meta, arrays
 
     def restore_state(self, meta: dict, arrays: dict) -> None:
         """Adopt state exported by :meth:`export_state`."""
-        if int(meta["baseline_capacity"]) != len(self._baseline):
-            raise SignalError(
-                f"quality snapshot has baseline capacity "
-                f"{meta['baseline_capacity']}, this stream uses "
-                f"{len(self._baseline)}"
-            )
-        self._full_scale = float(meta["full_scale"])
+        self._rail = float(meta["rail"])
         self._zero_carry = int(meta["zero_carry"])
-        size = int(meta["baseline_size"])
-        baseline = np.asarray(arrays["baseline"], dtype=float)
-        if len(baseline) != size:
-            raise SignalError(
-                f"quality snapshot carries {len(baseline)} baseline "
-                f"entries but declares {size}"
-            )
-        self._baseline[:size] = baseline
-        self._baseline_size = size
-        self._baseline_pos = int(meta["baseline_pos"])
         if meta["has_buffer"]:
             self._buffer = np.array(arrays["buffer"], copy=True)
         else:
             self._buffer = None
+
+
+def energy_reference(
+    log_energy: np.ndarray,
+) -> Optional[Tuple[float, float]]:
+    """``(median, scale)`` of window log-energies, the scale being the
+    scaled MAD floored at 0.02 decades; ``None`` for fewer than 8."""
+    log_energy = np.asarray(log_energy, dtype=float)
+    if len(log_energy) < 8:
+        return None
+    median = float(np.median(log_energy))
+    mad = float(np.median(np.abs(log_energy - median)))
+    return median, max(1.4826 * mad, 0.02)
+
+
+def energy_outliers(
+    log_energy: np.ndarray,
+    reference: Optional[Tuple[float, float]],
+    mads: float,
+) -> np.ndarray:
+    """Which log-energies lie more than ``mads`` scales from the
+    reference median (none without a reference)."""
+    if reference is None:
+        return np.zeros(len(log_energy), dtype=bool)
+    median, scale = reference
+    return np.abs(log_energy - median) > mads * scale
+
+
+def require_finite(samples: np.ndarray) -> None:
+    """Refuse NaN or inf samples with :class:`SignalError`: without
+    quality gating nothing would flag their windows."""
+    if not np.isfinite(samples).all():
+        raise SignalError(
+            "samples hold NaN or inf; enable quality_gating to flag such "
+            "windows as unscorable"
+        )
 
 
 class _StagedStft:

@@ -25,8 +25,10 @@ from repro.core.stats import two_sample_reject
 from repro.core.stft import (
     QF_UNSCORABLE,
     SpectrumSequence,
+    StreamingQuality,
+    energy_outliers,
+    energy_reference,
     stft,
-    window_quality,
 )
 from repro.errors import TrainingError
 from repro.types import RegionTimeline, Signal
@@ -53,10 +55,13 @@ def label_windows(
 
 @dataclass
 class LabelledRun:
-    """One training run reduced to labelled peak observations."""
+    """One training run reduced to labelled peak observations, with each
+    window's quality flags (energy rule off) and log-energy."""
 
     peaks: np.ndarray  # (n_windows, max_peaks)
     labels: List[Optional[str]]
+    flags: np.ndarray
+    log_energy: np.ndarray
 
     def windows_of(self, region: str) -> np.ndarray:
         """Peak rows of this run attributed to ``region`` (in time order)."""
@@ -102,21 +107,10 @@ class Trainer:
         peaks = peak_matrix(spectra, cfg.energy_fraction, cfg.max_peaks,
                             cfg.peak_prominence, cfg.diffuse_features)
         labels = label_windows(spectra, timeline)
-        if cfg.quality_gating:
-            # Even "clean" training captures can carry front-end hiccups;
-            # corrupted windows must not pollute the reference sets.
-            quality = window_quality(
-                signal, cfg.window_samples, cfg.overlap,
-                clip_fraction=cfg.clip_fraction,
-                gap_samples=cfg.gap_samples,
-                dead_fraction=cfg.dead_fraction,
-                energy_outlier_mads=cfg.energy_outlier_mads,
-            )
-            labels = [
-                None if (q & QF_UNSCORABLE) else lbl
-                for lbl, q in zip(labels, quality)
-            ]
-        self._runs.append(LabelledRun(peaks, labels))
+        flags, log_energy = StreamingQuality.from_config(cfg).measure(
+            signal.samples
+        )
+        self._runs.append(LabelledRun(peaks, labels, flags, log_energy))
 
     def build(self, seed: int = 0) -> EddieModel:
         """Assemble the model from all ingested runs."""
@@ -124,6 +118,22 @@ class Trainer:
             raise TrainingError("no training runs ingested")
         rng = np.random.default_rng(seed)
         cfg = self.config
+
+        # The energy reference is fitted whether or not this config gates:
+        # gating can be switched on after training (with_quality_gating).
+        energy_ref = energy_reference(np.concatenate(
+            [run.log_energy[run.flags == 0] for run in self._runs]
+        ))
+        if cfg.quality_gating:
+            # Even "clean" training captures can carry front-end hiccups;
+            # corrupted windows must not pollute the reference sets.
+            for run in self._runs:
+                bad = (run.flags & QF_UNSCORABLE) | energy_outliers(
+                    run.log_energy, energy_ref, cfg.energy_outlier_mads
+                )
+                run.labels = [
+                    None if b else lbl for lbl, b in zip(run.labels, bad)
+                ]
 
         regions = self._observed_regions()
         if not regions:
@@ -181,6 +191,7 @@ class Trainer:
             successors=self.successors,
             initial_regions=self.initial_regions,
             sample_rate=self._sample_rate,
+            energy_reference=energy_ref,
         )
 
     def _observed_regions(self) -> List[str]:

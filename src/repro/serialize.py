@@ -46,8 +46,11 @@ __all__ = [
     "load_snapshot",
 ]
 
-_FORMAT_VERSION = 1
-_SNAPSHOT_VERSION = 1
+# Version 2 (DESIGN.md D36): models carry the trained energy reference and
+# the quality gate keeps no energy history; version 1 files are refused.
+_FORMAT_VERSION = 2
+_SNAPSHOT_VERSION = 2
+_TRACE_VERSION = 1
 
 
 def atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
@@ -110,6 +113,7 @@ def save_model(model: EddieModel, path: Union[str, Path]) -> None:
         "sample_rate": model.sample_rate,
         "initial_regions": model.initial_regions,
         "successors": model.successors,
+        "energy_reference": model.energy_reference,
         "config": {
             "window_samples": model.config.window_samples,
             "overlap": model.config.overlap,
@@ -236,6 +240,7 @@ def load_model(path: Union[str, Path]) -> EddieModel:
         initial_regions=list(meta["initial_regions"]),
         sample_rate=float(meta["sample_rate"]),
         calibration=calibration,
+        energy_reference=meta["energy_reference"],
     )
 
 
@@ -347,7 +352,7 @@ def save_trace(trace: EmTrace, path: Union[str, Path]) -> None:
     elsewhere.
     """
     meta = {
-        "format_version": _FORMAT_VERSION,
+        "format_version": _TRACE_VERSION,
         "kind": "trace",
         "sample_rate": trace.iq.sample_rate,
         "t0": trace.iq.t0,
@@ -378,7 +383,7 @@ def load_trace(path: Union[str, Path]) -> EmTrace:
             raise ConfigurationError(f"{path}: not an EDDIE trace file") from None
         if meta.get("kind") != "trace":
             raise ConfigurationError(f"{path}: not an EDDIE trace file")
-        if meta.get("format_version") != _FORMAT_VERSION:
+        if meta.get("format_version") != _TRACE_VERSION:
             raise ConfigurationError(
                 f"{path}: unsupported trace format version "
                 f"{meta.get('format_version')!r}"

@@ -72,6 +72,7 @@ from repro.errors import (
     ProtocolError,
     RegistryError,
     ServeError,
+    SignalError,
 )
 from repro.obs import OBS, counter, histogram, snapshot_module
 from repro.serialize import atomic_write, load_snapshot, snapshot_to_bytes
@@ -1074,26 +1075,22 @@ class EddieServer:
                 if seq != state.last_seq + 1:
                     # Exactly-once depends on a gapless chunk sequence;
                     # refuse rather than silently mis-score.
-                    state.finalized = True
-                    self._flush_queue(state)
-                    self.stats.protocol_errors += 1
-                    with contextlib.suppress(ConnectionError, OSError):
-                        await self._send(
-                            state.writer, state.wlock,
-                            error_frame(
-                                ERR_BAD_FRAME,
-                                f"chunk seq {seq} out of order (expected "
-                                f"{state.last_seq + 1})",
-                            ),
-                        )
-                    self._close_fleet_session(state.session_id)
-                    state.writer.close()
+                    await self._refuse_chunk(
+                        state,
+                        f"chunk seq {seq} out of order (expected "
+                        f"{state.last_seq + 1})",
+                    )
                     return
                 started = time.perf_counter()
                 try:
                     results = await self._batcher.submit(
                         state.session_id, samples
                     )
+                except SignalError as error:
+                    # The chunk cannot be scored (e.g. non-finite samples
+                    # on an ungated model).
+                    await self._refuse_chunk(state, str(error))
+                    return
                 except Exception:
                     # The session was evicted (or otherwise closed)
                     # between dequeue and feed; the eviction path already
@@ -1190,6 +1187,19 @@ class EddieServer:
                     f"session {state.session_id} closed for drain",
                 ),
             )
+        state.writer.close()
+
+    async def _refuse_chunk(self, state: _SessionState, message: str) -> None:
+        """Refuse a chunk with a typed ``bad_frame`` ERROR, close the
+        session, and hang up."""
+        state.finalized = True
+        self._flush_queue(state)
+        self.stats.protocol_errors += 1
+        with contextlib.suppress(ConnectionError, OSError):
+            await self._send(
+                state.writer, state.wlock, error_frame(ERR_BAD_FRAME, message)
+            )
+        self._close_fleet_session(state.session_id)
         state.writer.close()
 
     def _close_fleet_session(

@@ -19,8 +19,9 @@ This package is the online serving shape of the reproduction
   checkpoint/resume path (DESIGN.md D19).
 
 The stateful STFT front end lives in :mod:`repro.core.stft`
-(:class:`~repro.core.stft.StreamingStft`,
-:class:`~repro.core.stft.StreamingQuality`).
+(:class:`~repro.core.stft.StreamingStft`, and
+:class:`~repro.core.stft.StreamingQuality`, the quality gate batch runs
+and training share).
 """
 
 from repro.stream.batchkernel import FleetKernel

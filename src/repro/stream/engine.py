@@ -15,10 +15,12 @@ history, and (optionally) per-chunk results the caller has not consumed.
 Bit-identity contract (DESIGN.md D17): for any chunking of the same
 signal, concatenating the per-chunk results equals
 ``Monitor.run_signal``'s result exactly. With ``quality_gating`` enabled
-the gap/dead flags remain exact, while the clipped/energy-outlier flags
-use causal running statistics (see
-:class:`~repro.core.stft.StreamingQuality`) -- a fielded receiver cannot
-consult the end of a capture it has not seen.
+every quality flag but *clipped* remains exact: batch and stream run the
+same gate (:class:`~repro.core.stft.StreamingQuality`, DESIGN.md D36),
+whose rail is the running maximum -- a fielded receiver cannot consult
+the end of a capture it has not seen. Without gating, a chunk holding a
+NaN or inf sample is refused with :class:`~repro.errors.SignalError`
+before any stream state changes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ from repro.core.monitor import (
     score_ks_jobs,
 )
 from repro.core.peaks import peak_matrix
-from repro.core.stft import SpectrumSequence, StreamingQuality, StreamingStft
+from repro.core.stft import (
+    SpectrumSequence,
+    StreamingQuality,
+    StreamingStft,
+    require_finite,
+)
 from repro.dsp import FrontendChain
 from repro.errors import MonitoringError, SignalError
 from repro.obs import OBS, span
@@ -56,8 +63,8 @@ class StreamSnapshot:
 
     ``meta`` is a JSON-able dict (counters, region belief, config
     fingerprint, anomaly reports so far); ``arrays`` maps names to the
-    numeric state (STFT carry samples, rolling history, quality
-    baseline). The pair round-trips
+    numeric state (STFT carry samples, rolling history, the quality
+    gate's carry). The pair round-trips
     losslessly through :func:`repro.serialize.snapshot_to_bytes`, and a
     stream restored from it continues bit-identically to one that was
     never interrupted (DESIGN.md D19).
@@ -132,13 +139,8 @@ class StreamingMonitor:
         self._monitor = Monitor(model)
         quality = None
         if cfg.quality_gating:
-            quality = StreamingQuality(
-                cfg.window_samples,
-                cfg.overlap,
-                clip_fraction=cfg.clip_fraction,
-                gap_samples=cfg.gap_samples,
-                dead_fraction=cfg.dead_fraction,
-                energy_outlier_mads=cfg.energy_outlier_mads,
+            quality = StreamingQuality.from_config(
+                cfg, model.energy_reference
             )
         self._stft = StreamingStft(
             model.sample_rate,
@@ -249,7 +251,10 @@ class StreamingMonitor:
                     f"match the model's {self.model.sample_rate}"
                 )
             samples = samples.samples
-        return np.asarray(samples)
+        samples = np.asarray(samples)
+        if not self._cfg.quality_gating:
+            require_finite(samples)
+        return samples
 
     def _feed_samples(self, samples: np.ndarray) -> List[MonitorResult]:
         if self._frontend is not None and len(samples):

@@ -44,6 +44,10 @@ retraining:
    quantiles -- which are themselves observed target values, keeping
    the exact-value property. Dims without enough attributed mass keep
    the scale+snap warp.
+7. **Energy reference**: the quality gate's energy reference is
+   re-fitted from the capture's unflagged windows (DESIGN.md D36), so a
+   target whose received level differs is not flagged wholesale; a
+   capture too short to fit one keeps the base model's.
 
 The result is a derived :class:`~repro.core.model.EddieModel` carrying
 :class:`~repro.core.model.CalibrationInfo` provenance pinned to the base
@@ -59,7 +63,7 @@ import numpy as np
 
 from repro.core.model import CalibrationInfo, EddieModel
 from repro.core.peaks import peak_matrix
-from repro.core.stft import stft
+from repro.core.stft import StreamingQuality, energy_reference, stft
 from repro.dsp import FrontendStage, apply_frontend, validate_frontend
 from repro.em.scenario import EmTrace
 from repro.errors import TrainingError
@@ -573,12 +577,16 @@ def calibrate_model(
         windows=windows,
         snapped_fraction=float(snapped_fraction),
     )
+    flags, log_energy = StreamingQuality.from_config(cfg).measure(
+        signal.samples
+    )
     derived = model.with_calibrated_references(
         references,
         info,
         sample_rate=(
             float(signal.sample_rate) if update_sample_rate else None
         ),
+        energy_reference=energy_reference(log_energy[flags == 0]),
     )
     report = CalibrationReport(
         freq_scale=float(freq_scale),

@@ -19,7 +19,9 @@ from repro import cache as cache_mod
 from repro.arch.config import CoreConfig
 from repro.arch.simulator import Simulator
 from repro.cache import ArtifactCache, describe, fingerprint
-from repro.core.model import EddieConfig
+from repro.core.model import EddieConfig, EddieModel
+from repro.core.monitor import Monitor
+from repro.core.stft import QF_ENERGY_OUTLIER
 from repro.experiments.runner import Scale, build_detector, capture_traces
 from repro.programs.workloads import injection_mix, sharp_loop_program
 
@@ -167,6 +169,26 @@ class TestArtifactCache:
         assert cache.stats.evictions >= 1
         assert cache.total_bytes() <= cache.max_bytes
         assert cache.get_model("b") is None  # the untouched entry went
+
+    def test_sts_key_follows_the_energy_reference(self, tmp_path, trained):
+        """A gated STS entry stores quality flags, which depend on the
+        model's energy reference: two models that differ only there do
+        not share one."""
+        gated = trained.model.with_quality_gating(True)
+        median, scale = gated.energy_reference
+        shifted = EddieModel(
+            gated.program_name, gated.config, gated.profiles,
+            gated.successors, gated.initial_regions, gated.sample_rate,
+            energy_reference=(median + 100 * scale, scale),
+        )
+        signal = trained.source.run(seed=TINY.monitor_seed(0)).power
+        expected = Monitor(shifted).run_signal(signal).quality
+        assert np.all(expected & QF_ENERGY_OUTLIER)
+        cache_mod.configure(tmp_path)
+        Monitor(gated).run_signal(signal)
+        cached = Monitor(shifted).run_signal(signal).quality
+        assert cache_mod.get_cache().stats.hits == 0
+        np.testing.assert_array_equal(cached, expected)
 
     def test_cached_results_identical_end_to_end(self, tmp_path):
         program_factory = lambda: sharp_loop_program(trips=6000)

@@ -26,16 +26,20 @@ Paths (one test function each):
 Configurations (the prefix of each case id, see :data:`CASES`): ``plain``
 (all ten programs), ``injected`` (a loop injection; gsm's and susan's go
 through their peak-less regions), ``gated`` (quality gating on a capture
-with drops, saturation and a NaN span), ``frontend`` (a FIR + SVD
+with drops, saturation and a NaN span; its second, clean capture runs in
+the fleet, and on gsm its regions' log-energies lie far apart),
+``frontend`` (a FIR + SVD
 front-end chain), ``cal`` (a ``+cal:`` derivation on a drifted device
 variant) and ``power`` (the simulator's real-valued power trace, with a
 forced group size of 48).
 
 References. A path's result must equal the oracle's on every window.
-Gated streams are the exception: :class:`StreamingQuality` is causal, so
-its clipping and energy-outlier flags depend on the chunking. There the
-oracle scores the flags the path itself computed, and only the flags that
-are exact in any chunking (gap, dead, non-finite) must equal batch's.
+Gated streams are the exception: the quality gate's rail is a running
+maximum, so its clipping flag depends on the chunking. There the oracle
+scores the flags the path itself computed, and every other flag (gap,
+dead, non-finite, energy outlier) must equal batch's;
+``test_gate_random_chunkings`` checks those bits, and the window
+energies, over random chunkings of a faulted capture.
 Served and sharded sessions expose only a summary: its wire observables
 (reports, window count, status) must equal the oracle's, and the rest of
 it a local stream's over the same chunks.
@@ -49,12 +53,21 @@ from typing import Optional, Tuple
 import numpy as np
 import pytest
 from conftest import shared_calibration, shared_tiny_detector, tiny_scale
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import ScalarMonitor, assert_results_equal
 from repro.core.model import EddieModel
 from repro.core.monitor import Monitor, MonitorResult
 from repro.core.peaks import peak_matrix
-from repro.core.stft import QF_DEAD, QF_GAPPED, QF_NONFINITE, stft
+from repro.core.stft import (
+    QF_DEAD,
+    QF_ENERGY_OUTLIER,
+    QF_GAPPED,
+    QF_NONFINITE,
+    StreamingQuality,
+    stft,
+)
 from repro.dsp import apply_frontend
 from repro.em.faults import (
     FaultInjector,
@@ -77,7 +90,8 @@ TINY = tiny_scale()
 CASES = (
     [f"plain-{name}" for name in sorted(BENCHMARKS)]
     + ["injected-bitcount", "injected-gsm", "injected-susan"]
-    + ["gated-bitcount", "frontend-bitcount", "cal-sha", "power-bitcount"]
+    + ["gated-bitcount", "gated-gsm"]
+    + ["frontend-bitcount", "cal-sha", "power-bitcount"]
 )
 
 #: Sub-window primes, the hop, window ± 1, a prime past the 4096
@@ -98,8 +112,10 @@ _MUST_TRACK = {
     "injected-susan": "loop:edges",
 }
 
-#: Quality flags that streaming computes bit-identically to batch.
-_EXACT_FLAGS = QF_GAPPED | QF_DEAD | QF_NONFINITE
+#: Quality flags that streaming computes bit-identically to batch: all
+#: but the clipped bit, the one causal flag (its rail is the running
+#: maximum of the samples seen so far).
+_EXACT_FLAGS = QF_GAPPED | QF_DEAD | QF_NONFINITE | QF_ENERGY_OUTLIER
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,6 +258,32 @@ def test_batch(case_id):
         assert reference.reports, "the injection must be detected"
     if case.gated:
         assert reference.unscorable_flags.any(), "the faults must fire"
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6000), min_size=1, max_size=40))
+def test_gate_random_chunkings(sizes):
+    """Any chunking of a faulted capture gives the window energies and
+    every exact flag bit of the gate fed the capture as one chunk."""
+    case = case_for("gated-bitcount")
+    samples = case.signal.samples
+    cuts = np.cumsum(sizes)
+    chunks = np.split(samples, cuts[cuts < len(samples)])
+
+    def gate():
+        return StreamingQuality.from_config(
+            case.model.config, case.model.energy_reference
+        )
+
+    flags, energy = gate().measure(samples)
+    assert np.any(flags & QF_ENERGY_OUTLIER) and np.any(flags & QF_GAPPED)
+    streaming = gate()
+    parts = [streaming.measure(chunk) for chunk in chunks]
+    streamed = np.concatenate([f for f, _ in parts])
+    np.testing.assert_array_equal(
+        streamed & _EXACT_FLAGS, flags & _EXACT_FLAGS
+    )
+    assert np.concatenate([e for _, e in parts]).tobytes() == energy.tobytes()
 
 
 @pytest.mark.parametrize("case_id", CASES)

@@ -281,6 +281,31 @@ class TestFaultPersistence:
         assert loaded.config.quality_gating
         assert loaded.config == model.config
 
+    def test_model_round_trip_keeps_the_energy_reference(self, tmp_path):
+        model = EddieModel(
+            "tiny", tiny_model().config, tiny_model().profiles,
+            {}, ["loop:A"], 5e6, energy_reference=(1.25, 0.1),
+        ).with_quality_gating(True)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        assert load_model(path).energy_reference == (1.25, 0.1)
+
+    def test_earlier_model_format_is_refused(self, tmp_path):
+        """A version-1 file predates the trained energy reference; it is
+        refused, not loaded with the energy rule silently off."""
+        import json
+
+        path = tmp_path / "model.npz"
+        save_model(tiny_model(), path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        meta["format_version"] = 1
+        del meta["energy_reference"]
+        np.savez_compressed(path, meta=json.dumps(meta), **arrays)
+        with pytest.raises(ConfigurationError, match="format version 1"):
+            load_model(path)
+
 
 class TestCalibrationPersistence:
     """Derived-model (calibration) blocks in the .npz format.

@@ -331,10 +331,10 @@ class TestLoopbackBitIdentity:
 
 
 class TestChunkSequencing:
-    @pytest.mark.parametrize("bad_seq", [3, 1], ids=["skipped", "repeated"])
-    def test_out_of_order_chunk_is_refused_and_neighbour_unharmed(
-        self, registry, bad_seq
-    ):
+    def refuse_second_chunk(self, registry, seq, samples_of, message):
+        """A raw session whose second chunk (sequence number ``seq``,
+        samples ``samples_of(chunk)``) is refused with ``bad_frame``
+        naming ``message``, while a neighbour session streams on."""
         detector = detector_for("bitcount")
         trace = detector.source.capture(seed=TINY.monitor_seed(0))
         chunks = list(trace.iq.iter_chunks(4096))
@@ -363,11 +363,13 @@ class TestChunkSequencing:
                     assert recv_frame(sock).type == FrameType.OPEN
                     send_frame(sock, encode_chunk(1, chunks[0].samples))
                     assert recv_frame(sock).type == FrameType.REPORT
-                    send_frame(sock, encode_chunk(bad_seq, chunks[1].samples))
+                    send_frame(
+                        sock, encode_chunk(seq, samples_of(chunks[1]))
+                    )
                     error = recv_frame(sock)
                     assert error.type == FrameType.ERROR
                     assert parse_json(error)["code"] == "bad_frame"
-                    assert "out of order" in parse_json(error)["message"]
+                    assert message in parse_json(error)["message"]
                     assert recv_frame(sock) is None  # the server hung up
                 for chunk in chunks[half:]:
                     reports.extend(neighbour.send(chunk))
@@ -378,6 +380,26 @@ class TestChunkSequencing:
         assert dataclasses.replace(
             summary, session_id=local_summary.session_id
         ) == local_summary
+
+    @pytest.mark.parametrize("bad_seq", [3, 1], ids=["skipped", "repeated"])
+    def test_out_of_order_chunk_is_refused_and_neighbour_unharmed(
+        self, registry, bad_seq
+    ):
+        self.refuse_second_chunk(
+            registry, bad_seq, lambda chunk: chunk.samples, "out of order"
+        )
+
+    def test_nonfinite_chunk_is_refused_and_neighbour_unharmed(
+        self, registry
+    ):
+        """An ungated model's session refuses a chunk holding NaN."""
+
+        def poisoned(chunk):
+            samples = chunk.samples.copy()
+            samples[100:200] = np.nan
+            return samples
+
+        self.refuse_second_chunk(registry, 2, poisoned, "NaN or inf")
 
 
 class TestLoadShedding:

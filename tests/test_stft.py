@@ -10,9 +10,10 @@ from repro.core.stft import (
     QF_ENERGY_OUTLIER,
     QF_GAPPED,
     SpectrumSequence,
+    StreamingQuality,
     StreamingStft,
+    energy_reference,
     stft,
-    window_quality,
 )
 from repro.errors import SignalError
 from repro.types import Signal
@@ -190,10 +191,22 @@ def noisy_tone(n=8192, fs=1e6, seed=0, amp=0.5):
 
 
 class TestWindowQuality:
+    """The quality gate fed a whole capture as one chunk, as batch runs
+    feed it, with an energy reference fitted on a clean capture."""
+
     WIN = 256
 
+    def reference(self):
+        flags, log_energy = StreamingQuality(self.WIN, 0.5).measure(
+            noisy_tone().samples
+        )
+        return energy_reference(log_energy[flags == 0])
+
     def quality(self, sig, **kwargs):
-        return window_quality(sig, self.WIN, overlap=0.5, **kwargs)
+        gate = StreamingQuality(
+            self.WIN, 0.5, energy_reference=self.reference(), **kwargs
+        )
+        return gate.feed(sig.samples)
 
     def window_of(self, index):
         """Window index containing sample ``index`` (hop = WIN/2)."""
@@ -245,10 +258,26 @@ class TestWindowQuality:
         assert q[self.window_of(5100)] & QF_ENERGY_OUTLIER
         assert not q[0]
 
+    def test_energy_rule_needs_a_reference(self):
+        """Fewer than 8 windows fit no reference, and without one the
+        energy rule is off."""
+        assert energy_reference(np.zeros(7)) is None
+        median, scale = energy_reference(np.arange(8.0))
+        assert median == 3.5
+        assert scale == 1.4826 * 2.0
+        sig = noisy_tone()
+        sig.samples[5000:5256] *= 100.0
+        q = StreamingQuality(self.WIN, 0.5).feed(sig.samples)
+        assert not np.any(q & QF_ENERGY_OUTLIER)
+
     def test_too_short_signal_raises(self):
+        # The gate completes no window from a short chunk; batch runs
+        # refuse the signal in the transform.
+        gate = StreamingQuality(256, 0.5)
+        assert len(gate.feed(noisy_tone(n=100).samples)) == 0
         with pytest.raises(SignalError):
-            window_quality(noisy_tone(n=100), 256)
+            stft(noisy_tone(n=100), 256)
 
     def test_bad_overlap_raises(self):
         with pytest.raises(SignalError):
-            window_quality(noisy_tone(), 256, overlap=1.5)
+            StreamingQuality(256, overlap=1.5)

@@ -18,6 +18,7 @@ from conftest import tiny_scale
 
 from repro.errors import ConfigurationError, MonitoringError
 from repro.serialize import (
+    _SNAPSHOT_VERSION,
     load_snapshot,
     save_snapshot,
     snapshot_from_bytes,
@@ -288,6 +289,22 @@ class TestSpillCodec:
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_snapshot(tmp_path / "absent.npz")
 
+    def test_earlier_format_version_is_refused(self):
+        """A version-1 spill carries the quality gate's energy ring; it
+        is refused, not restored without it."""
+        import io
+        import json
+
+        blob = snapshot_to_bytes(self._snapshot())
+        with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        wrapper = json.loads(str(arrays.pop("meta")))
+        wrapper["format_version"] = 1
+        buffer = io.BytesIO()
+        np.savez(buffer, meta=json.dumps(wrapper), **arrays)
+        with pytest.raises(ConfigurationError, match="format version 1"):
+            snapshot_from_bytes(buffer.getvalue())
+
     def test_digest_mismatch_is_refused(self):
         # A structurally valid npz whose recorded digest does not match
         # its content: exactly what a torn spill rewrite would produce.
@@ -296,7 +313,7 @@ class TestSpillCodec:
 
         snap = self._snapshot()
         wrapper = {
-            "format_version": 1,
+            "format_version": _SNAPSHOT_VERSION,
             "kind": "stream-snapshot",
             "digest": "0" * 64,
             "state": snap.meta,

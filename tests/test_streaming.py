@@ -22,14 +22,15 @@ from conftest import stream_in_chunks, tiny_scale
 from oracle import ScalarMonitor, assert_results_equal, stft_power
 from repro.core.monitor import Monitor, MonitorResult
 from repro.core.stft import (
+    QF_CLIPPED,
     QF_DEAD,
     QF_ENERGY_OUTLIER,
     QF_GAPPED,
     QF_NONFINITE,
     StreamingQuality,
     StreamingStft,
+    energy_reference,
     stft,
-    window_quality,
 )
 from repro.em.faults import (
     FaultInjector,
@@ -379,6 +380,23 @@ class TestCallerArraysUnchanged:
             np.testing.assert_array_equal(c, original)
 
 
+def fitted_reference(signal, window):
+    """The energy reference a gate fits on ``signal``'s unflagged windows."""
+    flags, log_energy = StreamingQuality(window, 0.5).measure(signal.samples)
+    return energy_reference(log_energy[flags == 0])
+
+
+def gate_flags(signal, window, reference, chunk_samples=None):
+    """The gate's flags over ``signal``: fed whole, as batch runs feed it,
+    or in ``chunk_samples``-sample chunks."""
+    gate = StreamingQuality(window, 0.5, energy_reference=reference)
+    if chunk_samples is None:
+        return gate.feed(signal.samples)
+    return np.concatenate([
+        gate.feed(chunk.samples) for chunk in signal.iter_chunks(chunk_samples)
+    ])
+
+
 class TestStreamingQuality:
     def _faulted_signal(self):
         detector = detector_for("bitcount")
@@ -395,29 +413,22 @@ class TestStreamingQuality:
         return scenario.capture(seed=7).iq
 
     def test_gap_and_dead_flags_are_exact(self):
-        """Zero-run flags are causal, so they match batch bit-for-bit."""
+        """Every flag but the causal rail matches the gate fed whole."""
         signal = self._faulted_signal()
-        batch = window_quality(signal, window_samples=512, overlap=0.5)
-        streaming = StreamingQuality(512, 0.5)
-        flags = []
-        for chunk in signal.iter_chunks(733):
-            flags.append(streaming.feed(chunk.samples))
-        streamed = np.concatenate(flags)
+        reference = detector_for("bitcount").model.energy_reference
+        batch = gate_flags(signal, 512, reference)
+        streamed = gate_flags(signal, 512, reference, 733)
         assert len(streamed) == len(batch)
-        mask = QF_GAPPED | QF_DEAD
+        assert np.any(batch & (QF_GAPPED | QF_DEAD))
+        mask = 0xFF & ~QF_CLIPPED
         np.testing.assert_array_equal(streamed & mask, batch & mask)
 
     def test_causal_flags_agree_on_clean_windows(self):
-        """Running statistics converge to the capture-global ones."""
+        """The running rail converges to the capture's."""
         signal = self._faulted_signal()
-        batch = window_quality(signal, window_samples=512, overlap=0.5)
-        streaming = StreamingQuality(
-            512, 0.5, full_scale=float(np.abs(signal.samples).max())
-        )
-        flags = []
-        for chunk in signal.iter_chunks(4096):
-            flags.append(streaming.feed(chunk.samples))
-        streamed = np.concatenate(flags)
+        reference = detector_for("bitcount").model.energy_reference
+        batch = gate_flags(signal, 512, reference)
+        streamed = gate_flags(signal, 512, reference, 4096)
         agreement = np.mean((streamed != 0) == (batch != 0))
         assert agreement > 0.95
 
@@ -449,22 +460,16 @@ class TestNonFiniteQuality:
         ]
         return Signal(x, 1e6), Signal(y, 1e6), nan_windows
 
-    def _streamed(self, signal, chunk_samples):
-        quality = StreamingQuality(self.WINDOW, 0.5)
-        return np.concatenate([
-            quality.feed(chunk.samples)
-            for chunk in signal.iter_chunks(chunk_samples)
-        ])
+    def _flags(self, signal, chunk_samples):
+        clean, _, _ = self._captures()
+        reference = fitted_reference(clean, self.WINDOW)
+        return gate_flags(signal, self.WINDOW, reference, chunk_samples)
 
     @pytest.mark.parametrize("chunk_samples", [None, 97, 733, 4096])
     def test_nan_windows_flagged_and_outliers_kept(self, chunk_samples):
         clean, dirty, nan_windows = self._captures()
-        if chunk_samples is None:
-            flags = window_quality(dirty, self.WINDOW, 0.5)
-            reference = window_quality(clean, self.WINDOW, 0.5)
-        else:
-            flags = self._streamed(dirty, chunk_samples)
-            reference = self._streamed(clean, chunk_samples)
+        flags = self._flags(dirty, chunk_samples)
+        reference = self._flags(clean, chunk_samples)
         assert len(flags) == self.N_WINDOWS
         np.testing.assert_array_equal(
             np.flatnonzero(flags & QF_NONFINITE), nan_windows
@@ -477,13 +482,11 @@ class TestNonFiniteQuality:
     def test_inf_samples_flagged_like_nan(self):
         _, nan_dirty, _ = self._captures()
         _, inf_dirty, _ = self._captures(bad=np.inf)
-        np.testing.assert_array_equal(
-            window_quality(inf_dirty, self.WINDOW, 0.5),
-            window_quality(nan_dirty, self.WINDOW, 0.5),
-        )
-        np.testing.assert_array_equal(
-            self._streamed(inf_dirty, 733), self._streamed(nan_dirty, 733)
-        )
+        for chunk_samples in (None, 733):
+            np.testing.assert_array_equal(
+                self._flags(inf_dirty, chunk_samples),
+                self._flags(nan_dirty, chunk_samples),
+            )
 
     def test_gated_run_reports_nothing_inside_the_nan_span(self):
         detector = detector_for("bitcount")
@@ -500,3 +503,138 @@ class TestNonFiniteQuality:
             if span.t_start - half < r.time < span.t_end + half
         ]
         assert inside == []
+
+
+def nan_span_capture():
+    """Bitcount's first monitoring capture with a NaN span over 0.30-0.45
+    of its duration."""
+    signal = capture("bitcount", 0).iq
+    d = signal.duration
+    fault = NonFiniteFault(schedule=((0.3 * d, 0.45 * d),))
+    return FaultInjector(faults=(fault,)).inject(signal)[0]
+
+
+class TestNonFiniteRefusal:
+    """Without gating nothing flags a non-finite window, so every path
+    refuses the samples where they enter, before any state changes."""
+
+    def test_batch_run_is_refused(self):
+        with pytest.raises(SignalError, match="NaN or inf"):
+            Monitor(detector_for("bitcount").model).run_signal(
+                nan_span_capture()
+            )
+
+    def test_refused_chunk_leaves_the_snapshot_unchanged(self):
+        model = detector_for("bitcount").model
+        chunks = list(nan_span_capture().iter_chunks(4096))
+        bad = next(
+            i for i, c in enumerate(chunks)
+            if not np.isfinite(c.samples).all()
+        )
+        monitor = StreamingMonitor(model)
+        for chunk in chunks[:bad]:
+            monitor.feed(chunk)
+        before = monitor.snapshot()
+        with pytest.raises(SignalError, match="NaN or inf"):
+            monitor.feed(chunks[bad])
+        after = monitor.snapshot()
+        assert after.meta == before.meta
+        assert after.arrays.keys() == before.arrays.keys()
+        for name, value in before.arrays.items():
+            np.testing.assert_array_equal(after.arrays[name], value)
+
+    def test_fleet_neighbours_are_unharmed(self):
+        """In the round that refuses the bad session's chunk, the other
+        sessions' results equal those of a round without it."""
+        good = {
+            "a": (detector_for("bitcount").model, capture("bitcount", 1).iq),
+            "b": (detector_for("sha").model, capture("sha", 0).iq),
+        }
+        bad_chunks = list(nan_span_capture().iter_chunks(4096))
+        rounds = max(len(bad_chunks), *(
+            -(-len(signal.samples) // 4096) for _, signal in good.values()
+        ))
+
+        def run(with_bad):
+            fleet = FleetScheduler(max_sessions=3)
+            streams = {}
+            for sid, (model, signal) in good.items():
+                fleet.add_session(sid, model, t0=signal.t0)
+                streams[sid] = list(signal.iter_chunks(4096))
+            if with_bad:
+                fleet.add_session("bad", detector_for("bitcount").model)
+                streams["bad"] = bad_chunks
+            errors, results = 0, {sid: [] for sid in good}
+            for r in range(rounds):
+                items = [
+                    (sid, chunks[r]) for sid, chunks in streams.items()
+                    if r < len(chunks)
+                ]
+                slots = fleet.feed_many(items, return_errors=True)
+                for (sid, _), slot in zip(items, slots):
+                    if sid == "bad":
+                        if isinstance(slot, SignalError):
+                            errors += 1
+                        continue
+                    results[sid].extend(slot)
+            return results, errors
+
+        alone, _ = run(False)
+        together, errors = run(True)
+        assert errors > 0
+        for sid in good:
+            assert len(together[sid]) == len(alone[sid])
+            for a, b in zip(together[sid], alone[sid]):
+                assert_results_equal(a, b)
+
+
+class TestGateOnEveryPath:
+    def test_clean_gsm_streams_without_energy_outliers(self):
+        """The trained reference spans every region, so a clean capture
+        streamed in 4096-sample chunks flags no energy outlier."""
+        model = detector_for("gsm").model
+        for k in range(4):
+            gate = StreamingQuality.from_config(
+                model.config, model.energy_reference
+            )
+            flags = np.concatenate([
+                gate.feed(chunk.samples)
+                for chunk in capture("gsm", k).iq.iter_chunks(4096)
+            ])
+            assert len(flags) > 100
+            assert not np.any(flags & QF_ENERGY_OUTLIER)
+
+    def test_flag_counters_equal_batch_and_stream(self):
+        from repro import obs
+
+        model = detector_for("bitcount").model.with_quality_gating(True)
+        signal = capture("bitcount", 0).iq
+        d = signal.duration
+        faulty, _ = FaultInjector(faults=(
+            SampleDropFault(rate_per_s=400.0),
+            SaturationFault(rate_per_s=400.0),
+            NonFiniteFault(schedule=((0.3 * d, 0.45 * d),)),
+        ), seed=7).inject(signal)
+
+        def flag_counters(run):
+            obs.reset()
+            obs.enable()
+            try:
+                run()
+                counters = obs.snapshot()["counters"]
+            finally:
+                obs.disable()
+                obs.reset()
+            return {
+                name: value for name, value in counters.items()
+                if name.startswith("core.stft/flagged_")
+            }
+
+        batch = flag_counters(lambda: Monitor(model).run_signal(faulty))
+        streamed = flag_counters(
+            lambda: stream_in_chunks(model, faulty.samples, 4096)
+        )
+        assert set(batch) >= {
+            "core.stft/flagged_gapped", "core.stft/flagged_nonfinite",
+        }
+        assert streamed == batch
