@@ -65,8 +65,9 @@ _BLOCK_CYCLES = 32768
 # used first out (DESIGN.md D27). A quick-scale Table 2 protocol fills 154
 # (0.4 MB of waveforms).
 _VARIANT_MEMO_SIZE = 4096
-# (context, segment key) -> the segment's schedule variants.
-_VARIANT_MEMO: "OrderedDict[Tuple, Tuple[Variant, ...]]" = OrderedDict()
+# (context, segment key) -> (that segment key object, the segment's
+# schedule variants).
+_VARIANT_MEMO: "OrderedDict[Tuple, Tuple]" = OrderedDict()
 # (core, power params) -> context number, resolved once per engine so a
 # memo lookup hashes and compares no config objects.
 _CONTEXTS: Dict[Tuple[CoreConfig, PowerParams], int] = {}
@@ -142,6 +143,29 @@ class Variant:
     br_groups: Tuple[Tuple[int, float], ...]
 
 
+class _SegmentKey:
+    """A segment's part of a variant-memo key: its instruction keys and
+    branch probabilities as plain values, hashed once -- a tuple hashes
+    its whole nesting again on every lookup -- and compared by content,
+    so a segment rebuilt with the same content hits the same entry."""
+
+    __slots__ = ("content", "_hash")
+
+    def __init__(self, content: Tuple) -> None:
+        self.content = content
+        self._hash = hash(content)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, _SegmentKey)
+            and self._hash == other._hash
+            and self.content == other.content
+        )
+
+
 # Path elements produced by loop-body enumeration.
 @dataclass(frozen=True)
 class _Segment:
@@ -149,10 +173,9 @@ class _Segment:
     branch_probs: Tuple[float, ...]  # taken-direction prob of each cond branch
 
     def __post_init__(self) -> None:
-        # The segment's part of a variant-memo key: plain values only.
-        object.__setattr__(
-            self, "key", (tuple(i.key for i in self.instrs), self.branch_probs)
-        )
+        object.__setattr__(self, "key", _SegmentKey(
+            (tuple(i.key for i in self.instrs), self.branch_probs)
+        ))
 
 
 @dataclass(frozen=True)
@@ -677,21 +700,26 @@ class CompositionEngine:
 
     def _compile_segment(self, segment: _Segment) -> Tuple[Variant, ...]:
         """The schedule variants of ``segment`` on this engine's core and
-        power parameters: a memo hit, or a compile that fills the memo."""
+        power parameters: a memo hit, or a compile that fills the memo.
+
+        On a hit the segment adopts the memo's key object, so its later
+        lookups compare keys by identity instead of by content."""
         key = (self._context, segment.key)
         with _VARIANT_MEMO_LOCK:
-            variants = _VARIANT_MEMO.get(key)
-            if variants is not None:
+            entry = _VARIANT_MEMO.get(key)
+            if entry is not None:
+                key = (self._context, entry[0])
                 _VARIANT_MEMO.move_to_end(key)
-        if variants is not None:
+        if entry is not None:
+            object.__setattr__(segment, "key", entry[0])
             if OBS.enabled:
                 record_count("arch.engine", "variant_memo_hits")
-            return variants
+            return entry[1]
         if OBS.enabled:
             record_count("arch.engine", "variant_compiles")
         variants = self._compile(segment)
         with _VARIANT_MEMO_LOCK:
-            _VARIANT_MEMO[key] = variants
+            _VARIANT_MEMO[key] = (segment.key, variants)
             if len(_VARIANT_MEMO) > _VARIANT_MEMO_SIZE:
                 _VARIANT_MEMO.popitem(last=False)
         return variants

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +51,9 @@ from repro.core.peaks import peak_matrix
 from repro.core.stats import (
     kolmogorov_sf,
     ks_critical_value,
+    ks_d_int_keys,
     ks_d_int_rows,
+    rank_keys,
     two_sample_reject,
 )
 from repro.core.stft import (
@@ -73,33 +76,145 @@ _PVALUE_EDGES = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
 __all__ = ["AnomalyReport", "MonitorResult", "Monitor"]
 
 
-class _KsJob:
-    """One vectorized two-sample work item of a chunk plan.
+class _TableJob:
+    """The tested columns of a planner bucket's slots ``slots`` (a slice
+    or an index array), scored under one test, their monitors' ``(alpha,
+    statistic)``: one job per bucket and test (:func:`score_ks_jobs`).
 
-    ``rows`` holds sorted monitored sets, all of count ``count``, to test
-    against ``ref`` with ``test``, the owning monitor's ``(alpha,
-    statistic)``. ``d`` and ``rejected`` are one column of a verdict
-    table -- one plan's, or the column stacked over a planner bucket's
-    plans -- and ``windows`` indexes the rows' cells in it (a window
-    array, or a ``(slots, windows)`` pair); :func:`score_ks_jobs` writes
-    each row's D and verdict there. Jobs from many sessions of one fleet
-    group can be pooled into a single call -- the scorer keys them by
-    ``(id(ref), count, test)`` so the shared reference is analyzed once
-    per test.
+    Every cell of those columns is scored, and the cells below
+    ``min_mon_values`` -- the windows the planner zeroed, those whose
+    set is short of real values -- are masked: their D stays 0 and their
+    verdict False. K-S cells are scored from rank keys (:meth:`_score_ks`);
+    U-test cells go through :func:`two_sample_reject` one by one on
+    sorted value sets, and their D is NaN.
     """
 
-    __slots__ = ("ref", "m", "count", "rows", "windows", "d", "rejected",
-                 "test")
+    __slots__ = ("bucket", "slots", "test")
 
-    def __init__(self, ref, count, rows, windows, d, rejected, test):
+    def __init__(self, bucket, slots, test):
+        self.bucket = bucket
+        self.slots = slots
+        self.test = test
+
+    def score(self) -> None:
+        bucket = self.bucket
+        alpha, statistic = self.test
+        n, k = bucket.n, bucket.count.shape[2]
+        cols = slice(bucket.first_ref, bucket.tested)
+        # Bound the (slots, columns, windows, n) key temporaries: a batch
+        # run plans its whole signal as one chunk.
+        stream = bucket.stream[self.slots]
+        block = max(1, _KEY_CELLS // (len(stream) * len(bucket.refs) * n))
+        for w0 in range(0, k, block):
+            w = slice(w0, min(k, w0 + block))
+            counts = bucket.count[self.slots, cols, w]
+            scored = counts >= bucket.mmv
+            if not scored.any():
+                continue
+            if statistic == "ks":
+                d, rejected = self._score_ks(stream, counts, scored, w, alpha)
+            else:
+                d, rejected = self._score_rows(
+                    stream, counts, scored, w, alpha, statistic
+                )
+            bucket.d[self.slots, cols, w] = d
+            bucket.rejected[self.slots, cols, w] = rejected
+
+    def _score_ks(self, stream, counts, scored, w, alpha):
+        """K-S D and verdicts of the window block ``w`` from rank keys:
+        each stream value is ranked once per reference, and each
+        window's ``n`` keys are gathered and sorted (DESIGN.md D37)."""
+        bucket = self.bucket
+        n, sizes = bucket.n, bucket.ref_sizes
+        rows = slice(w.start, w.stop + n - 1)
+        keys = np.empty((len(stream), len(sizes), rows.stop - rows.start),
+                        dtype=np.int64)
+        for q, ref in enumerate(bucket.refs):
+            keys[:, q] = rank_keys(ref, stream[:, rows, bucket.first_ref + q])
+        sets = keys[..., np.arange(w.stop - w.start)[:, None] + np.arange(n)]
+        sets.sort(axis=-1)
+        m = np.array(sizes)[:, None]
+        d = np.zeros(counts.shape)
+        np.divide(ks_d_int_keys(sets, counts, m), m * counts, out=d,
+                  where=scored)
+        crit = _critical_values(sizes, n, alpha)
+        rejected = scored & (d > crit[np.arange(len(sizes))[:, None], counts])
+        return d, rejected
+
+    def _score_rows(self, stream, counts, scored, w, alpha, statistic):
+        """Verdicts of the window block ``w`` one sorted set at a time."""
+        bucket = self.bucket
+        n = bucket.n
+        d = np.where(scored, np.nan, 0.0)
+        rejected = np.zeros(counts.shape, dtype=bool)
+        for s, q, x in zip(*np.nonzero(scored)):
+            col = bucket.first_ref + q
+            start = w.start + x
+            values = np.sort(stream[s, start:start + n, col])
+            rejected[s, q, x] = two_sample_reject(
+                bucket.refs[q], values[: counts[s, q, x]], alpha, statistic
+            )
+        return d, rejected
+
+
+class _ProbeJob:
+    """One candidate probe column of a planner bucket at scattered cells.
+
+    ``rows`` holds the cells' monitored sets, sorted, ``counts`` real
+    values first and NaN after them, to test against the candidate's
+    ``ref`` under ``test``. ``d`` and ``rejected`` are the probe column
+    stacked over the bucket's slots, and ``cells`` the ``(slots,
+    windows)`` pair that indexes the rows' cells in it.
+    """
+
+    __slots__ = ("ref", "rows", "counts", "cells", "d", "rejected", "test")
+
+    def __init__(self, ref, rows, counts, cells, d, rejected, test):
         self.ref = ref
-        self.m = len(ref)
-        self.count = count
         self.rows = rows
-        self.windows = windows
+        self.counts = counts
+        self.cells = cells
         self.d = d
         self.rejected = rejected
         self.test = test
+
+    def score(self) -> None:
+        alpha, statistic = self.test
+        m = len(self.ref)
+        if statistic == "ks":
+            d = ks_d_int_rows(self.ref, self.rows, counts=self.counts) / (
+                m * self.counts
+            )
+            crit = _critical_values((m,), self.rows.shape[1], alpha)[0]
+            rejected = d > crit[self.counts]
+        else:
+            d = np.nan
+            rejected = [
+                two_sample_reject(self.ref, row[:c], alpha, statistic)
+                for row, c in zip(self.rows, self.counts.tolist())
+            ]
+        self.d[self.cells] = d
+        self.rejected[self.cells] = rejected
+
+
+#: Key cells (slots x columns x windows x group size) one block of a
+#: :class:`_TableJob` sorts and scores at a time.
+_KEY_CELLS = 1 << 16
+
+
+@lru_cache(maxsize=1024)
+def _critical_values(sizes: tuple, g: int, alpha: float) -> np.ndarray:
+    """``(len(sizes), g + 1)``: row ``q``, column ``c`` is the K-S
+    critical value for references of ``sizes[q]`` values and monitored
+    sets of ``c`` (:func:`ks_critical_value`); column 0 is never read
+    unmasked and holds inf."""
+    table = np.full((len(sizes), g + 1), np.inf)
+    for q, m in enumerate(sizes):
+        table[q, 1:] = [
+            ks_critical_value(m, c, alpha) for c in range(1, g + 1)
+        ]
+    table.flags.writeable = False
+    return table
 
 
 class _Bucket:
@@ -110,21 +225,29 @@ class _Bucket:
     ``count``, ``d`` and ``rejected`` are the ``(slots, columns, k)``
     verdict tables. ``stream`` and ``csum`` are the monitored-value
     streams and their running non-NaN counts (:func:`_stacked_streams`,
-    span ``n``, the region's group size), from which candidate probes
-    are scored. ``missing`` is ``(slots, k)``: the windows in the
-    missing-peaks branch, past the fill gate and before ``static_stop``
-    with fewer than ``min_mon_values`` real dim-0 values. ``tested``
-    counts the tested-dim columns. ``checked`` holds each slot's
+    span ``n``, the region's group size), from which the tested columns
+    and the candidate probes are scored. ``missing`` is ``(slots, k)``:
+    the windows in the missing-peaks branch, past the fill gate and
+    before ``static_stop`` with fewer than ``mmv`` (``min_mon_values``)
+    real dim-0 values. ``tested`` counts the tested-dim columns; the
+    columns from ``first_ref`` on have the sorted references ``refs``,
+    of ``ref_sizes`` values (only a dim-0 column kept for its count
+    lacks one, and it comes first). ``checked`` holds each slot's
     :func:`_checked_windows` once known.
     """
 
-    __slots__ = ("n", "tested", "count", "d", "rejected", "stream", "csum",
-                 "missing", "checked")
+    __slots__ = ("n", "mmv", "tested", "first_ref", "refs", "ref_sizes",
+                 "count", "d", "rejected", "stream", "csum", "missing",
+                 "checked")
 
-    def __init__(self, n, tested, table, stream, csum, missing):
+    def __init__(self, n, mmv, refs, tested, table, stream, csum, missing):
         self.checked: Optional[List[tuple]] = None
         self.n = n
+        self.mmv = mmv
         self.tested = tested
+        self.first_ref = tested - len(refs)
+        self.refs = refs
+        self.ref_sizes = tuple(len(ref) for ref in refs)
         self.count, self.d, self.rejected = table
         self.stream = stream
         self.csum = csum
@@ -150,8 +273,10 @@ class _ChunkPlan:
     :func:`score_ks_jobs` their D and verdicts. The probe columns stay
     empty until the walk meets rejections, and are then scored from the
     plan's ``bucket`` (:class:`_Bucket`), whose slot ``slot`` the table
-    is a view of. ``filled`` is the history fill at entry. A counting
-    plan (peak-less region) has an empty table and no bucket.
+    is a view of. ``jobs`` holds the bucket's table jobs
+    (:class:`_TableJob`) on its first plan and is empty on the others.
+    ``filled`` is the history fill at entry. A counting plan (peak-less
+    region) has an empty table and no bucket.
 
     ``checked`` holds the windows that take the candidate check
     (:func:`_checked_windows`) once known, and ``probed`` counts how many
@@ -195,44 +320,21 @@ class _ChunkPlan:
 _PROBE_BATCH = 16
 
 
-def score_ks_jobs(jobs: Sequence[_KsJob]) -> None:
-    """Score every job's rows through the shared-reference kernels.
+def score_ks_jobs(jobs: Sequence) -> None:
+    """Score every job into its verdict table: the one scoring entry.
 
-    Jobs are pooled by ``(reference identity, monitored count, test)``:
-    all rows sharing them -- across windows, dimensions, candidate
-    probes and (in the fleet kernel) sessions -- are scored together.
-    K-S rows go through one :func:`ks_d_int_rows` call, and the
-    rejection threshold is the cached :func:`ks_critical_value`. U-test
-    rows go through :func:`two_sample_reject` one by one, and their D
-    cells stay NaN; both tests are order-invariant, so the sorted rows
-    decide as the chronological sets would. Each job's D and verdicts
-    land in its plan's verdict table. Row results are independent of
-    the pooling, so decisions are bit-identical to per-window scoring.
+    A planner bucket's tested columns are one :class:`_TableJob` per
+    test its slots use, and each candidate's probe column is one
+    :class:`_ProbeJob`. K-S cells are scored from rank keys
+    (:func:`~repro.core.stats.ks.rank_keys`), in exact integers, and
+    their rejection threshold is the cached :func:`ks_critical_value`;
+    U-test cells go through :func:`two_sample_reject` one by one, and
+    their D cells stay NaN. Both tests are order-invariant, so sorted
+    sets decide as the chronological sets would, and every cell's D and
+    verdict are bit-identical to one test per window.
     """
-    groups: Dict[tuple, List[_KsJob]] = {}
     for job in jobs:
-        groups.setdefault((id(job.ref), job.count, job.test), []).append(job)
-    for (_, c, (alpha, statistic)), group in groups.items():
-        ref = group[0].ref
-        m = group[0].m
-        if len(group) == 1:
-            rows = group[0].rows
-        else:
-            rows = np.concatenate([job.rows for job in group], axis=0)
-        if statistic == "ks":
-            d = ks_d_int_rows(ref, rows) / (m * c)
-            rejected = d > ks_critical_value(m, c, alpha)
-        else:
-            d = np.full(len(rows), np.nan)
-            rejected = [
-                two_sample_reject(ref, row, alpha, statistic) for row in rows
-            ]
-        offset = 0
-        for job in group:
-            b = len(job.rows)
-            job.d[job.windows] = d[offset:offset + b]
-            job.rejected[job.windows] = rejected[offset:offset + b]
-            offset += b
+        job.score()
 
 
 def _stacked_streams(
@@ -265,31 +367,6 @@ def _stacked_streams(
     return values, csum
 
 
-def _sorted_windows(
-    stream: np.ndarray,
-    csum: np.ndarray,
-    span: int,
-    windows: np.ndarray,
-    size: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The monitored sets of ``size`` rows ending at each chunk window.
-
-    ``stream``/``csum`` are ``(..., rows, columns)`` as
-    :func:`_stacked_streams` returns them for ``span``. Returns the sets
-    sorted along the last axis, ``(..., columns, len(windows), size)``,
-    and their real-value counts, ``(..., columns, len(windows))``. The
-    ascending sort pushes each set's NaNs past its count of real values,
-    so the leading count entries are exactly :meth:`Monitor._recent`'s
-    sorted monitored set.
-    """
-    rows = windows[:, None] + (span - size) + np.arange(size)
-    # Gathering from the column-first view lays each set out
-    # contiguously, which is what the sort wants.
-    values = np.moveaxis(stream, -1, -2)[..., rows]
-    counts = csum[..., windows + span, :] - csum[..., windows + span - size, :]
-    return np.sort(values, axis=-1), np.moveaxis(counts, -1, -2)
-
-
 def plan_chunks_pooled(
     entries: Sequence[tuple],
 ) -> List[Optional[_ChunkPlan]]:
@@ -318,10 +395,11 @@ def plan_chunks_pooled(
     another (``with_quality_gating``, a calibrated derivation), which
     keep the successor graph and every profile's group size and test
     dims, so a bucket also shares its table layout; each session reads
-    candidate references from its own model. Each bucket's monitored-set
-    construction (history tails, validity counts, sliding windows, row
-    sort) and verdict tables are single numpy operations and allocations
-    over a ``(sessions, windows, group)`` stack. Each session keeps its
+    candidate references from its own model. Each bucket's monitored
+    streams (history tails plus chunk rows), their validity counts and
+    its verdict tables are single numpy operations and allocations over
+    a ``(sessions, rows, dims)`` stack; no set is gathered or sorted
+    here, since :class:`_TableJob` sorts rank keys. Each session keeps its
     own scoring range: windows before ``first_eligible`` (history still
     filling) are never K-S tested, and ``static_stop`` marks the first
     window the table cannot decide, a quality-flagged one: from there
@@ -338,10 +416,10 @@ def plan_chunks_pooled(
     A slot is ``None`` when the session's entry state already diverges
     from the plan's straight line: a pending gap resync, an active
     resync search, or a flagged first window. Both statistics plan
-    alike; each job carries its monitor's ``(alpha, statistic)``. The
-    caller scores the plans (:func:`score_ks_jobs` pools rows fleet-wide
-    by shared reference and test) -- all of them before walking any,
-    since :func:`_checked_windows` reads a whole bucket -- and walks each
+    alike: a bucket gets one table job per ``(alpha, statistic)`` its
+    monitors use, on its first plan. The caller scores the plans
+    (:func:`score_ks_jobs`) -- all of them before walking any, since
+    :func:`_checked_windows` reads a whole bucket -- and walks each
     session's plan individually.
     """
     plans: List[Optional[_ChunkPlan]] = [None] * len(entries)
@@ -390,12 +468,11 @@ def _plan_tested_bucket(
     stops: np.ndarray,
     filled: np.ndarray,
 ) -> List[_ChunkPlan]:
-    """Plans, K-S jobs and verdict tables for one bucket of sessions in a
-    testable region, ``k`` windows long (its longest chunk). ``mon`` is
+    """Plans, table jobs and verdict tables for one bucket of sessions in
+    a testable region, ``k`` windows long (its longest chunk). ``mon`` is
     any member's monitor: they share the region profile and its
     candidates' layout."""
     profile = mon.model.profile(mon.current_region)
-    mmv = mon._cfg.min_mon_values
     n = profile.group_size
     dims, cols, probes, width = mon._table_layout()
     # The bucket's verdict tables, (sessions, columns, k): each
@@ -408,70 +485,40 @@ def _plan_tested_bucket(
 
     stream, csum = _stacked_streams(entries, members, dims, n, k)
     window_all = np.arange(k, dtype=np.int64)
-    rows, counts = _sorted_windows(stream, csum, n, window_all, n)
     # A window is K-S eligible once the history (plus the chunk's own
     # pushes up to it) holds n rows -- the _recent() gate.
     first = np.maximum(0, n - filled - 1)
     live = (window_all >= first[:, None]) & (window_all < stops[:, None])
     cnt = count[:, : len(dims)]
-    cnt[...] = np.where(live[:, None], counts, 0)
-    eligible = cnt >= mmv
-    scored = eligible.any(axis=2).tolist()
-    # Steady: every live window eligible, at one constant count -> one
-    # job per session and dim, its rows a plain view of the pooled sort.
-    lo = np.minimum(first, stops)
-    base = cnt[np.arange(len(members)), :, np.minimum(lo, k - 1)]
-    steady = (
-        (eligible == live[:, None])
-        & ((cnt == base[:, :, None]) | ~live[:, None])
-    ).all(axis=2).tolist()
-    lo, hi = lo.tolist(), stops.tolist()
-    refs = [
-        (j, profile.reference_dim(dim)) for dim, (j, m) in cols.items() if m
-    ]
+    cnt[...] = np.moveaxis(csum[:, n:] - csum[:, :k], -1, -2)
+    cnt *= live[:, None]
+    mmv = mon._cfg.min_mon_values
     missing = (
         live & (cnt[:, cols[0][0]] < mmv) if 0 in cols
         else np.zeros(live.shape, dtype=bool)
     )
-    bucket = _Bucket(n, len(dims), (count, d, rejected), stream, csum, missing)
-
-    plans = []
+    refs = [profile.reference_dim(dim) for dim, (_, m) in cols.items() if m]
+    bucket = _Bucket(
+        n, mmv, refs, len(dims), (count, d, rejected), stream, csum, missing
+    )
+    # One table job per test; slots whose monitors disagree on it are
+    # each scored under their own.
+    tests: Dict[tuple, List[int]] = {}
     for s, (i, _) in enumerate(members):
         cfg = entries[i][0]._cfg
-        test = (cfg.alpha, cfg.statistic)
-        jobs = []
-        for j, ref in refs:
-            if steady[s][j] and scored[s][j]:
-                c = int(base[s, j])
-                jobs.append(_KsJob(
-                    ref, c, rows[s, j, lo[s]:hi[s], :c],
-                    window_all[lo[s]:hi[s]], d[s, j], rejected[s, j], test,
-                ))
-            elif scored[s][j]:
-                windows = np.flatnonzero(eligible[s, j])
-                jobs.extend(
-                    _KsJob(ref, c, sets, cells, d[s, j], rejected[s, j],
-                           test)
-                    for c, sets, cells in _by_count(
-                        rows[s, j, windows], cnt[s, j, windows], windows
-                    )
-                )
-        plans.append(_ChunkPlan(
+        tests.setdefault((cfg.alpha, cfg.statistic), []).append(s)
+    jobs = [
+        _TableJob(bucket, slice(None) if len(tests) == 1 else np.array(slots),
+                  test)
+        for test, slots in tests.items()
+    ] if refs else []
+    return [
+        _ChunkPlan(
             len(entries[i][1]), int(stops[s]), entries[i][1], int(filled[s]),
-            jobs, cols, probes, bucket, s,
-        ))
-    return plans
-
-
-def _by_count(rows, counts, windows) -> List[tuple]:
-    """Split sorted monitored sets by their count of real values:
-    ``(count, sets cut to that count, their windows)`` per distinct
-    count, the shape a :class:`_KsJob` takes."""
-    parts = []
-    for c in sorted(set(counts.tolist())):
-        sel = counts == c
-        parts.append((c, rows[sel, :c], windows[sel]))
-    return parts
+            jobs if s == 0 else (), cols, probes, bucket, s,
+        )
+        for s, (i, _) in enumerate(members)
+    ]
 
 
 def _plan_peakless_bucket(
@@ -522,7 +569,7 @@ def _plan_peakless_bucket(
     ]
 
 
-def first_probe_jobs(entries: Sequence[tuple]) -> List[_KsJob]:
+def first_probe_jobs(entries: Sequence[tuple]) -> List[_ProbeJob]:
     """The candidate-probe jobs of each plan's first probe batch: its
     first :data:`_PROBE_BATCH` checked windows (:func:`_checked_windows`).
 
@@ -546,7 +593,7 @@ def first_probe_jobs(entries: Sequence[tuple]) -> List[_KsJob]:
         group = groups.setdefault(key, [mon, plan.bucket, [], []])
         group[2].append(np.full(len(todo), plan.slot))
         group[3].append(todo)
-    jobs: List[_KsJob] = []
+    jobs: List[_ProbeJob] = []
     for mon, bucket, slots, windows in groups.values():
         jobs.extend(mon._probe_jobs(
             bucket, np.concatenate(slots), np.concatenate(windows)
@@ -591,8 +638,9 @@ def _sorted_pairs(
     """The monitored sets of ``size`` rows ending at chunk window
     ``windows[p]`` of bucket slot ``slots[p]``, sorted, ``(pairs,
     columns, size)``, and their real-value counts, ``(pairs,
-    columns)``: :func:`_sorted_windows` for scattered (slot, window)
-    pairs."""
+    columns)``. The ascending sort pushes each set's NaNs past its count
+    of real values, so the leading count entries are exactly
+    :meth:`Monitor._recent`'s sorted monitored set."""
     span = bucket.n
     rows = windows[:, None] + (span - size) + np.arange(size)
     values = np.moveaxis(bucket.stream[slots[:, None], rows], -1, -2)
@@ -1225,7 +1273,8 @@ class Monitor:
             )
         status = "ok"
         if len(tracked) and (
-            unscorable_flags.mean() >= cfg.max_unscorable_fraction
+            np.count_nonzero(unscorable_flags) / len(unscorable_flags)
+            >= cfg.max_unscorable_fraction
         ):
             status = "degraded"
         return MonitorResult(
@@ -1396,7 +1445,7 @@ class Monitor:
 
     def _probe_jobs(
         self, bucket: _Bucket, slots: np.ndarray, windows: np.ndarray
-    ) -> List[_KsJob]:
+    ) -> List[_ProbeJob]:
         """The jobs that score the candidate probes of the rejecting
         (window, dim) cells at the pairs ``(slots[p], windows[p])`` of a
         planner bucket into their probe columns; their counts are
@@ -1406,18 +1455,19 @@ class Monitor:
 
         The sets are :meth:`_recent`'s, sorted: the last ``size`` rows of
         the slot's stream at each window, with at least
-        ``min_mon_values`` real values. Its fill gate always passes here:
-        a rejecting window holds ``n`` rows, and both probe sizes are at
-        most ``n`` (the fresh suffix's ``min_mon_values`` because the
-        rejected set held that many values). A candidate dim without a
-        reference accepts any such set, as :meth:`_rejects` does.
+        ``min_mon_values`` real values, of ragged counts. Its fill gate
+        always passes here: a rejecting window holds ``n`` rows, and both
+        probe sizes are at most ``n`` (the fresh suffix's
+        ``min_mon_values`` because the rejected set held that many
+        values). A candidate dim without a reference accepts any such
+        set, as :meth:`_rejects` does.
         """
         mmv = self._cfg.min_mon_values
         test = (self._cfg.alpha, self._cfg.statistic)
         _, cols, probes, _ = self._table_layout()
         rejecting = bucket.rejected[slots, : bucket.tested, windows]
         sets: Dict[int, tuple] = {}  # probe size -> sorted sets, counts
-        jobs: List[_KsJob] = []
+        jobs: List[_ProbeJob] = []
         for dim, cands in probes.items():
             j = cols[dim][0]
             if not rejecting[:, j].any():
@@ -1435,18 +1485,16 @@ class Monitor:
                             rejecting[:, j] & (counts[:, j] >= mmv)
                         )
                         parts[g] = (
-                            slots[ok], windows[ok], counts[ok, j],
-                            _by_count(rows[ok, j], counts[ok, j], ok),
+                            (slots[ok], windows[ok]), rows[ok, j],
+                            counts[ok, j],
                         )
-                    s, w, counts, by_count = parts[g]
-                    bucket.count[s, col, w] = counts
-                    if len(ref):
-                        jobs.extend(
-                            _KsJob(ref, c, rows, (slots[p], windows[p]),
-                                   bucket.d[:, col], bucket.rejected[:, col],
-                                   test)
-                            for c, rows, p in by_count
-                        )
+                    cells, rows, counts = parts[g]
+                    bucket.count[cells[0], col, cells[1]] = counts
+                    if len(ref) and len(counts):
+                        jobs.append(_ProbeJob(
+                            ref, rows, counts, cells, bucket.d[:, col],
+                            bucket.rejected[:, col], test,
+                        ))
         return jobs
 
     # -- checkpointing -------------------------------------------------------

@@ -16,8 +16,10 @@ from repro.core.stats.ks import (
     kolmogorov_sf,
     ks_2samp,
     ks_critical_value,
+    ks_d_int_keys,
     ks_d_int_rows,
     ks_statistic,
+    rank_keys,
     sorted_run_ends,
 )
 from repro.core.stats.utest import UTestResult, mann_whitney_u
@@ -26,7 +28,9 @@ from repro.errors import ConfigurationError
 __all__ = [
     "ks_2samp",
     "ks_critical_value",
+    "ks_d_int_keys",
     "ks_d_int_rows",
+    "rank_keys",
     "kolmogorov_sf",
     "KsResult",
     "mann_whitney_u",

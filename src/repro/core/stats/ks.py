@@ -12,10 +12,14 @@ asymptotic Kolmogorov distribution.
 
 Numerics note: the D statistic is computed in exact integer arithmetic
 (``|n * count_ref - m * count_mon|`` divided by ``m * n`` once at the end),
-so the scalar path (:func:`ks_statistic`) and the monitor's row kernel
-(:func:`ks_d_int_rows`) produce bit-identical values -- the monitor's
-verdict tables can never flip a rejection decision relative to one test
-per set.
+so the scalar path (:func:`ks_statistic`) and the vectorized kernels
+produce bit-identical values -- the monitor's verdict tables can never
+flip a rejection decision relative to one test per set. The vectorized
+kernels work on rank keys (:func:`rank_keys`): each monitored value's
+left and right rank in the reference, packed into one int64. The
+monitor ranks every value of its monitored streams once and sorts each
+window's keys (DESIGN.md D37); :func:`ks_d_int_rows` ranks pre-sorted
+rows of values. Both score the keys with :func:`ks_d_int_keys`.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ __all__ = [
     "ks_2samp",
     "ks_statistic",
     "ks_d_int_rows",
+    "ks_d_int_keys",
+    "rank_keys",
+    "NAN_KEY",
     "ks_critical_value",
     "kolmogorov_sf",
     "sorted_run_ends",
@@ -99,33 +106,116 @@ def _ks_d_int(
     return max(d_ref, d_mon)
 
 
-def ks_d_int_rows(
-    reference_sorted: np.ndarray, rows_sorted: np.ndarray
+#: The rank key of a NaN -- a monitored set's padding past its count of
+#: real values: above every real value's key, so a sorted set of keys
+#: holds its real values first.
+NAN_KEY = np.iinfo(np.int64).max
+
+
+def rank_keys(reference_sorted: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value's two ranks in a sorted reference, packed into one
+    int64 key: ``left << 32 | right``.
+
+    ``left`` counts the reference values below the value and ``right``
+    those at or below it; a NaN gets :data:`NAN_KEY`. Both ranks are
+    monotone in the value, so the keys of a sorted set are sorted, and
+    sorting a set's keys sorts it as its values would sort. Two distinct
+    values share a key only when no reference value lies between them
+    (:func:`ks_d_int_keys` relies on nothing more).
+    """
+    keys = np.searchsorted(reference_sorted, values, side="left").astype(
+        np.int64, copy=False
+    )
+    keys <<= 32
+    keys |= np.searchsorted(reference_sorted, values, side="right")
+    np.putmask(keys, np.isnan(values), NAN_KEY)
+    return keys
+
+
+def ks_d_int_keys(
+    keys_sorted: np.ndarray, counts: np.ndarray, m
 ) -> np.ndarray:
-    """Exact-integer K-S numerators for many equal-size monitored sets
-    against one shared reference, with no per-pair Python.
+    """Exact-integer K-S numerators of monitored sets given as rank keys.
+
+    ``keys_sorted`` is ``(..., g)``: each set's :func:`rank_keys`
+    against one reference of ``m`` values, sorted along the last axis,
+    its ``counts`` (``(...)``, each in ``1..g``) real values first and
+    :data:`NAN_KEY` after them. ``m`` is an int or an array that
+    broadcasts against ``counts`` (one reference size per set). Returns
+    the ``(...)`` int64 ``D_int = max_x |c * count_ref(x) - m *
+    count_mon(x)|`` per set -- the integer :func:`_ks_d_int` computes,
+    so ``D_int / (m * c)`` is bit-identical to :func:`ks_statistic`.
+
+    Why evaluating only at the monitored values suffices: the sup of
+    the ECDF difference is attained at a jump point of either sample.
+    At a monitored value the difference (side='right') is ``A_t = |c *
+    r_t - m * rc_t|``, with ``r_t`` the reference's right rank of the
+    value and ``rc_t`` the set's count up to the end of its run, and the
+    left limit is ``B_t = |c * l_t - m * lc_t|``, with the left rank and
+    the count before the run; in a sorted set those counts are the run's
+    last position plus one and its first position. Between two
+    consecutive monitored values the monitored count is constant, so
+    over that gap ``|c * R - m * C|`` is piecewise linear in the
+    reference count R and maximized at the gap's endpoints -- exactly
+    the ``A``/``B`` values above. Every reference-side run end is
+    therefore dominated by a monitored-side endpoint.
+
+    Why runs of equal keys may stand for runs of equal values: two
+    distinct values share a key only when no reference value lies
+    between them, so across their merged run the reference count is
+    constant and ``|c * R - m * C|`` is convex in the monitored count
+    C; its maximum over the run is at the run's two ends, which the
+    merged run evaluates. (Fuzz-verified against ``_ks_d_int`` over
+    tie-heavy inputs in tests/test_fleet_kernel.py.)
+    """
+    g = keys_sorted.shape[-1]
+    pos = np.arange(g, dtype=np.int64)
+    c = np.asarray(counts, dtype=np.int64)[..., None]
+    m = np.asarray(m, dtype=np.int64)[..., None]
+    # A run of equal keys is evaluated at its last position t, where the
+    # set's count up to the run's end is t + 1 (the right-rank side),
+    # and at its first position t, where the count before the run is t
+    # (the left-rank side); its other positions repeat those two values
+    # of R with counts in between, which convexity dominates. The
+    # padding past each set's count takes no part.
+    end = np.empty(keys_sorted.shape, dtype=bool)
+    np.not_equal(keys_sorted[..., 1:], keys_sorted[..., :-1],
+                 out=end[..., :-1])
+    end[..., -1] = True
+    start = np.empty(keys_sorted.shape, dtype=bool)
+    start[..., 0] = True
+    start[..., 1:] = end[..., :-1]
+    real = pos < c
+    end &= real
+    start &= real
+    d = c * (keys_sorted & 0xFFFFFFFF)
+    d -= m * (pos + 1)
+    np.abs(d, out=d)
+    d *= end
+    d_left = c * (keys_sorted >> 32)
+    d_left -= m * pos
+    np.abs(d_left, out=d_left)
+    d_left *= start
+    np.maximum(d, d_left, out=d)
+    return d.max(axis=-1)
+
+
+def ks_d_int_rows(
+    reference_sorted: np.ndarray,
+    rows_sorted: np.ndarray,
+    counts: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """Exact-integer K-S numerators for many monitored sets against one
+    shared reference, with no per-pair Python.
 
     ``reference_sorted`` is one pre-sorted 1-D reference of m values;
-    ``rows_sorted`` is ``(B, c)`` where every row is one pre-sorted
-    monitored set (no NaNs). Returns the ``(B,)`` int64 array of
-    ``D_int = max_x |c * count_ref(x) - m * count_mon(x)|`` per row --
-    the same integer :func:`_ks_d_int` computes, so
-    ``D_int / (m * c)`` is bit-identical to :func:`ks_statistic`.
-
-    Why evaluating only at the monitored values suffices: the sup of the
-    ECDF difference is attained at a jump point of either sample. At a
-    monitored jump the difference (side='right') is
-    ``A_t = |c * r_t - m * rc_t|`` with ``r_t`` the reference's right
-    rank of the value and ``rc_t`` the row's right run-end count, and
-    its left limit is ``B_t = |c * l_t - m * lc_t]`` with the
-    corresponding left ranks/counts. Between two consecutive monitored
-    values the monitored count is constant, so over that gap
-    ``|c * R - m * C|`` is piecewise linear in the reference count R and
-    maximized at the gap's endpoints -- which are exactly the ``A``/``B``
-    values above. Every reference-side run end is therefore dominated by
-    a monitored-side endpoint, and the per-pair reference scan of
-    :func:`_ks_d_int` is unnecessary. (Fuzz-verified against
-    ``_ks_d_int`` over tie-heavy inputs in tests/test_fleet_kernel.py.)
+    ``rows_sorted`` is ``(B, g)`` where every row is one pre-sorted
+    monitored set. Without ``counts`` every row is a set of ``g`` real
+    values; with it, row ``b`` holds ``counts[b]`` real values (``1..g``)
+    and NaN after them. Returns the ``(B,)`` int64 array of ``D_int``
+    per row, the same integer :func:`_ks_d_int` computes, so ``D_int /
+    (m * c)`` is bit-identical to :func:`ks_statistic`. The rows are
+    ranked (:func:`rank_keys`) and scored by :func:`ks_d_int_keys`.
     """
     ref = np.asarray(reference_sorted, dtype=float)
     rows = np.asarray(rows_sorted, dtype=float)
@@ -133,32 +223,15 @@ def ks_d_int_rows(
         raise ConfigurationError(
             f"rows_sorted must be 2-D, got shape {rows.shape}"
         )
-    b, c = rows.shape
+    b, g = rows.shape
     m = len(ref)
     if b == 0:
         return np.empty(0, dtype=np.int64)
-    if m == 0 or c == 0:
+    if m == 0 or g == 0:
         raise ConfigurationError("K-S test requires non-empty samples")
-    right = np.searchsorted(ref, rows.ravel(), side="right").reshape(b, c)
-    left = np.searchsorted(ref, rows.ravel(), side="left").reshape(b, c)
-    idx1 = np.arange(1, c + 1, dtype=np.int64)
-    idx0 = np.arange(c, dtype=np.int64)
-    if c > 1:
-        neq = rows[:, 1:] != rows[:, :-1]
-        run_end = np.concatenate([neq, np.ones((b, 1), dtype=bool)], axis=1)
-        run_start = np.concatenate([np.ones((b, 1), dtype=bool), neq], axis=1)
-    else:
-        run_end = np.ones((b, 1), dtype=bool)
-        run_start = run_end
-    # Right count of each value's run: backward-min of the run-end ranks.
-    rc = np.where(run_end, idx1, np.int64(c + 1))
-    rc = np.minimum.accumulate(rc[:, ::-1], axis=1)[:, ::-1]
-    # Left count (values strictly below): forward-max of run-start indices.
-    lc = np.where(run_start, idx0, np.int64(-1))
-    lc = np.maximum.accumulate(lc, axis=1)
-    d_right = np.abs(c * right - m * rc)
-    d_left = np.abs(c * left - m * lc)
-    return np.maximum(d_right, d_left).max(axis=1).astype(np.int64)
+    if counts is None:
+        counts = np.full(b, g, dtype=np.int64)
+    return ks_d_int_keys(rank_keys(ref, rows), counts, m)
 
 
 def ks_statistic(

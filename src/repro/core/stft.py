@@ -507,8 +507,15 @@ def energy_outliers(
 
 def require_finite(samples: np.ndarray) -> None:
     """Refuse NaN or inf samples with :class:`SignalError`: without
-    quality gating nothing would flag their windows."""
-    if not np.isfinite(samples).all():
+    quality gating nothing would flag their windows.
+
+    A finite sum proves every sample finite, since a NaN or inf term
+    makes the sum non-finite; only a non-finite sum, which finite
+    samples near the float range's end can also reach by overflow, pays
+    for the exact per-sample check. (That sum warns of the overflow as
+    numpy does; the spectra of such samples would overflow anyway.)
+    """
+    if not np.isfinite(samples.sum()) and not np.isfinite(samples).all():
         raise SignalError(
             "samples hold NaN or inf; enable quality_gating to flag such "
             "windows as unscorable"

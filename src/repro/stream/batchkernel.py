@@ -39,9 +39,11 @@ whole group:
    its own history (sessions sharing a region profile stack into single
    numpy passes), one :func:`score_ks_jobs` call scores their verdict
    tables, and one more scores each new plan's first candidate-probe
-   batch (:func:`first_probe_jobs`). The scorer pools rows by
-   (reference, count, test), so sessions sharing a model collapse into
-   single :func:`ks_d_int_rows` calls across the whole fleet. Each walk
+   batch (:func:`first_probe_jobs`). Sessions sharing a region profile
+   share a planner bucket, whose tested columns the scorer scores in
+   one pass per test: every monitored value of the bucket ranked once
+   against each tested dim's reference, and every window's rank keys
+   sorted and scored together (DESIGN.md D37). Each walk
    then resumes: it decides its table's windows, scores any later probe
    batch itself, steps only what no table decides, and either asks for
    its next plan -- after a region transition, an unscorable window or
@@ -239,8 +241,8 @@ class FleetKernel:
         # Waves (DESIGN.md D33): plan every pending request in one pooled
         # call, score the plans' tables in one call and their first probe
         # batches in one more, then resume each walk until it asks again
-        # or finishes. Jobs pool across sessions by reference, count and
-        # test, so each scorer call serves the whole wave.
+        # or finishes. A table job covers a whole planner bucket, so each
+        # scorer call serves the whole wave.
         while requests:
             wave = dict(requests)
             requests.clear()

@@ -507,7 +507,7 @@ class TestVariantMemo:
 
     def test_cached_waveforms_are_read_only(self):
         self.simulate()
-        variants = next(iter(engine_mod._VARIANT_MEMO.values()))
+        _, variants = next(iter(engine_mod._VARIANT_MEMO.values()))
         with pytest.raises(ValueError):
             variants[0].waveform[0] = 1.0
 
@@ -554,3 +554,31 @@ class TestVariantMemo:
         assert first["arch.engine/variant_compiles"] > 0
         assert "arch.engine/variant_compiles" not in second
         assert second["arch.engine/variant_memo_hits"] > 0
+
+    def test_segment_keys_match_by_content(self):
+        """A segment key hashes once and compares by content: a key
+        rebuilt from the same instruction keys finds the memo entry, and
+        a segment that hits adopts the memo's key object."""
+        self.simulate()
+        (context, key), (stored, variants) = next(
+            iter(engine_mod._VARIANT_MEMO.items())
+        )
+        assert stored is key
+        rebuilt = engine_mod._SegmentKey(
+            (tuple(list(key.content[0])), tuple(list(key.content[1])))
+        )
+        assert rebuilt is not key
+        assert rebuilt == key and hash(rebuilt) == hash(key)
+        assert engine_mod._VARIANT_MEMO[(context, rebuilt)][1] is variants
+        different = engine_mod._SegmentKey((key.content[0], (0.123,)))
+        assert different != key
+
+        core = CoreConfig.sim_ooo(clock_hz=self.CLOCK)
+        engine = Simulator(BENCHMARKS["bitcount"](), core).engine
+        segment = engine_mod._Segment((), (0.5,))
+        engine_mod._VARIANT_MEMO.clear()
+        first = engine._compile_segment(segment)
+        again = engine_mod._Segment((), (0.5,))
+        assert again.key is not segment.key
+        assert engine._compile_segment(again) is first
+        assert again.key is segment.key

@@ -18,8 +18,9 @@ streams across every MiBench program, and pins the mechanisms under it:
   scorer calls per round against the sessions' own plan requests,
 - complex64 and complex128 sessions of one model in one round, which
   pool in separate groups,
-- hypothesis fuzz of the vectorized exact-integer K-S row kernel and
-  the vectorized peak extractor against their scalar counterparts
+- hypothesis fuzz of the vectorized exact-integer K-S kernels (rank
+  keys of unsorted, NaN-padded windows, and sorted rows) and the
+  vectorized peak extractor against their scalar counterparts
   (tie-heavy integer grids, since K-S run-end handling is where
   vectorization could plausibly diverge; for peaks also all-zero rows
   and non-finite entries), and of the peak extractor's row median
@@ -46,7 +47,12 @@ from repro.core.peaks import (
     peak_matrix,
     peak_rows,
 )
-from repro.core.stats.ks import _ks_d_int, ks_d_int_rows
+from repro.core.stats.ks import (
+    _ks_d_int,
+    ks_d_int_keys,
+    ks_d_int_rows,
+    rank_keys,
+)
 from repro.core.stft import QF_CLIPPED, QF_GAPPED, stft
 from repro.programs.mibench import BENCHMARKS
 from repro.stream import FleetScheduler, StreamingMonitor
@@ -321,10 +327,16 @@ class TestPooledPlanner:
         score_ks_jobs([job for plan in plans for job in plan.jobs])
         by_label = {label: plan for (label, *_), plan in zip(sessions, plans)}
         n = model.profile(regions.pop()).group_size
-        # The filling session's first n-1 windows are never K-S tested.
-        assert min(
-            int(job.windows[0]) for job in by_label["filling"].jobs
-        ) == n - 1
+        # The filling session's first n-1 windows are never K-S tested:
+        # their cells hold no count, D or verdict, and window n-1 is.
+        filling = by_label["filling"]
+        tested = slice(0, len(filling.cols))
+        scored = filling.count[tested] >= model.config.min_mon_values
+        assert not scored[:, : n - 1].any()
+        assert not filling.count[tested, : n - 1].any()
+        assert not filling.d[tested, : n - 1].any()
+        assert not filling.rejected[tested, : n - 1].any()
+        assert scored[:, n - 1].any()
         assert by_label["steady"].static_stop == k
         assert by_label["clipped"].static_stop <= 12
         assert by_label["gapped"].static_stop <= 9
@@ -368,6 +380,47 @@ class TestVectorizedKernels:
             [_ks_d_int(ref, row, m, c) for row in rows], dtype=np.int64
         )
         np.testing.assert_array_equal(ks_d_int_rows(ref, rows), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rank_key_numerators_match_scalar(self, data):
+        """ks_d_int_keys on each window's sorted rank keys == _ks_d_int on
+        its real values, and ks_d_int_rows with ragged counts agrees.
+
+        Windows arrive unsorted with their NaN padding anywhere in them,
+        as the monitored streams hold it, and with 1..n real values;
+        their values reach past the reference's range on both sides, and
+        small integer grids give runs of equal values and of distinct
+        values that share a rank key.
+        """
+        m = data.draw(st.integers(1, 60), label="m")
+        n = data.draw(st.integers(1, 12), label="n")
+        b = data.draw(st.integers(1, 6), label="windows")
+        grid = data.draw(st.integers(1, 9), label="grid")
+        ref = np.sort(np.asarray(data.draw(st.lists(
+            st.integers(-grid, grid), min_size=m, max_size=m,
+        )), dtype=float))
+        windows = np.asarray(data.draw(st.lists(
+            st.lists(st.integers(-grid - 3, grid + 3), min_size=n,
+                     max_size=n),
+            min_size=b, max_size=b,
+        )), dtype=float)
+        counts = np.empty(b, dtype=np.int64)
+        for w in range(b):
+            counts[w] = data.draw(st.integers(1, n), label="count")
+            order = data.draw(st.permutations(range(n)), label="padding")
+            windows[w, list(order[counts[w]:])] = np.nan
+        expected = np.asarray([
+            _ks_d_int(ref, np.sort(row[~np.isnan(row)]), m, c)
+            for row, c in zip(windows, counts)
+        ], dtype=np.int64)
+        keys = np.sort(rank_keys(ref, windows), axis=1)
+        np.testing.assert_array_equal(ks_d_int_keys(keys, counts, m),
+                                      expected)
+        np.testing.assert_array_equal(
+            ks_d_int_rows(ref, np.sort(windows, axis=1), counts=counts),
+            expected,
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

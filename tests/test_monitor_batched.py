@@ -11,9 +11,12 @@ over tiny random models (K-S and U-test, quality-flagged windows), and
 pins the mechanisms: that clean peak-less regions (gsm, susan) get
 counting-only plans instead of steps, that a candidate probe ends a
 counting prefix, that the history ring tracks every history write, that
-K-S and U-test jobs never share a scorer call, and that ``step`` decides
-rows of any width as the oracle does.
+K-S and U-test cells never share a scorer call and sessions of one
+planner bucket keep their own alpha, and that ``step`` decides rows of
+any width as the oracle does.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,11 +30,10 @@ from repro.core.monitor import (
     Monitor,
     MonitorResult,
     _ChunkPlan,
-    _KsJob,
     plan_chunks_pooled,
     score_ks_jobs,
 )
-from repro.core.stats import two_sample_reject
+from repro.core.stats import ks_statistic, two_sample_reject
 from repro.core.stft import (
     QF_CLIPPED,
     QF_DEAD,
@@ -273,46 +275,115 @@ class TestHistoryRing:
         assert walked_rejections
 
 
+def _with_test(model, **changes):
+    """A copy of ``model`` with config ``changes`` that shares its region
+    profile objects, so its sessions share the original's planner
+    buckets."""
+    return EddieModel(
+        model.program_name, replace(model.config, **changes),
+        model.profiles, model.successors, model.initial_regions,
+        model.sample_rate,
+    )
+
+
 class TestScoreKsJobs:
     def test_tests_never_share_a_scorer_call(self, monkeypatch):
-        # A K-S job and a U-test job on the same reference object, with
-        # the same count and alpha, pool by test as well: the K-S rows go
-        # through the integer kernel alone, the U-test rows through
-        # two_sample_reject alone, and each verdict is its own test's.
+        # A K-S session and a U-test session at one alpha share a planner
+        # bucket (one profile object), so their tested cells share the
+        # bucket's stacks. Each test's cells are scored in their own
+        # call: the rank-key kernel sees only the K-S slot's cells,
+        # two_sample_reject only the U-test slot's, and each slot's
+        # verdict table holds its own test's verdicts. The sets spread
+        # the reference's values three times wider around its centre, a
+        # median-preserving change K-S rejects and the U-test does not.
         import repro.core.monitor as core_monitor
 
-        rng = np.random.default_rng(5)
-        ref = np.sort(rng.normal(size=60))
-        rows = np.sort(rng.normal(0.8, 1.0, size=(6, 8)), axis=1)
         alpha = 0.05
-        tables = {name: (np.zeros(6), np.zeros(6, dtype=bool))
-                  for name in ("ks", "utest")}
-        jobs = [
-            _KsJob(ref, 8, rows, np.arange(6), *tables[name], (alpha, name))
+        base = _tiny_model()
+        models = {
+            name: _with_test(base, statistic=name, alpha=alpha)
             for name in ("ks", "utest")
-        ]
-        kernel_rows, reject_methods = [], []
-        real_kernel = core_monitor.ks_d_int_rows
+        }
+        rows = np.full((24, 4), np.nan)
+        rows[:, :2] = 10.0 + 3.0 * np.random.default_rng(5).normal(
+            size=(24, 2)
+        )
+        monitors = {name: Monitor(model) for name, model in models.items()}
+        plans = dict(zip(models, plan_chunks_pooled(
+            [(monitors[name], rows, None) for name in models]
+        )))
+        assert plans["ks"].bucket is plans["utest"].bucket
+
+        kernel_cells, reject_methods = [], []
+        real_kernel = core_monitor.ks_d_int_keys
         real_reject = core_monitor.two_sample_reject
 
-        def kernel(reference, sets):
-            kernel_rows.append(len(sets))
-            return real_kernel(reference, sets)
+        def kernel(keys, counts, m):
+            kernel_cells.append(np.shape(counts))
+            return real_kernel(keys, counts, m)
 
         def reject(reference, sets, a, method, *args):
             reject_methods.append(method)
             return real_reject(reference, sets, a, method, *args)
 
-        monkeypatch.setattr(core_monitor, "ks_d_int_rows", kernel)
+        monkeypatch.setattr(core_monitor, "ks_d_int_keys", kernel)
         monkeypatch.setattr(core_monitor, "two_sample_reject", reject)
-        score_ks_jobs(jobs)
-        assert kernel_rows == [6]
-        assert reject_methods == ["utest"] * 6
-        for name, (d, rejected) in tables.items():
-            expected = [real_reject(ref, row, alpha, name) for row in rows]
-            assert rejected.tolist() == expected
-            assert np.isnan(d).all() == (name == "utest")
-        assert tables["ks"][1].tolist() != tables["utest"][1].tolist()
+        score_ks_jobs([job for plan in plans.values() for job in plan.jobs])
+
+        profile = base.profile("loop:A")
+        n, mmv = profile.group_size, base.config.min_mon_values
+        # One K-S call over one slot's two tested dims.
+        assert [shape[:2] for shape in kernel_cells] == [(1, 2)]
+        verdicts = {}
+        for name, plan in plans.items():
+            scored = plan.count[:2] >= mmv
+            assert not scored[:, : n - 1].any()
+            assert scored[:, n - 1:].all()
+            verdicts[name] = plan.rejected[:2].copy()
+            for dim in (0, 1):
+                ref = profile.reference_dim(dim)
+                for w in range(n - 1, len(rows)):
+                    values = rows[w - n + 1:w + 1, dim]
+                    expected = real_reject(ref, values, alpha, name)
+                    assert plan.rejected[dim, w] == expected
+                    d = plan.d[dim, w]
+                    assert np.isnan(d) == (name == "utest")
+                    if name == "ks":
+                        assert d == ks_statistic(ref, values)
+        assert reject_methods == ["utest"] * int(
+            (plans["utest"].count[:2] >= mmv).sum()
+        )
+        assert verdicts["ks"].any()
+        assert not np.array_equal(verdicts["ks"], verdicts["utest"])
+
+    def test_slots_of_one_bucket_keep_their_alpha(self):
+        # Two sessions share a profile object but not alpha: one planner
+        # bucket, scored under two tests. Each session's walk equals the
+        # scalar oracle at its own alpha, and the two diverge.
+        base = _tiny_model()
+        rng = np.random.default_rng(8)
+        rows = np.full((60, 4), np.nan)
+        rows[:, :2] = 10.6 + rng.normal(size=(60, 2))
+        rows[rng.random(60) < 0.2, 0] = np.nan
+        times = np.arange(len(rows)) * base.hop_duration
+        models = [_with_test(base, alpha=a) for a in (0.001, 0.2)]
+        monitors = [Monitor(model) for model in models]
+        plans = plan_chunks_pooled(
+            [(monitor, rows, None) for monitor in monitors]
+        )
+        assert plans[0].bucket is plans[1].bucket
+        assert len(plans[0].jobs) == 2
+        score_ks_jobs([job for plan in plans for job in plan.jobs])
+        results = []
+        for monitor, plan, model in zip(monitors, plans, models):
+            result = monitor.score_chunk(rows, times, None, plan)
+            assert_results_equal(
+                result, ScalarMonitor(model).run_peaks(rows, times)
+            )
+            results.append(result)
+        assert not np.array_equal(
+            results[0].rejection_flags, results[1].rejection_flags
+        )
 
 
 class TestStepRowWidths:

@@ -30,6 +30,7 @@ from repro.core.stft import (
     StreamingQuality,
     StreamingStft,
     energy_reference,
+    require_finite,
     stft,
 )
 from repro.em.faults import (
@@ -517,6 +518,33 @@ def nan_span_capture():
 class TestNonFiniteRefusal:
     """Without gating nothing flags a non-finite window, so every path
     refuses the samples where they enter, before any state changes."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128,
+                                       np.complex64])
+    def test_require_finite_refuses_exactly_the_non_finite(self, dtype):
+        # require_finite tests the chunk's sum first: every non-finite
+        # sample must still be refused -- in either part of a complex
+        # sample, and when an inf and a -inf cancel to NaN -- and finite
+        # samples whose sum overflows must still pass.
+        rng = np.random.default_rng(4)
+        clean = rng.normal(size=64).astype(dtype)
+        if np.iscomplexobj(clean):
+            clean = clean + 1j * rng.normal(size=64).astype(dtype)
+        require_finite(clean)
+        require_finite(clean[:0])
+        parts = ("real", "imag") if np.iscomplexobj(clean) else ("real",)
+        bad_values = ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf])
+        for part in parts:
+            for values in bad_values:
+                samples = clean.copy()
+                getattr(samples, part)[[5, 40][: len(values)]] = values
+                with pytest.raises(SignalError, match="NaN or inf"):
+                    with np.errstate(invalid="ignore"):
+                        require_finite(samples)
+        big = np.full(8, np.finfo(dtype).max, dtype=dtype)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(big.sum())
+            require_finite(big)
 
     def test_batch_run_is_refused(self):
         with pytest.raises(SignalError, match="NaN or inf"):
