@@ -31,10 +31,12 @@ windows no table decides go through :meth:`Monitor.step`: unscorable
 windows, gaps and resyncs, and peak-less regions past their counting
 prefix. A testable window handed to :meth:`Monitor.step` directly is a
 one-window chunk, so every current-region and candidate test of a
-testable region is scored from a table. The loop that drives all this,
-:meth:`Monitor._walk`, hands each plan request back to its driver, so
-the fleet kernel plans and scores many sessions' requests together
-(D33).
+testable region is scored from a table. The loop that does all this,
+:meth:`Monitor._walk`, hands each plan request back to its driver,
+:func:`walk_chunks`, the only one: it answers every waiting walk's
+request in one wave (:func:`plan_wave`), so a batch run or a stream is
+a wave of one and the fleet kernel plans and scores many sessions'
+requests together (D33, D38).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -279,14 +281,14 @@ class _ChunkPlan:
     region) has an empty table and no bucket.
 
     ``checked`` holds the windows that take the candidate check
-    (:func:`_checked_windows`) once known, and ``probed`` counts how many
-    of them, from the first, :func:`first_probe_jobs` scored before the
-    walk.
+    (:func:`_checked_windows`) once known. The wave that made the plan
+    (:func:`plan_wave`) scored the probes of the first
+    :data:`_PROBE_BATCH` of them.
     """
 
     __slots__ = ("k", "static_stop", "peaks", "filled", "jobs", "cols",
                  "probes", "count", "d", "rejected", "bucket", "slot",
-                 "checked", "probed")
+                 "checked")
 
     def __init__(self, k, static_stop, peaks, filled, jobs=(), cols=None,
                  probes=None, bucket=None, slot=0):
@@ -307,16 +309,15 @@ class _ChunkPlan:
             self.d = bucket.d[slot]
             self.rejected = bucket.rejected[slot]
             self.checked = None
-        self.probed = 0
 
 
 #: Checked windows -- rejecting, or missing their dim-0 peaks -- whose
-#: candidate probes make up a plan's first probe batch. The fleet kernel
-#: scores every fresh plan's first batch in one pooled call before the
-#: walks resume (DESIGN.md D33); a walk scores each later batch itself
-#: when it reaches it, twice as large as the one before, so a walk that
-#: stops at an early region transition does not pay for the windows
-#: behind it.
+#: candidate probes make up a plan's first probe batch. Each wave scores
+#: its plans' first batches in one pooled call before the walks resume
+#: (:func:`plan_wave`, DESIGN.md D33); a walk scores each later batch
+#: itself when it reaches it, twice as large as the one before, so a
+#: walk that stops at an early region transition does not pay for the
+#: windows behind it.
 _PROBE_BATCH = 16
 
 
@@ -417,10 +418,9 @@ def plan_chunks_pooled(
     from the plan's straight line: a pending gap resync, an active
     resync search, or a flagged first window. Both statistics plan
     alike: a bucket gets one table job per ``(alpha, statistic)`` its
-    monitors use, on its first plan. The caller scores the plans
-    (:func:`score_ks_jobs`) -- all of them before walking any, since
-    :func:`_checked_windows` reads a whole bucket -- and walks each
-    session's plan individually.
+    monitors use, on its first plan. Its one caller, :func:`plan_wave`,
+    scores the plans -- all of them before any is walked, since
+    :func:`_checked_windows` reads a whole bucket.
     """
     plans: List[Optional[_ChunkPlan]] = [None] * len(entries)
     buckets: Dict[tuple, list] = {}
@@ -575,19 +575,16 @@ def first_probe_jobs(entries: Sequence[tuple]) -> List[_ProbeJob]:
 
     ``entries`` holds ``(monitor, plan)`` pairs of scored, unwalked
     plans. Plans of one planner bucket, model and test build their
-    probe sets together (:meth:`Monitor._probe_jobs`), and each plan
-    then counts its first batch as scored: the caller must pass the jobs
-    to :func:`score_ks_jobs` before any plan is walked. The fleet kernel
-    calls this once per wave (DESIGN.md D33).
+    probe sets together (:meth:`Monitor._probe_jobs`). :func:`plan_wave`
+    scores the jobs before any plan is walked, and
+    :meth:`Monitor.commit_chunk` counts on it.
     """
     groups: Dict[tuple, list] = {}
-    batches = []
     for mon, plan in entries:
         windows, _ = _checked_windows(plan)
         if not len(windows):
             continue
         todo = windows[:_PROBE_BATCH]
-        batches.append((plan, len(todo)))
         cfg = mon._cfg
         key = (id(plan.bucket), id(mon.model), cfg.alpha, cfg.statistic)
         group = groups.setdefault(key, [mon, plan.bucket, [], []])
@@ -598,9 +595,89 @@ def first_probe_jobs(entries: Sequence[tuple]) -> List[_ProbeJob]:
         jobs.extend(mon._probe_jobs(
             bucket, np.concatenate(slots), np.concatenate(windows)
         ))
-    for plan, probed in batches:
-        plan.probed = probed
     return jobs
+
+
+def plan_wave(
+    entries: Sequence[tuple],
+) -> List[Union[Optional[_ChunkPlan], Exception]]:
+    """Answer one wave of plan requests: the only caller of
+    :func:`plan_chunks_pooled`.
+
+    ``entries`` are the walks' planner entries (:meth:`Monitor._walk`).
+    One :func:`plan_chunks_pooled` call plans them all, one
+    :func:`score_ks_jobs` call scores the plans' verdict tables, and one
+    :func:`first_probe_jobs` call builds each plan's first probe batch,
+    which one more :func:`score_ks_jobs` call scores. Returns one slot
+    per entry: its plan, ``None`` where the planner declines, or the
+    exception the entry raised. If the pooled planner or probe builder
+    raises, it is called again for each entry alone, so the exception
+    lands in the slot of the entry that raised it.
+    """
+    try:
+        plans: list = plan_chunks_pooled(entries)
+    except Exception:
+        plans = []
+        for entry in entries:
+            try:
+                plans.append(plan_chunks_pooled([entry])[0])
+            except Exception as exc:
+                plans.append(exc)
+    planned = {
+        e: (entries[e][0], plan)
+        for e, plan in enumerate(plans)
+        if isinstance(plan, _ChunkPlan)
+    }
+    score_ks_jobs([job for _, plan in planned.values() for job in plan.jobs])
+    try:
+        probes = first_probe_jobs(list(planned.values()))
+    except Exception:
+        probes = []
+        for e, entry in planned.items():
+            try:
+                probes.extend(first_probe_jobs([entry]))
+            except Exception as exc:
+                plans[e] = exc
+    score_ks_jobs(probes)
+    return plans
+
+
+def walk_chunks(
+    walks: Sequence[Generator],
+) -> List[Union[MonitorResult, Exception]]:
+    """Drive walk/step loops (:meth:`Monitor._walk`) to their ends: the
+    only walk driver (DESIGN.md D38).
+
+    Each walk runs until it asks for a plan. While any walk waits, one
+    wave (:func:`plan_wave`) answers every waiting walk, and each walk
+    then resumes until it asks again or finishes. Returns one slot per
+    walk: its :class:`MonitorResult`, or the exception it raised, which
+    ends that walk alone. A batch run or a stream chunk is a wave of
+    one; the fleet kernel hands over a whole round's walks, so its
+    scorer calls follow the number of waves, not of sessions (D33).
+    """
+    slots: list = [None] * len(walks)
+    requests: Dict[int, tuple] = {}
+
+    def resume(i: int, plan: Optional[_ChunkPlan]) -> None:
+        try:
+            requests[i] = walks[i].send(plan)
+        except StopIteration as done:
+            slots[i] = done.value
+        except Exception as exc:
+            slots[i] = exc
+
+    for i in range(len(walks)):
+        resume(i, None)
+    while requests:
+        wave = list(requests)
+        plans = plan_wave([requests.pop(i) for i in wave])
+        for i, plan in zip(wave, plans):
+            if isinstance(plan, Exception):
+                slots[i] = plan
+            else:
+                resume(i, plan)
+    return slots
 
 
 def _checked_windows(plan: _ChunkPlan) -> Tuple[np.ndarray, np.ndarray]:
@@ -788,13 +865,12 @@ class Monitor:
     :func:`plan_chunks_pooled` plans a chunk (a whole batch signal is one
     chunk) -- two-sample jobs in a testable region, a counting-only plan
     in a peak-less one -- and the walk/step loop (:meth:`_walk`, driven
-    by :meth:`score_chunk` for one session and by the fleet kernel for
-    many) walks the plan's verdict table (:meth:`commit_chunk`) through
-    accepts, rejections, votes and reports up to the first region
-    transition. :meth:`step`
-    takes only what no table decides: unscorable windows, gaps and
-    resyncs, and peak-less regions past their counting prefix; a
-    testable window stepped directly is walked as a one-window plan.
+    by :func:`walk_chunks` for one session or a whole fleet round) walks
+    the plan's verdict table (:meth:`commit_chunk`) through accepts,
+    rejections, votes and reports up to the first region transition.
+    :meth:`step` takes only what no table decides: unscorable windows,
+    gaps and resyncs, and peak-less regions past their counting prefix;
+    a testable window stepped directly is walked as a one-window plan.
     Both feed one counter machine, :meth:`_decide`. The scalar
     one-test-per-window reference lives in the test suite as the oracle
     these paths are checked against.
@@ -823,7 +899,7 @@ class Monitor:
         self._resync_remaining: Optional[int] = None
         self.last_unscorable = False
         # Scaled K-S statistics D * sqrt(mn/(m+n)) buffered by scoring and
-        # commits when observability is on; score_chunk flushes them
+        # commits when observability is on; each walk flushes them
         # through one vectorized kolmogorov_sf call into the p-value
         # histogram.
         self._ks_scaled_stats: List[float] = []
@@ -904,7 +980,7 @@ class Monitor:
         # loop as the streaming and fleet paths. Columns past the
         # configured width are never pushed.
         peaks = peaks[:, : self._width]
-        result = self.score_chunk(peaks, times, quality, None)
+        result = self.score_chunk(peaks, times, quality)
         if OBS.enabled:
             self._flush_obs_run(result.status)
         return result
@@ -919,7 +995,7 @@ class Monitor:
     ) -> None:
         """Fold a batch of monitoring events into the metrics registry.
 
-        Counters are accumulated locally inside :meth:`score_chunk`
+        Counters are accumulated locally inside :meth:`_walk`
         (plain Python state) and flushed here in one pass per chunk -- a
         batch run is one chunk -- so the enabled-mode overhead stays a
         handful of instrument calls per trace rather than several per
@@ -1030,14 +1106,16 @@ class Monitor:
 
     def _step_testable(self, row: np.ndarray, time: float):
         """One window of a testable region, decided as a one-window
-        chunk: planned, scored and walked (:meth:`commit_chunk`).
+        chunk: planned and scored as a wave of one (:func:`plan_wave`)
+        and walked (:meth:`commit_chunk`).
 
         ``row`` is ``(1, _width)``, and :meth:`step` only calls this with
         no gap pending and no resync active, so the planner cannot
         refuse the plan.
         """
-        plan = plan_chunks_pooled([(self, row, None)])[0]
-        score_ks_jobs(plan.jobs)
+        plan = plan_wave([(self, row, None)])[0]
+        if isinstance(plan, Exception):
+            raise plan
         _, rejected, found = self.commit_chunk(plan, (time,))
         return (found[0][1] if found else None), bool(rejected)
 
@@ -1120,9 +1198,9 @@ class Monitor:
         True when the monitor's *state* admits a chunk plan right now
         (no pending gap resync, no active resync search), under either
         statistic. Peak-less regions qualify: they get counting-only
-        plans. :meth:`score_chunk` consults it before planning the rest
-        of a chunk after a step, so long resync stretches do not pay
-        planning costs per window.
+        plans. :meth:`_walk` consults it before asking for a plan for
+        the rest of a chunk after a step, so long resync stretches do
+        not pay planning costs per window.
         """
         return not self._gap_pending and self._resync_remaining is None
 
@@ -1131,41 +1209,31 @@ class Monitor:
         peaks: np.ndarray,
         times: np.ndarray,
         quality: Optional[np.ndarray],
-        plan: Optional[_ChunkPlan] = None,
         early_exit: bool = False,
     ) -> MonitorResult:
         """Run one chunk of STSs through Algorithm 1; return its result.
 
-        This is the one-session driver of the walk/step loop,
-        :meth:`_walk`: it answers each plan request of the loop with one
-        :func:`plan_chunks_pooled` call and one :func:`score_ks_jobs`
-        call, and the walk scores its candidate probes itself.
+        The chunk's walk/step loop (:meth:`_walk`) is driven by
+        :func:`walk_chunks` as a wave of one, and an exception it raised
+        is raised here. Batch runs and streams go through here;
         :meth:`FleetKernel.dispatch <repro.stream.batchkernel.FleetKernel.dispatch>`
-        drives the same loop for many sessions at once. ``plan`` is the
-        chunk's scored entry plan, or ``None`` to have the loop ask for
-        it. Batch runs and streams go through here.
+        hands many sessions' walks to :func:`walk_chunks` at once.
 
         With ``early_exit`` the chunk stops just after the first
         ``anomaly`` report and the result is truncated there. The
         result's ``status`` covers this chunk's windows only.
         """
-        walk = self._walk(peaks, times, quality, plan, early_exit)
-        try:
-            entry = next(walk)
-            while True:
-                plan = plan_chunks_pooled([entry])[0]
-                if plan is not None:
-                    score_ks_jobs(plan.jobs)
-                entry = walk.send(plan)
-        except StopIteration as done:
-            return done.value
+        walk = self._walk(peaks, times, quality, early_exit)
+        result = walk_chunks([walk])[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def _walk(
         self,
         peaks: np.ndarray,
         times: np.ndarray,
         quality: Optional[np.ndarray],
-        plan: Optional[_ChunkPlan] = None,
         early_exit: bool = False,
     ) -> Generator[tuple, Optional[_ChunkPlan], MonitorResult]:
         """The walk/step loop of one chunk, resumable at each plan it
@@ -1184,10 +1252,11 @@ class Monitor:
         peak-less region past its counting prefix, which keeps stepping
         until a window accepts (planning again after each of its
         rejections would make a long anomalous stretch quadratic).
-        :meth:`score_chunk` and the fleet kernel drive it.
+        :func:`walk_chunks` drives it.
         """
         cfg = self._cfg
         n = len(times)
+        plan: Optional[_ChunkPlan] = None
         gated = cfg.quality_gating and quality is not None
         tracked: List[str] = []
         reports: List[AnomalyReport] = []
@@ -1293,24 +1362,22 @@ class Monitor:
         self,
         plan: _ChunkPlan,
         times: np.ndarray,
-        start: int = 0,
         early_exit: bool = False,
     ) -> Tuple[int, List[int], List[Tuple[int, AnomalyReport]]]:
-        """Walk a scored plan's verdict table from window ``start``.
+        """Walk the verdict table of a plan from :func:`plan_wave`.
 
         Each window decides through :meth:`_decide`, as :meth:`step`
         would: one that no tested dim rejects accepts; one that rejects,
         or misses its dim-0 peaks, takes the candidate verdicts from the
         table's probe columns. Those are scored in batches of checked
         windows (:func:`_checked_windows`): the first
-        :data:`_PROBE_BATCH` unless the caller already scored them
-        (:func:`first_probe_jobs`), then twice as many, and so on, each
-        when the walk reaches it. A plan with no checked window before
-        its ``static_stop`` commits as one accept. ``times`` holds the
-        plan windows' times, for reports. The walk stops at the plan's
-        ``static_stop``; at a region transition, with that window pushed
-        and the transition applied; and, with ``early_exit``, after the
-        first report. The walked rows go into the history in one write,
+        :data:`_PROBE_BATCH`, which the wave scored, then twice as many,
+        and so on, each when the walk reaches it. A plan with no checked
+        window before its ``static_stop`` commits as one accept.
+        ``times`` holds the plan windows' times, for reports. The walk
+        stops at the plan's ``static_stop``; at a region transition,
+        with that window pushed and the transition applied; and, with
+        ``early_exit``, after the first report. The walked rows go into the history in one write,
         and the current-region tests feed the observability buffer
         exactly as the steps would have.
 
@@ -1321,19 +1388,18 @@ class Monitor:
         mmv = self._cfg.min_mon_values
         stop = plan.static_stop
         windows, misses = _checked_windows(plan)
-        pos = int(np.searchsorted(windows, start)) if start else 0
+        pos = 0
         decided: List[int] = []
         found: List[Tuple[int, AnomalyReport]] = []
         target = None
-        last = start - 1  # the last window decided so far
+        last = -1  # the last window decided so far
         batch = _PROBE_BATCH
         while pos < len(windows) and last + 1 < stop:
             todo = windows[pos:pos + batch]
             batch *= 2
-            fresh = todo[max(0, plan.probed - pos):]
-            if len(fresh):
+            if pos:  # the wave scored the first batch
                 score_ks_jobs(self._probe_jobs(
-                    plan.bucket, np.full(len(fresh), plan.slot), fresh
+                    plan.bucket, np.full(len(todo), plan.slot), todo
                 ))
             table = self._explanation_table(plan, todo)
             missing = misses[pos:pos + len(todo)].tolist()
@@ -1357,20 +1423,20 @@ class Monitor:
                     break
         if last + 1 < stop:
             self._decide(0.0, False, ())  # the accepts up to stop
-        self._push_rows(plan.peaks[start:stop])
+        self._push_rows(plan.peaks[:stop])
         if target is not None:
             self._transition_to(target)
         self.last_unscorable = False
         if OBS.enabled and self._cfg.statistic == "ks":
             for j, m in plan.cols.values():
-                counts = plan.count[j, start:stop]
+                counts = plan.count[j, :stop]
                 scored = counts >= mmv
                 if not m or not scored.any():
                     continue
                 for c in np.unique(counts[scored]).tolist():
                     scale = (m * c / (m + c)) ** 0.5
                     self._ks_scaled_stats.extend(
-                        (plan.d[j, start:stop][counts == c] * scale).tolist()
+                        (plan.d[j, :stop][counts == c] * scale).tolist()
                     )
         return stop, decided, found
 
@@ -1451,7 +1517,7 @@ class Monitor:
         planner bucket into their probe columns; their counts are
         written here, and :func:`score_ks_jobs` writes their D and
         verdicts. Every pair's plan must be in this monitor's region,
-        model and test, unwalked (:func:`first_probe_jobs` groups them).
+        model and test (:func:`first_probe_jobs` groups them).
 
         The sets are :meth:`_recent`'s, sorted: the last ``size`` rows of
         the slot's stream at each window, with at least

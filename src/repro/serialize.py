@@ -169,69 +169,83 @@ def save_model(model: EddieModel, path: Union[str, Path]) -> None:
 
 
 def load_model(path: Union[str, Path]) -> EddieModel:
-    """Load a model previously written by :func:`save_model`."""
+    """Load a model previously written by :func:`save_model`.
+
+    Raises :class:`ConfigurationError` (never a raw ``KeyError`` or
+    ``TypeError``) when the file is not a model file of this format, its
+    metadata is malformed, or its config does not match the fingerprint
+    it records.
+    """
     with np.load(path, allow_pickle=False) as data:
+        if "meta" not in data.files:
+            raise ConfigurationError(f"{path}: not an EDDIE model file")
         try:
-            meta = json.loads(str(data["meta"]))
-        except KeyError:
-            raise ConfigurationError(f"{path}: not an EDDIE model file") from None
-        version = meta.get("format_version")
-        if version != _FORMAT_VERSION:
+            return _model_from_meta(path, json.loads(str(data["meta"])), data)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
-                f"{path}: unsupported model format version {version!r}"
-            )
-        cfg_dict = dict(meta["config"])
-        cfg_dict["group_sizes"] = tuple(cfg_dict["group_sizes"])
-        # Legacy files predate the frontend field; absent means none.
-        # Present entries round-trip through the stage registry, and a
-        # tampered entry either fails reconstruction here or changes the
-        # rebuilt config's fingerprint, tripping the check below.
-        cfg_dict["frontend"] = tuple(
-            stage_from_dict(entry)
-            for entry in cfg_dict.get("frontend", ())
+                f"{path}: malformed model metadata ({exc!r})"
+            ) from exc
+
+
+def _model_from_meta(path, meta: dict, data) -> EddieModel:
+    """The model a :func:`save_model` file's metadata and reference
+    arrays describe, checked against its format version and config
+    fingerprint."""
+    version = meta.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise ConfigurationError(
+            f"{path}: unsupported model format version {version!r}"
         )
-        config = EddieConfig(**cfg_dict)
-        expected = meta.get("config_fingerprint")
-        if expected is not None and expected != config_fingerprint(config):
-            # Legacy files lack the field and load unchecked; a present
-            # but wrong value means the config section was altered after
-            # save (corruption or a mislabeled artifact).
+    cfg_dict = dict(meta["config"])
+    cfg_dict["group_sizes"] = tuple(cfg_dict["group_sizes"])
+    # Legacy files predate the frontend field; absent means none.
+    # Present entries round-trip through the stage registry, and a
+    # tampered entry either fails reconstruction here or changes the
+    # rebuilt config's fingerprint, tripping the check below.
+    cfg_dict["frontend"] = tuple(
+        stage_from_dict(entry)
+        for entry in cfg_dict.get("frontend", ())
+    )
+    config = EddieConfig(**cfg_dict)
+    fingerprint = meta.get("config_fingerprint")
+    if fingerprint != config_fingerprint(config):
+        # save_model always records it: a missing or wrong value means
+        # the metadata was altered after save (corruption or a
+        # mislabeled artifact).
+        raise ConfigurationError(
+            f"{path}: config fingerprint mismatch -- the file's "
+            f"config section does not match its recorded fingerprint, "
+            f"or it records none (corrupted or mislabeled model artifact)"
+        )
+    # Models written before the transfer layer carry no calibration
+    # block and load as base models. A present block must verify
+    # against its recorded digest (which also binds the config
+    # fingerprint): any edit to the provenance fields -- base
+    # fingerprint, warp parameters -- is refused here.
+    calibration = None
+    cal_block = meta.get("calibration")
+    if cal_block is not None:
+        if not isinstance(cal_block, dict) or "info" not in cal_block:
             raise ConfigurationError(
-                f"{path}: config fingerprint mismatch -- the file's "
-                f"config section does not match its recorded fingerprint "
-                f"(corrupted or mislabeled model artifact)"
+                f"{path}: malformed calibration block"
             )
-        # Models written before the transfer layer carry no calibration
-        # block and load as base models. A present block must verify
-        # against its recorded digest (which also binds the config
-        # fingerprint): any edit to the provenance fields -- base
-        # fingerprint, warp parameters -- is refused here.
-        calibration = None
-        cal_block = meta.get("calibration")
-        if cal_block is not None:
-            if not isinstance(cal_block, dict) or "info" not in cal_block:
-                raise ConfigurationError(
-                    f"{path}: malformed calibration block"
-                )
-            recorded = cal_block.get("digest")
-            actual = _calibration_digest(
-                cal_block["info"], meta.get("config_fingerprint", "")
+        recorded = cal_block.get("digest")
+        actual = _calibration_digest(cal_block["info"], fingerprint)
+        if recorded != actual:
+            raise ConfigurationError(
+                f"{path}: calibration block failed its integrity "
+                f"check (tampered or corrupted derivation provenance)"
             )
-            if recorded != actual:
-                raise ConfigurationError(
-                    f"{path}: calibration block failed its integrity "
-                    f"check (tampered or corrupted derivation provenance)"
-                )
-            calibration = CalibrationInfo.from_dict(cal_block["info"])
-        profiles = {}
-        for i, region_meta in enumerate(meta["regions"]):
-            profiles[region_meta["name"]] = RegionProfile(
-                name=region_meta["name"],
-                reference=data[f"reference_{i}"],
-                num_peaks=region_meta["num_peaks"],
-                group_size=region_meta["group_size"],
-                descriptor_dims=tuple(region_meta.get("descriptor_dims", ())),
-            )
+        calibration = CalibrationInfo.from_dict(cal_block["info"])
+    profiles = {}
+    for i, region_meta in enumerate(meta["regions"]):
+        profiles[region_meta["name"]] = RegionProfile(
+            name=region_meta["name"],
+            reference=data[f"reference_{i}"],
+            num_peaks=region_meta["num_peaks"],
+            group_size=region_meta["group_size"],
+            descriptor_dims=tuple(region_meta.get("descriptor_dims", ())),
+        )
     return EddieModel(
         program_name=meta["program_name"],
         config=config,

@@ -168,7 +168,6 @@ class EddieClient:
         self._sock: Optional[socket.socket] = None
         self._session: Optional[str] = None
         self._token: Optional[str] = None
-        self._model_info: Dict[str, Any] = {}
         self._seq = 0
         self._outstanding: Deque[int] = deque()
         self._buffer: Deque[Tuple[int, bytes]] = deque()
@@ -239,11 +238,6 @@ class EddieClient:
         return self._session
 
     @property
-    def model_info(self) -> Dict[str, Any]:
-        """The registry entry the server bound this session to."""
-        return dict(self._model_info)
-
-    @property
     def acked_seq(self) -> int:
         """Highest chunk sequence the server has made durable."""
         return self._acked
@@ -259,7 +253,9 @@ class EddieClient:
         return self._can_resume()
 
     def open(self, model_spec: str, *, t0: float = 0.0) -> Dict[str, Any]:
-        """Open a monitoring session for ``model_spec``.
+        """Open a monitoring session for ``model_spec``; return the
+        server's ack, whose ``model`` is the registry entry the session
+        is bound to.
 
         Raises :class:`ServeError` with the server's typed code when the
         session is refused -- ``code='at_capacity'`` is the load-shed
@@ -277,7 +273,6 @@ class EddieClient:
         })
         self._session = str(ack.get("session"))
         self.worker_id = ack.get("worker")
-        self._model_info = dict(ack.get("model", {}))
         resume = ack.get("resume")
         self._token = (
             str(resume["token"])
@@ -485,9 +480,6 @@ class EddieClient:
                 durable = int(ack.get("seq", 0))
                 # The ack doubles as a checkpoint ack: prune the buffer.
                 self._on_checkpoint_ack({"seq": durable})
-                self._model_info = dict(
-                    ack.get("model", self._model_info)
-                )
                 # Reports the server scored durably but we never saw.
                 for payload in ack.get("reports", []):
                     self._resumed.extend(self._apply_report(payload))

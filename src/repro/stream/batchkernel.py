@@ -30,31 +30,23 @@ whole group:
    computations -- :meth:`StreamingStft.transform` is the same gather
    and transform for a group of one -- so pooling is bit-identical to
    per-session calls (see their docstrings; DESIGN.md D34);
-4. **walk** -- each session starts its walk/step loop
-   (:meth:`Monitor._walk <repro.core.monitor.Monitor._walk>`, the one
-   copy that :meth:`Monitor.score_chunk` drives for a single session),
-   which runs until it needs a plan for the rest of its chunk;
-5. **waves** -- while any walk waits for a plan, one wave: one
-   :func:`plan_chunks_pooled` call plans every waiting session against
-   its own history (sessions sharing a region profile stack into single
-   numpy passes), one :func:`score_ks_jobs` call scores their verdict
-   tables, and one more scores each new plan's first candidate-probe
-   batch (:func:`first_probe_jobs`). Sessions sharing a region profile
-   share a planner bucket, whose tested columns the scorer scores in
-   one pass per test: every monitored value of the bucket ranked once
-   against each tested dim's reference, and every window's rank keys
-   sorted and scored together (DESIGN.md D37). Each walk
-   then resumes: it decides its table's windows, scores any later probe
-   batch itself, steps only what no table decides, and either asks for
-   its next plan -- after a region transition, an unscorable window or
-   a step that accepts -- or finishes;
-6. **finish** -- a finished walk's chunk result is folded into its
+4. **walk** -- each session's walk/step loop
+   (:meth:`Monitor._walk <repro.core.monitor.Monitor._walk>`) goes to
+   :func:`~repro.core.monitor.walk_chunks`, the one walk driver, which
+   :meth:`Monitor.score_chunk` also uses for a single session. It runs
+   the walks in waves: each wave plans every waiting session in one
+   pooled call, scores their verdict tables and first candidate-probe
+   batches in one call each (:func:`~repro.core.monitor.plan_wave`),
+   and resumes each walk until it asks for its next plan -- after a
+   region transition, an unscorable window or a step that accepts --
+   or finishes (DESIGN.md D33, D38);
+5. **finish** -- a finished walk's chunk result is folded into its
    stream's counters (per-session).
 
 The chunk start, every re-plan and every first probe batch are thus
 pooled fleet-wide; the number of scorer calls per round follows the
 number of waves -- the most re-plans any one session needs -- not the
-number of sessions (DESIGN.md D33).
+number of sessions.
 
 Canonical state lives only in each session's ``StreamingMonitor``; the
 kernel holds no per-session state between rounds. Snapshot, restore,
@@ -64,7 +56,7 @@ with bit-identical results, which is what ``tests/test_fleet_kernel.py``
 sweeps.
 
 Failures are isolated per session: an exception raised while staging,
-planning, walking, or finishing one session lands in that session's
+emitting, planning or walking one session lands in that session's
 result slot, that session leaves the round, and the rest of the round
 completes normally.
 """
@@ -77,12 +69,10 @@ from typing import Dict, Generator, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.model import EddieModel
-from repro.core.monitor import (
-    MonitorResult,
-    first_probe_jobs,
-    plan_chunks_pooled,
-    score_ks_jobs,
-)
+from repro.core.monitor import MonitorResult, walk_chunks
+# Unused here: bound only for perfbench's traced fleet workload, which
+# wraps these two names.
+from repro.core.monitor import plan_chunks_pooled, score_ks_jobs  # noqa: F401
 from repro.core.peaks import peak_rows
 from repro.core.stft import _gather_frames, _transform_frames
 from repro.obs import OBS, record_count
@@ -205,21 +195,9 @@ class FleetKernel:
                 offset += count
             pooled_windows += offset
 
-        # Per-session emit; each session that completed windows starts
-        # its walk/step loop, which runs until it asks for a plan.
+        # Per-session emit; each session that completed windows hands
+        # its walk/step loop to the walk driver.
         walks: Dict[int, Generator] = {}
-        requests: Dict[int, tuple] = {}
-
-        def resume(i: int, plan) -> None:
-            monitor = items[i][0]
-            try:
-                try:
-                    requests[i] = walks[i].send(plan)
-                except StopIteration as done:
-                    results[i] = [monitor._fold_result(done.value)]
-            except Exception as exc:
-                results[i] = exc
-
         for i in active:
             monitor = items[i][0]
             try:
@@ -236,30 +214,12 @@ class FleetKernel:
                 peaks_of[i], seq.times, seq.quality,
                 early_exit=monitor._early_exit,
             )
-            resume(i, None)
 
-        # Waves (DESIGN.md D33): plan every pending request in one pooled
-        # call, score the plans' tables in one call and their first probe
-        # batches in one more, then resume each walk until it asks again
-        # or finishes. A table job covers a whole planner bucket, so each
-        # scorer call serves the whole wave.
-        while requests:
-            wave = dict(requests)
-            requests.clear()
-            plan_of = self._plan_wave(wave, results)
-            jobs = [
-                job
-                for plan in plan_of.values()
-                if plan is not None
-                for job in plan.jobs
-            ]
-            if jobs:
-                score_ks_jobs(jobs)
-            probes = self._first_probes(wave, plan_of, results)
-            if probes:
-                score_ks_jobs(probes)
-            for i, plan in plan_of.items():
-                resume(i, plan)
+        for i, done in zip(walks, walk_chunks(list(walks.values()))):
+            results[i] = (
+                done if isinstance(done, Exception)
+                else [items[i][0]._fold_result(done)]
+            )
 
         if OBS.enabled:
             record_count("stream.fleet", "kernel_dispatches")
@@ -268,49 +228,3 @@ class FleetKernel:
                     "stream.fleet", "kernel_pooled_windows", pooled_windows
                 )
         return results
-
-    @staticmethod
-    def _first_probes(
-        wave: Dict[int, tuple],
-        plan_of: Dict[int, object],
-        results: List[DispatchResult],
-    ) -> list:
-        """One :func:`first_probe_jobs` call over a wave's plans. If it
-        raises, each session's plan builds its jobs alone, and a session
-        that raises leaves the round with the exception in its slot."""
-        entries = {
-            i: (wave[i][0], plan)
-            for i, plan in plan_of.items()
-            if plan is not None
-        }
-        try:
-            return first_probe_jobs(list(entries.values()))
-        except Exception:
-            jobs = []
-            for i, entry in entries.items():
-                try:
-                    jobs.extend(first_probe_jobs([entry]))
-                except Exception as exc:
-                    results[i] = exc
-                    del plan_of[i]
-            return jobs
-
-    @staticmethod
-    def _plan_wave(
-        wave: Dict[int, tuple], results: List[DispatchResult]
-    ) -> Dict[int, object]:
-        """One :func:`plan_chunks_pooled` call over a wave's planner
-        entries, keyed like ``wave``. If the pooled call raises, each
-        session is planned as a group of one, so the exception lands in
-        the result slot of the session that raised it and that session
-        leaves the round."""
-        try:
-            return dict(zip(wave, plan_chunks_pooled(list(wave.values()))))
-        except Exception:
-            plan_of = {}
-            for i, entry in wave.items():
-                try:
-                    plan_of[i] = plan_chunks_pooled([entry])[0]
-                except Exception as exc:
-                    results[i] = exc
-            return plan_of

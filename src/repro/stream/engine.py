@@ -6,9 +6,9 @@ capture in memory before the first verdict. :class:`StreamingMonitor`
 closes that gap: it accepts arbitrary-size sample chunks via
 :meth:`~StreamingMonitor.feed`, carries the STFT tail across chunk
 boundaries (:class:`~repro.core.stft.StreamingStft`), extracts peaks and
-quality flags per completed window, and drives the same walk/step
-loop (:meth:`Monitor.score_chunk`) that batch monitoring runs over a
-whole signal as one chunk. Steady-state memory is O(1) in the stream
+quality flags per completed window, and hands each chunk to
+:meth:`Monitor.score_chunk`, which drives the walk/step loop as a wave
+of one, as batch monitoring does over a whole signal as one chunk. Steady-state memory is O(1) in the stream
 length: the residual sample tail, the monitor's bounded rolling
 history, and (optionally) per-chunk results the caller has not consumed.
 
@@ -31,13 +31,10 @@ from typing import Iterable, List, Optional, Union
 import numpy as np
 
 from repro.core.model import EddieModel
-from repro.core.monitor import (
-    AnomalyReport,
-    Monitor,
-    MonitorResult,
-    plan_chunks_pooled,
-    score_ks_jobs,
-)
+from repro.core.monitor import AnomalyReport, Monitor, MonitorResult
+# Unused here: bound only for perfbench's traced denoise workload, which
+# wraps this name.
+from repro.core.monitor import score_ks_jobs  # noqa: F401
 from repro.core.peaks import peak_matrix
 from repro.core.stft import (
     SpectrumSequence,
@@ -277,11 +274,8 @@ class StreamingMonitor:
             seq, cfg.energy_fraction, cfg.max_peaks, cfg.peak_prominence,
             cfg.diffuse_features,
         )
-        plan = plan_chunks_pooled([(self._monitor, peaks, seq.quality)])[0]
-        if plan is not None and plan.jobs:
-            score_ks_jobs(plan.jobs)
         return [self._fold_result(self._monitor.score_chunk(
-            peaks, seq.times, seq.quality, plan, early_exit=self._early_exit
+            peaks, seq.times, seq.quality, early_exit=self._early_exit
         ))]
 
     # -- kernel hooks (see repro.stream.batchkernel) -------------------------
@@ -289,8 +283,8 @@ class StreamingMonitor:
     # The fleet kernel drives one chunk through the same stages as
     # _feed_samples, but pools the expensive stages (spectral transform,
     # peak extraction, planning, K-S scoring) across every session of a
-    # group, driving each session's walk/step loop (Monitor._walk) in
-    # waves and folding its result here. Canonical state lives only in
+    # group, handing every session's walk/step loop (Monitor._walk) to
+    # the one walk driver at once and folding its result here. Canonical state lives only in
     # this object; the staged/pooled arrays are transient, so
     # snapshot/restore and eviction need no kernel-side pack/unpack.
 

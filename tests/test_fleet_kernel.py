@@ -14,8 +14,10 @@ streams across every MiBench program, and pins the mechanisms under it:
   scalar oracle,
 - rounds in waves (DESIGN.md D33): many sessions rejecting, probing and
   changing region in one wave, with an early-exit session and sessions
-  that raise mid-wave, against isolated streams and the oracle, and the
-  scorer calls per round against the sessions' own plan requests,
+  that raise mid-wave, against isolated streams and the oracle, the
+  scorer calls per round against the sessions' own plan requests, and
+  one session's planner and probe-builder calls alike on the batch,
+  stream and fleet paths (DESIGN.md D38),
 - complex64 and complex128 sessions of one model in one round, which
   pool in separate groups,
 - hypothesis fuzz of the vectorized exact-integer K-S kernels (rank
@@ -38,8 +40,8 @@ from oracle import ScalarMonitor, assert_results_equal
 from repro.core.monitor import (
     Monitor,
     MonitorResult,
-    plan_chunks_pooled,
-    score_ks_jobs,
+    _checked_windows,
+    walk_chunks,
 )
 from repro.core.peaks import (
     _row_median,
@@ -271,10 +273,10 @@ def sts_rows(model, signal):
 
 
 class TestPooledPlanner:
-    def test_pooled_plans_match_scalar_plans(self):
-        """Steady, history-filling, and quality-flagged sessions share
-        one pooled planning call; each session's walk plus steps equals
-        the scalar oracle stepping the same windows.
+    def test_pooled_plans_match_scalar_plans(self, monkeypatch):
+        """Steady, history-filling, and quality-flagged sessions, walked
+        together, share one pooled planning call; each session's walk
+        plus steps equals the scalar oracle stepping the same windows.
 
         sha stays in its first region (group size 16) for the first ~120
         windows of these captures, so every session below plans against
@@ -321,10 +323,15 @@ class TestPooledPlanner:
             oracle.restore_state(*mon.export_state())
             oracles.append(oracle)
 
-        plans = plan_chunks_pooled(
-            [(mon, peaks, quality) for _, mon, peaks, _, quality in sessions]
-        )
-        score_ks_jobs([job for plan in plans for job in plan.jobs])
+        import repro.core.monitor as core_monitor
+
+        waves = []
+        _recording(monkeypatch, core_monitor, "plan_chunks_pooled", waves)
+        results = walk_chunks([
+            mon._walk(peaks, times, quality)
+            for _, mon, peaks, times, quality in sessions
+        ])
+        plans = waves[0]  # the entry wave: every session, in order
         by_label = {label: plan for (label, *_), plan in zip(sessions, plans)}
         n = model.profile(regions.pop()).group_size
         # The filling session's first n-1 windows are never K-S tested:
@@ -341,10 +348,9 @@ class TestPooledPlanner:
         assert by_label["clipped"].static_stop <= 12
         assert by_label["gapped"].static_stop <= 9
 
-        for (label, mon, peaks, times, quality), plan, oracle in zip(
-            sessions, plans, oracles
+        for (label, mon, peaks, times, quality), fast, oracle in zip(
+            sessions, results, oracles
         ):
-            fast = mon.score_chunk(peaks, times, quality, plan)
             expected = oracle.run_peaks(peaks, times, quality)
             assert_results_equal(fast, expected)
             fast_meta, _ = mon.export_state()
@@ -542,19 +548,22 @@ class TestWaves:
         ]
 
     def test_round_matches_isolated_streams_and_oracle(self, monkeypatch):
-        import repro.stream.batchkernel as batchkernel
+        import repro.core.monitor as core_monitor
 
         model, signals = self._captures(8)
         plans, probing_per_wave = [], []
-        _recording(monkeypatch, batchkernel, "plan_chunks_pooled", plans)
-        real_first_probe_jobs = batchkernel.first_probe_jobs
+        _recording(monkeypatch, core_monitor, "plan_chunks_pooled", plans)
+        real_first_probe_jobs = core_monitor.first_probe_jobs
 
         def first_probe_jobs(entries):
-            jobs = real_first_probe_jobs(entries)
-            probing_per_wave.append(sum(plan.probed > 0 for _, plan in entries))
-            return jobs
+            probing_per_wave.append(sum(
+                len(_checked_windows(plan)[0]) > 0 for _, plan in entries
+            ))
+            return real_first_probe_jobs(entries)
 
-        monkeypatch.setattr(batchkernel, "first_probe_jobs", first_probe_jobs)
+        monkeypatch.setattr(
+            core_monitor, "first_probe_jobs", first_probe_jobs
+        )
         flags = [False] * 8
         flags[2] = True  # session 2 stops at its first report
         sessions = [
@@ -618,14 +627,32 @@ class TestWaves:
     ):
         """Per dispatch, the kernel makes at most two scorer calls per
         wave, and a wave count no session alone would not need: eight
-        probing sessions cost the scorer calls of the busiest one."""
-        import repro.stream.batchkernel as batchkernel
+        probing sessions cost the scorer calls of the busiest one. Only
+        the waves' scorer calls count, not the later probe batches a
+        walk scores itself."""
+        import repro.core.monitor as core_monitor
 
         model, signals = self._captures(8)
         chunks = [self._chunks(signal) for signal in signals]
-        plans, scores = [], []
-        _recording(monkeypatch, batchkernel, "plan_chunks_pooled", plans)
-        _recording(monkeypatch, batchkernel, "score_ks_jobs", scores)
+        plans, scores, in_wave = [], [], []
+        _recording(monkeypatch, core_monitor, "plan_chunks_pooled", plans)
+        real_wave = core_monitor.plan_wave
+        real_score = core_monitor.score_ks_jobs
+
+        def plan_wave(entries):
+            in_wave.append(True)
+            try:
+                return real_wave(entries)
+            finally:
+                in_wave.pop()
+
+        def score_ks_jobs(jobs):
+            if in_wave:
+                scores.append(len(jobs))
+            return real_score(jobs)
+
+        monkeypatch.setattr(core_monitor, "plan_wave", plan_wave)
+        monkeypatch.setattr(core_monitor, "score_ks_jobs", score_ks_jobs)
 
         def round_calls(items):
             plans.clear()
@@ -648,6 +675,49 @@ class TestWaves:
             assert round_calls(
                 [(copy, chunks[0][r]) for copy in copies]
             ) == alone[0]
+
+    def test_one_session_plans_alike_on_every_path(self, monkeypatch):
+        """One session's chunk makes the same planner and first-probe
+        builder calls whether it is run by the batch monitor, fed to a
+        stream or dispatched by the fleet kernel: every path drives its
+        walk through the one walk driver, and every plan's first probe
+        batch is built by its wave."""
+        import repro.core.monitor as core_monitor
+
+        model, (signal,) = self._captures(1)
+        plans, probes = [], []
+        _recording(monkeypatch, core_monitor, "plan_chunks_pooled", plans)
+        _recording(monkeypatch, core_monitor, "first_probe_jobs", probes)
+        probed = False
+
+        def calls(run):
+            nonlocal probed
+            plans.clear()
+            probes.clear()
+            out = run()
+            probed = probed or any(probes)
+            return (len(plans), len(probes)), out
+
+        peaks, times = sts_rows(model, signal)
+        batch = Monitor(model)
+        stream = StreamingMonitor(model, t0=signal.t0)
+        fleet = StreamingMonitor(model, t0=signal.t0)
+        kernel = FleetKernel()
+        done = 0
+        for chunk in self._chunks(signal):
+            fed_calls, fed = calls(lambda: stream.feed(chunk))
+            dispatch_calls, _ = calls(
+                lambda: kernel.dispatch([(fleet, chunk)])
+            )
+            k = sum(len(result.tracked) for result in fed)
+            rows = slice(done, done + k)
+            batch_calls, _ = calls(
+                lambda: batch.run_peaks(peaks[rows], times[rows])
+            )
+            done += k
+            assert fed_calls[0] > 0
+            assert fed_calls == dispatch_calls == batch_calls
+        assert probed
 
     def test_probe_builder_failure_stays_in_its_slot(self):
         """A session whose probe jobs raise fails the wave's pooled

@@ -31,7 +31,9 @@ from repro.core.monitor import (
     MonitorResult,
     _ChunkPlan,
     plan_chunks_pooled,
+    plan_wave,
     score_ks_jobs,
+    walk_chunks,
 )
 from repro.core.stats import ks_statistic, two_sample_reject
 from repro.core.stft import (
@@ -83,19 +85,15 @@ class TestEquivalence:
 
 def _run_in_chunks(model, peaks, times, rng):
     """``Monitor.run_peaks`` over random chunk boundaries, the way the
-    streaming engine drives one session: plan, score, walk/step."""
+    streaming engine drives one session: one walk per chunk."""
     monitor = Monitor(model)
     results = []
     start = 0
     while start < len(times):
         stop = min(len(times), start + int(rng.integers(1, 40)))
-        chunk = peaks[start:stop]
-        plan = plan_chunks_pooled([(monitor, chunk, None)])[0]
-        if plan is not None and plan.jobs:
-            score_ks_jobs(plan.jobs)
-        results.append(
-            monitor.score_chunk(chunk, times[start:stop], None, plan)
-        )
+        results.append(monitor.score_chunk(
+            peaks[start:stop], times[start:stop], None
+        ))
         start = stop
     return MonitorResult.concat(results)
 
@@ -189,7 +187,7 @@ class TestHistoryRing:
     def test_history_tail_tracks_every_write(self):
         # The history ring is the monitor's only window state. Interleave
         # every history write -- steps (one-window walks), bulk commits,
-        # walks of a scored plan from a random window, snapshot restores
+        # walks of a plan from the wave function, snapshot restores
         # -- with reads at every n: _history_tail(n) must equal the last
         # n rows pushed (tracked here, independently of the ring), and
         # _recent(n, dim) their real values of dim in order, so a walk
@@ -242,28 +240,24 @@ class TestHistoryRing:
                 pushed.extend(rows)
                 check()
             elif action == 2:
-                # A scored plan over rows that drift from loop:A's
-                # centre towards loop:B's, walked from a random window:
-                # rejections are walked through, and exactly the rows up
-                # to the walk's stop -- the plan's end, or the window of
-                # a region transition -- are pushed.
+                # A plan over rows that drift from loop:A's centre
+                # towards loop:B's, made by a wave of one: rejections are
+                # walked through, and exactly the rows up to the walk's
+                # stop -- the plan's end, or the window of a region
+                # transition -- are pushed.
                 k = int(rng.integers(2, 25))
                 rows = np.concatenate([
                     random_rows(k // 2),
                     random_rows(k - k // 2, float(rng.choice([10.0, 20.0]))),
                 ])
-                plan = plan_chunks_pooled([(monitor, rows, None)])[0]
-                score_ks_jobs(plan.jobs)
+                plan = plan_wave([(monitor, rows, None)])[0]
                 region = monitor.current_region
-                start = int(rng.integers(0, k))
-                stop, rejected, _ = monitor.commit_chunk(
-                    plan, np.zeros(k), start
-                )
-                assert start < stop <= k
+                stop, rejected, _ = monitor.commit_chunk(plan, np.zeros(k))
+                assert 0 < stop <= k
                 assert stop == k or monitor.current_region != region
-                assert all(start <= w < stop for w in rejected)
+                assert all(0 <= w < stop for w in rejected)
                 walked_rejections += len(rejected)
-                pushed.extend(rows[start:stop])
+                pushed.extend(rows[:stop])
                 check()
             else:
                 for row in random_rows(int(rng.integers(1, 12))):
@@ -356,10 +350,13 @@ class TestScoreKsJobs:
         assert verdicts["ks"].any()
         assert not np.array_equal(verdicts["ks"], verdicts["utest"])
 
-    def test_slots_of_one_bucket_keep_their_alpha(self):
-        # Two sessions share a profile object but not alpha: one planner
-        # bucket, scored under two tests. Each session's walk equals the
-        # scalar oracle at its own alpha, and the two diverge.
+    def test_slots_of_one_bucket_keep_their_alpha(self, monkeypatch):
+        # Two sessions share a profile object but not alpha: their walks,
+        # driven together, plan into one planner bucket, scored under
+        # two tests. Each session's walk equals the scalar oracle at its
+        # own alpha, and the two diverge.
+        import repro.core.monitor as core_monitor
+
         base = _tiny_model()
         rng = np.random.default_rng(8)
         rows = np.full((60, 4), np.nan)
@@ -368,19 +365,24 @@ class TestScoreKsJobs:
         times = np.arange(len(rows)) * base.hop_duration
         models = [_with_test(base, alpha=a) for a in (0.001, 0.2)]
         monitors = [Monitor(model) for model in models]
-        plans = plan_chunks_pooled(
-            [(monitor, rows, None) for monitor in monitors]
+        waves = []
+        real_planner = core_monitor.plan_chunks_pooled
+
+        def planner(entries):
+            waves.append(real_planner(entries))
+            return waves[-1]
+
+        monkeypatch.setattr(core_monitor, "plan_chunks_pooled", planner)
+        results = walk_chunks(
+            [monitor._walk(rows, times, None) for monitor in monitors]
         )
+        plans = waves[0]
         assert plans[0].bucket is plans[1].bucket
         assert len(plans[0].jobs) == 2
-        score_ks_jobs([job for plan in plans for job in plan.jobs])
-        results = []
-        for monitor, plan, model in zip(monitors, plans, models):
-            result = monitor.score_chunk(rows, times, None, plan)
+        for result, model in zip(results, models):
             assert_results_equal(
                 result, ScalarMonitor(model).run_peaks(rows, times)
             )
-            results.append(result)
         assert not np.array_equal(
             results[0].rejection_flags, results[1].rejection_flags
         )
@@ -527,17 +529,14 @@ def _assert_states_equal(a, b):
 def _assert_walk_matches_oracle(model, peaks, early_exit, seed, quality=None):
     """Batch and random-chunk walks of ``peaks`` equal the oracle's steps:
     every observable of the results, and the final exported state. The
-    batch run lets :meth:`Monitor.score_chunk` plan for itself; the
-    chunked run hands it each chunk's scored entry plan, as the
-    streaming engine does."""
+    batch run is one :meth:`Monitor.score_chunk` call; the chunked run
+    makes one per chunk, as the streaming engine does."""
     times = np.arange(len(peaks)) * model.hop_duration
     expected, state = _oracle_run(model, peaks, times, early_exit, quality)
 
     batch = Monitor(model)
     assert_results_equal(
-        batch.score_chunk(
-            peaks, times, quality, None, early_exit=early_exit
-        ),
+        batch.score_chunk(peaks, times, quality, early_exit=early_exit),
         expected,
     )
     _assert_states_equal(batch.export_state(), state)
@@ -549,11 +548,8 @@ def _assert_walk_matches_oracle(model, peaks, early_exit, seed, quality=None):
         stop = min(len(times), start + int(rng.integers(1, 12)))
         chunk = peaks[start:stop]
         flags = quality[start:stop] if quality is not None else None
-        plan = plan_chunks_pooled([(stream, chunk, flags)])[0]
-        if plan is not None and plan.jobs:
-            score_ks_jobs(plan.jobs)
         result = stream.score_chunk(
-            chunk, times[start:stop], flags, plan, early_exit=early_exit
+            chunk, times[start:stop], flags, early_exit=early_exit
         )
         results.append(result)
         start = stop

@@ -101,18 +101,41 @@ class TestModelRoundTrip:
         with pytest.raises(ConfigurationError, match="fingerprint mismatch"):
             load_model(path)
 
-    def test_legacy_file_without_fingerprint_still_loads(self, tmp_path):
-        model = detector_for("bitcount").model
-        path = tmp_path / "legacy.npz"
-        save_model(model, path)
+    def test_file_without_fingerprint_is_refused(self, tmp_path):
+        # save_model always records the fingerprint, so a file without
+        # one was stripped: with its config edited too, it would load a
+        # different detector unchecked.
+        path = tmp_path / "stripped.npz"
+        save_model(detector_for("bitcount").model, path)
 
         def strip(meta):
             assert "config_fingerprint" in meta
             del meta["config_fingerprint"]
+            meta["config"]["alpha"] = 0.5
 
         _rewrite_meta(path, strip)
-        loaded = load_model(path)
-        assert model_fingerprint(loaded) == model_fingerprint(model)
+        with pytest.raises(ConfigurationError, match="fingerprint mismatch"):
+            load_model(path)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda meta: meta.pop("config"),
+        lambda meta: meta.pop("regions"),
+        lambda meta: meta.pop("energy_reference"),
+        lambda meta: meta["config"].update(bogus=1),
+        lambda meta: meta.update(regions=5),
+        lambda meta: meta["regions"].append(dict(meta["regions"][0])),
+    ], ids=[
+        "no-config", "no-regions", "no-energy-reference",
+        "unknown-config-key", "regions-not-a-list", "region-without-array",
+    ])
+    def test_malformed_metadata_is_a_configuration_error(
+        self, tmp_path, tamper
+    ):
+        path = tmp_path / "model.npz"
+        save_model(detector_for("bitcount").model, path)
+        _rewrite_meta(path, tamper)
+        with pytest.raises(ConfigurationError, match="malformed model metadata"):
+            load_model(path)
 
     def test_saved_metadata_records_the_config_fingerprint(self, tmp_path):
         model = detector_for("bitcount").model
